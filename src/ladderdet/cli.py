@@ -38,7 +38,9 @@ class UsageError(Exception):
 
 
 def _read_text(path):
+    """The input text, decoded as strict UTF-8 from the file or from stdin."""
     if path is None:
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -58,7 +60,7 @@ def _load_ladder(args) -> Ladder:
 def _parse_monomial(text: str, bound: int) -> Monomial:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise LadderError(f"malformed monomial JSON: {exc}") from None
     mono = Monomial.from_json_dict(doc)
     if mono.degree > bound:
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,11 @@ class LadderError(ValueError):
     """Raised for structurally invalid ladders and malformed ladder input."""
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool, as every index and exponent must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Cell(NamedTuple):
     row: int
     col: int
@@ -39,7 +44,7 @@ class Ladder:
                 r, c = rc
             except (TypeError, ValueError):
                 raise LadderError(f"bad cell {rc!r}: expected a (row, col) pair") from None
-            if not isinstance(r, int) or not isinstance(c, int) or isinstance(r, bool) or isinstance(c, bool):
+            if not (is_int(r) and is_int(c)):
                 raise LadderError(f"cell indices must be integers, got {rc!r}")
             pts.add(Cell(r, c))
         if not pts:

@@ -1,21 +1,28 @@
 """Exact monomial computation modulo the 2-minor relations of a ladder.
 
 Each full 2-minor contributes the binomial relation
-x[i,j]*x[p,q] = x[i,q]*x[p,j] (i < p, j < q); rewriting is oriented from the
-diagonal product to the antidiagonal one, which strictly decreases monomials
-in the lexicographic order with row-major variables, so every chain stops.
-All ideal-level operations are degree-bounded brute force at desk scale.
+x[i,j]*x[p,q] = x[i,q]*x[p,j] (i < p, j < q).  Oriented from the diagonal
+product to the antidiagonal one, the relations rewrite any monomial to a
+unique normal form: one with no cell strictly north-west of another.  By the
+closure axiom every such diagonal pair of ladder cells spans a full minor, and
+a rewrite keeps the multisets of rows and of columns, so that content fixes
+the normal form: the rows in ascending order paired with the columns in
+descending order.  This is the Groebner basis of the 2-minors of a ladder
+(Narasimhan 1986; Conca, "Ladder determinantal rings", 1995).  Monomials are
+handled as run-length content, so costs grow with the support, not the
+degree.  The ideal-level operations are degree-bounded enumerations at desk
+scale.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .decompose import decompose
-from .ladders import Cell, Ladder, LadderError
+from .ladders import Cell, Ladder, LadderError, is_int
 
 MAX_DEGREE_BOUND = 8
 
@@ -29,8 +36,15 @@ class Monomial:
         merged: dict[Cell, int] = {}
         items = exps.items() if hasattr(exps, "items") else exps
         for cell, e in items:
-            cell = Cell(*cell)
-            e = int(e)
+            try:
+                r, c = cell
+            except (TypeError, ValueError):
+                raise LadderError(f"bad cell {cell!r}: expected a (row, col) pair") from None
+            if not (is_int(r) and is_int(c) and is_int(e)):
+                raise LadderError(
+                    f"bad monomial entry {[r, c, e]!r}: row, column and exponent must be integers"
+                )
+            cell = Cell(r, c)
             if e < 0:
                 raise LadderError(f"negative exponent for {cell}")
             if e:
@@ -109,140 +123,60 @@ class Monomial:
 class RewriteSystem:
     """The 2-minor rewriting rules of a ladder.
 
-    A rule is a diagonal cell pair ((i, j), (p, q)) with i < p, j < q whose
-    full minor lies in the ladder; it rewrites x[i,j]*x[p,q] into
-    x[i,q]*x[p,j].
+    A rule is a diagonal cell pair (a, b), a strictly north-west of b, both in
+    the ladder; by the closure axiom its full minor lies in the ladder too.  It
+    rewrites x[a]*x[b] into the antidiagonal product of that minor.
     """
 
-    __slots__ = ("ladder", "__dict__")
+    __slots__ = ("ladder",)
 
     def __init__(self, ladder: Ladder):
-        object.__setattr__(self, "ladder", ladder)
-
-    @cached_property
-    def rules(self) -> frozenset[tuple[Cell, Cell]]:
-        cells = self.ladder.sorted_cells()
-        out = []
-        for a, u in enumerate(cells):
-            for v in cells[a + 1:]:
-                if self.has_rule(u, v):
-                    out.append((u, v))
-        return frozenset(out)
+        self.ladder = ladder
 
     def has_rule(self, a: Cell, b: Cell) -> bool:
         cells = self.ladder.cells
-        return (
-            a.row < b.row
-            and a.col < b.col
-            and a in cells
-            and b in cells
-            and Cell(a.row, b.col) in cells
-            and Cell(b.row, a.col) in cells
-        )
+        return a.row < b.row and a.col < b.col and a in cells and b in cells
 
     def __repr__(self):
         return f"RewriteSystem({self.ladder!r})"
 
 
-def _check_supported(mono: Monomial, system: RewriteSystem) -> None:
+def _content(mono: Monomial, system: RewriteSystem):
+    """Row runs ascending and column runs descending, as (index, count) pairs."""
     bad = [c for c in mono.support if c not in system.ladder.cells]
     if bad:
         raise LadderError(f"monomial uses cells outside the ladder: {bad}")
-
-
-def _as_multiset(mono: Monomial) -> tuple[Cell, ...]:
-    out = []
-    for cell, e in mono.items():
-        out.extend([cell] * e)
-    return tuple(out)
-
-
-def _redexes(ms: tuple[Cell, ...], system: RewriteSystem):
-    """Applicable rules on a sorted cell multiset, in lexicographic rule order."""
-    support = sorted(set(ms))
-    out = []
-    for a, u in enumerate(support):
-        for v in support[a + 1:]:
-            if u.col < v.col and system.has_rule(u, v):
-                out.append((u, v))
-    return out
-
-
-def _apply(ms: tuple[Cell, ...], u: Cell, v: Cell) -> tuple[Cell, ...]:
-    lst = list(ms)
-    lst.remove(u)
-    lst.remove(v)
-    lst.append(Cell(u.row, v.col))
-    lst.append(Cell(v.row, u.col))
-    return tuple(sorted(lst))
+    rows, cols = Counter(), Counter()
+    for (r, c), e in mono.items():
+        rows[r] += e
+        cols[c] += e
+    return sorted(rows.items()), sorted(cols.items(), reverse=True)
 
 
 def normal_form(mono: Monomial, system: RewriteSystem) -> Monomial:
-    """Rewrite to the unique fixed point, always taking the smallest redex."""
-    _check_supported(mono, system)
-    ms = _as_multiset(mono)
-    while True:
-        reds = _redexes(ms, system)
-        if not reds:
-            return Monomial.from_cells(ms)
-        u, v = reds[0]
-        ms = _apply(ms, u, v)
+    """The unique normal form: ascending rows zipped with descending columns."""
+    rows, cols = _content(mono, system)
+    exps = []
+    cols = iter(cols)
+    col = left = 0
+    for row, need in rows:
+        while need:
+            if not left:
+                col, left = next(cols)
+            k = min(need, left)
+            exps.append(((row, col), k))
+            need -= k
+            left -= k
+    return Monomial(exps)
 
 
 def is_normal(mono: Monomial, system: RewriteSystem) -> bool:
-    _check_supported(mono, system)
-    return not _redexes(_as_multiset(mono), system)
+    return normal_form(mono, system) == mono
 
 
 def equal_mod_minors(m1: Monomial, m2: Monomial, system: RewriteSystem) -> bool:
-    """Whether two monomials agree in the quotient ring (equal normal forms)."""
-    return normal_form(m1, system) == normal_form(m2, system)
-
-
-def reachable_normal_forms(mono: Monomial, system: RewriteSystem) -> frozenset[Monomial]:
-    """All normal forms reachable by any rewriting strategy (confluence probe)."""
-    _check_supported(mono, system)
-    memo: dict[tuple[Cell, ...], frozenset[tuple[Cell, ...]]] = {}
-    result = _reachable(_as_multiset(mono), system, memo)
-    return frozenset(Monomial.from_cells(ms) for ms in result)
-
-
-def _reachable(ms, system, memo):
-    found = memo.get(ms)
-    if found is not None:
-        return found
-    reds = _redexes(ms, system)
-    if not reds:
-        result = frozenset((ms,))
-    else:
-        acc = set()
-        for u, v in reds:
-            acc |= _reachable(_apply(ms, u, v), system, memo)
-        result = frozenset(acc)
-    memo[ms] = result
-    return result
-
-
-def certify_confluence(system: RewriteSystem, max_degree: int = 3) -> int:
-    """Exhaustively check unique normal forms for all monomials up to max_degree.
-
-    Explores every rewrite order from every monomial of degree 2..max_degree
-    over the ladder, asserting a single terminal monomial of unchanged degree.
-    Returns the number of monomials checked; raises on any violation.
-    """
-    cells = system.ladder.sorted_cells()
-    memo: dict[tuple[Cell, ...], frozenset[tuple[Cell, ...]]] = {}
-    checked = 0
-    for degree in range(2, max_degree + 1):
-        for ms in itertools.combinations_with_replacement(cells, degree):
-            outcomes = _reachable(ms, system, memo)
-            if len(outcomes) != 1:
-                raise LadderError(f"non-confluent rewriting from {ms}: {sorted(outcomes)}")
-            terminal = next(iter(outcomes))
-            if len(terminal) != degree:
-                raise LadderError(f"degree not preserved rewriting {ms} to {terminal}")
-            checked += 1
-    return checked
+    """Whether two monomials agree in the quotient ring (equal row and column content)."""
+    return _content(m1, system) == _content(m2, system)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +193,11 @@ def normal_monomials(system: RewriteSystem, degree: int) -> list[Monomial]:
     """All normal-form monomials of the given exact degree, sorted."""
     if degree == 0:
         return [Monomial.unit()]
-    cells = system.ladder.sorted_cells()
     out = []
-    for ms in itertools.combinations_with_replacement(cells, degree):
-        if not _redexes(tuple(ms), system):
-            out.append(Monomial.from_cells(ms))
+    for ms in itertools.combinations_with_replacement(system.ladder.sorted_cells(), degree):
+        mono = Monomial.from_cells(ms)
+        if is_normal(mono, system):
+            out.append(mono)
     return out
 
 
@@ -277,36 +211,24 @@ def ideal_monomials_bounded(gens, d: int, system: RewriteSystem) -> frozenset[Mo
     out = set()
     for t_degree in range(d):
         for t in normal_monomials(system, t_degree):
-            base = _as_multiset(t)
             for g in gens:
-                out.add(normal_form(Monomial.from_cells(base + (g,)), system))
+                out.add(normal_form(t * Monomial({g: 1}), system))
     return frozenset(out)
 
 
 def intersect_bounded(gens1, gens2, d: int, system: RewriteSystem) -> frozenset[Monomial]:
     """Minimal members of the degree <= d intersection of two monomial-generated ideals.
 
-    A member is dropped when another member times a normal-form monomial of
-    the complementary degree rewrites to it.
+    The intersection holds every member of degree <= d, so a member is
+    non-minimal exactly when it is the normal form of one variable times a
+    member of lower degree.
     """
     common = ideal_monomials_bounded(gens1, d, system) & ideal_monomials_bounded(gens2, d, system)
-    members = sorted(common, key=Monomial.sort_key)
-    kept = []
-    for mono in members:
-        reducible = False
-        for other in members:
-            gap = mono.degree - other.degree
-            if gap < 1:
-                continue
-            for t in normal_monomials(system, gap):
-                if normal_form(t * other, system) == mono:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            kept.append(mono)
-    return frozenset(kept)
+    variables = [Monomial({x: 1}) for x in system.ladder.sorted_cells()]
+    multiples = {
+        normal_form(x * other, system) for other in common if other.degree < d for x in variables
+    }
+    return common - multiples
 
 
 # ---------------------------------------------------------------------------

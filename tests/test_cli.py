@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -179,6 +180,27 @@ def test_eq_degree_bound_enforced(capsys, l3_json):
     assert (code, out.strip()) == (0, "false")
 
 
+@pytest.mark.parametrize(
+    "monomials",
+    [
+        ['{"exps": [[1, 2, 1.5]]}'],
+        ['{"exps": [[1, 2, 1.9]]}', '{"exps": [[1, 2, 1]]}'],
+        ['{"exps": [[1.0, 2.0, 1]]}'],
+        ['{"exps": [[1, 2, "x"]]}'],
+        ['{"exps": [[1, 2, 1e400]]}'],
+        ['{"exps": [[1, 2, NaN]]}'],
+        ['{"exps": [[1, 2, true]]}'],
+        ['{"exps": [[1, 2, ' + "9" * 5000 + "]]}"],
+        ["[" * 100000],
+    ],
+)
+def test_malformed_monomial_is_domain_error(capsys, l3_json, monomials):
+    command = "nf" if len(monomials) == 1 else "eq"
+    code, out, err = run(capsys, command, "--in", l3_json, *monomials)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_degree_bound_cap_is_usage_error(capsys, l3_json):
     with pytest.raises(SystemExit) as exc:
         main(["nf", "--in", l3_json, "--degree-bound", "9", '{"exps": []}'])
@@ -201,10 +223,27 @@ def test_witness_pretty_vacuous(capsys, tmp_path):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", __import__("io").StringIO(L3_ASCII))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(L3_ASCII.encode())))
     code, out, _ = run(capsys, "corners")
     assert code == 0
     assert "coincidental: (3,2)" in out
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"cells": [[1, 1]]}')
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
+
+
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    # latin-1 would decode these bytes; the command must insist on UTF-8 itself
+    raw = io.BytesIO(b'\xff\xfe{"cells": [[1, 1]]}')
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="latin-1"))
+    code, out, err = run(capsys, "validate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
 
 
 def test_unknown_command_is_usage_error(capsys):

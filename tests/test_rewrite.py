@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from ladderdet import (
     P,
     Q,
     RewriteSystem,
-    certify_confluence,
     compose,
     equal_mod_minors,
     ideal_generators,
@@ -20,11 +20,16 @@ from ladderdet import (
     is_normal,
     normal_form,
     normal_monomials,
-    reachable_normal_forms,
     verify_witnesses,
 )
 
-from helpers import random_staircase_cells
+from helpers import (
+    certify_confluence,
+    enumerate_ladder_cellsets,
+    full_minors,
+    random_staircase_cells,
+    reachable_normal_forms,
+)
 
 
 def mono(*cells):
@@ -57,17 +62,29 @@ def test_monomial_rejects_negative_exponents():
         Monomial({Cell(1, 1): -1})
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [[1, 2, 1.5], [1.0, 2.0, 1], [1, 2, True], [True, 2, 1], [1, 2, "x"], [1, 2, float("inf")], [1, 2, float("nan")]],
+)
+def test_monomial_rejects_non_integer_entries(entry):
+    with pytest.raises(LadderError, match="must be integers"):
+        Monomial.from_json_dict({"exps": [entry]})
+
+
 # ---------------------------------------------------------------------------
 # rewrite system and normal forms
 
 def test_rules_of_l3(l3):
-    rules = RewriteSystem(l3).rules
-    assert (Cell(1, 2), Cell(2, 3)) in rules
-    assert (Cell(1, 2), Cell(3, 3)) in rules
-    assert (Cell(3, 1), Cell(4, 2)) in rules
-    # (2,1) is missing from L3, so no rule pairs rows 2 and 5 on columns 1,2
-    assert (Cell(2, 2), Cell(5, 1)) not in rules
+    s = RewriteSystem(l3)
+    assert s.has_rule(Cell(1, 2), Cell(2, 3))
+    assert s.has_rule(Cell(1, 2), Cell(3, 3))
+    assert s.has_rule(Cell(3, 1), Cell(4, 2))
+    # an antidiagonal pair is the target of a rule, never its source
+    assert not s.has_rule(Cell(2, 2), Cell(5, 1))
+    rules = {(a, b) for a in l3.sorted_cells() for b in l3.sorted_cells() if s.has_rule(a, b)}
     assert all(a.row < b.row and a.col < b.col for a, b in rules)
+    # the rules are exactly the diagonals of the full minors, checked on all four corners
+    assert rules == {(min(minor), max(minor)) for minor in full_minors(l3.cells)}
 
 
 def test_normal_form_single_step(l3):
@@ -116,18 +133,39 @@ def test_normal_form_is_reachable_and_unique_small():
         ladder = Ladder(random_staircase_cells(rng, 5, 5))
         s = RewriteSystem(ladder)
         cells = ladder.sorted_cells()
-        m = Monomial.from_cells(rng.choices(cells, k=3))
-        outcomes = reachable_normal_forms(m, s)
-        assert outcomes == frozenset({normal_form(m, s)})
+        ms = rng.choices(cells, k=3)
+        outcomes = {Monomial.from_cells(t) for t in reachable_normal_forms(ladder.cells, ms)}
+        assert outcomes == {normal_form(Monomial.from_cells(ms), s)}
+
+
+def test_normal_form_matches_rewriting_oracle():
+    rng = random.Random(73)
+    cellsets = enumerate_ladder_cellsets(5, 5)
+    for _ in range(20000):
+        cells = rng.choice(cellsets)
+        ms = rng.choices(sorted(cells), k=rng.randint(1, 6))
+        outcomes = {Monomial.from_cells(t) for t in reachable_normal_forms(cells, ms)}
+        assert outcomes == {normal_form(Monomial.from_cells(ms), RewriteSystem(Ladder(cells)))}
+
+
+def test_normal_form_huge_exponent():
+    s = RewriteSystem(Ladder.full_matrix(3, 3))
+    m = Monomial({Cell(1, 1): 10**12, Cell(2, 2): 1})
+    start = time.process_time()
+    nf = normal_form(m, s)
+    assert nf == Monomial({Cell(1, 1): 10**12 - 1, Cell(1, 2): 1, Cell(2, 1): 1})
+    assert equal_mod_minors(m, nf, s)
+    assert not equal_mod_minors(m, Monomial({Cell(1, 1): 10**12, Cell(2, 1): 1}), s)
+    assert is_normal(nf, s) and not is_normal(m, s)
+    assert time.process_time() - start < 0.5
 
 
 def test_certify_confluence_counts(l3):
-    s = RewriteSystem(l3)
     n_cells = len(l3)
     expected = sum(
         len(list(itertools.combinations_with_replacement(range(n_cells), d))) for d in (2, 3)
     )
-    assert certify_confluence(s, max_degree=3) == expected
+    assert certify_confluence(l3.cells, max_degree=3) == expected
 
 
 def test_equivalence_classes_partition_bidirectional_closure():
