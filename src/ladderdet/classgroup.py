@@ -3,15 +3,18 @@
 For a 2-connected ladder with h lower and k upper inside corners the class
 group is free abelian of rank h + k + 1, with basis classes Q(1)..Q(h+1)
 (row ideals keyed to the rows a_0, ..., a_h) and P(1)..P(k) (one ideal per
-upper corner).  Classes are sparse integer vectors over these labels.
+upper corner).  A class is a dense integer tuple over these labels, in that
+order; labels are checked once when a class is built from a mapping, and
+sums and differences are element-wise.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import NamedTuple
 
 from .decompose import Factorization
-from .ladders import Cell, Ladder, LadderError, corners, require_analyzable
+from .ladders import Cell, CornerProfile, Ladder, LadderError, corners, require_analyzable
 
 
 class BasisLabel(NamedTuple):
@@ -36,36 +39,49 @@ def P(j: int) -> BasisLabel:
     return BasisLabel("P", j)
 
 
-def _label_key(label: BasisLabel):
-    return (0 if label.kind == "Q" else 1, label.index)
+def _labels(ladder: Ladder) -> tuple[BasisLabel, ...]:
+    """Q(1)..Q(h+1), P(1)..P(k): the coordinates of every class over the ladder."""
+    prof = corners(ladder)
+    return tuple(Q(i) for i in range(1, prof.h + 2)) + tuple(P(j) for j in range(1, prof.k + 1))
+
+
+def _check_label(prof: CornerProfile, label) -> None:
+    """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k)."""
+    if not isinstance(label, BasisLabel):
+        raise LadderError(f"not a basis label: {label!r}")
+    if label.kind == "Q":
+        if not 1 <= label.index <= prof.h + 1:
+            raise LadderError(f"label {label} out of range (h = {prof.h})")
+    elif label.kind == "P":
+        if not 1 <= label.index <= prof.k:
+            raise LadderError(f"label {label} out of range (k = {prof.k})")
+    else:
+        raise LadderError(f"unknown label kind {label.kind!r}")
 
 
 class DivisorClass:
-    """Sparse integer vector over the basis labels of a fixed ambient ladder."""
+    """Dense integer vector over the basis labels of a fixed ambient ladder."""
 
-    __slots__ = ("ladder", "_items")
+    __slots__ = ("ladder", "_vec")
 
     def __init__(self, ladder: Ladder, coeffs=None):
         prof = corners(ladder)
-        merged: dict[BasisLabel, int] = {}
+        vec = [0] * (prof.h + prof.k + 1)
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for label, c in items:
-                if not isinstance(label, BasisLabel):
-                    raise LadderError(f"not a basis label: {label!r}")
-                if label.kind == "Q":
-                    if not 1 <= label.index <= prof.h + 1:
-                        raise LadderError(f"label {label} out of range (h = {prof.h})")
-                elif label.kind == "P":
-                    if not 1 <= label.index <= prof.k:
-                        raise LadderError(f"label {label} out of range (k = {prof.k})")
-                else:
-                    raise LadderError(f"unknown label kind {label.kind!r}")
-                merged[label] = merged.get(label, 0) + int(c)
+                _check_label(prof, label)
+                vec[label.index - 1 if label.kind == "Q" else prof.h + label.index] += int(c)
         object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(
-            self, "_items", tuple(sorted(((l, c) for l, c in merged.items() if c), key=lambda t: _label_key(t[0])))
-        )
+        object.__setattr__(self, "_vec", tuple(vec))
+
+    @classmethod
+    def _make(cls, ladder: Ladder, vec: tuple[int, ...]) -> "DivisorClass":
+        """A class from a coordinate tuple already in basis order, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ladder", ladder)
+        object.__setattr__(self, "_vec", vec)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
@@ -75,71 +91,59 @@ class DivisorClass:
         return cls(ladder)
 
     def items(self) -> tuple:
-        return self._items
+        """The (label, coefficient) pairs with a nonzero coefficient, in basis order."""
+        return tuple((l, c) for l, c in zip(_labels(self.ladder), self._vec) if c)
 
     def coeff(self, label: BasisLabel) -> int:
-        for l, c in self._items:
-            if l == label:
-                return c
-        return 0
+        return dict(self.items()).get(label, 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self._items
+        return not any(self._vec)
 
     def _require_same_group(self, other):
         if not isinstance(other, DivisorClass):
             raise TypeError("expected a DivisorClass")
-        if other.ladder != self.ladder:
+        if other.ladder is not self.ladder and other.ladder != self.ladder:
             raise LadderError("divisor classes live over different ladders")
 
     def __add__(self, other):
         self._require_same_group(other)
-        coeffs = dict(self._items)
-        for l, c in other._items:
-            coeffs[l] = coeffs.get(l, 0) + c
-        return DivisorClass(self.ladder, coeffs)
+        return DivisorClass._make(self.ladder, tuple(map(add, self._vec, other._vec)))
 
     def __neg__(self):
-        return DivisorClass(self.ladder, {l: -c for l, c in self._items})
+        return DivisorClass._make(self.ladder, tuple(-c for c in self._vec))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._require_same_group(other)
+        return DivisorClass._make(self.ladder, tuple(map(sub, self._vec, other._vec)))
 
     def __eq__(self, other):
         return (
             isinstance(other, DivisorClass)
-            and self.ladder == other.ladder
-            and self._items == other._items
+            and (self.ladder is other.ladder or self.ladder == other.ladder)
+            and self._vec == other._vec
         )
 
     def __hash__(self):
-        return hash(self._items)
+        return hash(self._vec)
 
     def __repr__(self):
         return f"DivisorClass({self})"
 
     def __str__(self):
-        if not self._items:
-            return "0"
-        parts = []
-        for l, c in self._items:
-            if c == 1:
-                term = str(l)
-            elif c == -1:
-                term = f"-{l}"
+        out = ""
+        for l, c in self.items():
+            term = str(l) if abs(c) == 1 else f"{abs(c)}*{l}"
+            if not out:
+                out = term if c > 0 else f"-{term}"
             else:
-                term = f"{c}*{l}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+                out += f" + {term}" if c > 0 else f" - {term}"
+        return out or "0"
 
     def to_json_dict(self) -> dict:
-        qs = {str(l.index): c for l, c in self._items if l.kind == "Q"}
-        ps = {str(l.index): c for l, c in self._items if l.kind == "P"}
-        return {"Q": qs, "P": ps}
+        items = self.items()
+        return {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +152,7 @@ class DivisorClass:
 def basis(ladder: Ladder) -> tuple[BasisLabel, ...]:
     """The free basis [Q(1)..Q(h+1), P(1)..P(k)] of the class group."""
     require_analyzable(ladder)
-    prof = corners(ladder)
-    return tuple(Q(i) for i in range(1, prof.h + 2)) + tuple(P(j) for j in range(1, prof.k + 1))
+    return _labels(ladder)
 
 
 def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
@@ -166,15 +169,10 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
             raise LadderError(f"QPrime index {label.index} out of range (h = {prof.h})")
         col = prof.lower_ext[label.index - 1].col
         return frozenset(p for p in ladder.cells if p.col == col)
-    if not isinstance(label, BasisLabel):
-        raise LadderError(f"not a basis label: {label!r}")
+    _check_label(prof, label)
     if label.kind == "Q":
-        if not 1 <= label.index <= prof.h + 1:
-            raise LadderError(f"label {label} out of range (h = {prof.h})")
         row = prof.lower_ext[label.index - 1].row
         return frozenset(p for p in ladder.cells if p.row == row)
-    if not 1 <= label.index <= prof.k:
-        raise LadderError(f"label {label} out of range (k = {prof.k})")
     c, d = prof.upper[label.index - 1]
     return frozenset(p for p in ladder.cells if p.row <= c and p.col <= d)
 
@@ -189,13 +187,11 @@ def canonical_class(ladder: Ladder) -> DivisorClass:
     require_analyzable(ladder)
     prof = corners(ladder)
     le = prof.lower_ext
-    coeffs: dict[BasisLabel, int] = {}
-    for i in range(1, prof.h + 2):
-        coeffs[Q(i)] = le[i].row + le[i].col - le[i - 1].row - le[i - 1].col
-    for j, (c, d) in enumerate(prof.upper, start=1):
+    vec = [le[i].row + le[i].col - le[i - 1].row - le[i - 1].col for i in range(1, prof.h + 2)]
+    for c, d in prof.upper:
         i_j = next(i for i in range(1, prof.h + 2) if le[i].row > c)
-        coeffs[P(j)] = le[i_j].row + le[i_j].col - c - d
-    return DivisorClass(ladder, coeffs)
+        vec.append(le[i_j].row + le[i_j].col - c - d)
+    return DivisorClass._make(ladder, tuple(vec))
 
 
 def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
@@ -227,41 +223,13 @@ class FactorRole(NamedTuple):
         return f"{self.kind}[{self.factor},{self.index}]"
 
 
-class RelabelMap:
-    """Bijection between global basis labels and double-indexed factor roles."""
+def relabel(factorization: Factorization) -> dict[BasisLabel, FactorRole]:
+    """Name each global basis label by its factor and local role, in basis order.
 
-    __slots__ = ("_forward", "_backward")
-
-    def __init__(self, pairs):
-        forward = dict(pairs)
-        backward = {role: label for label, role in forward.items()}
-        if len(backward) != len(forward):
-            raise LadderError("relabeling is not a bijection")
-        object.__setattr__(self, "_forward", forward)
-        object.__setattr__(self, "_backward", backward)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelabelMap is immutable")
-
-    def __len__(self):
-        return len(self._forward)
-
-    def role_of(self, label: BasisLabel) -> FactorRole:
-        return self._forward[label]
-
-    def label_of(self, role: FactorRole) -> BasisLabel:
-        return self._backward[role]
-
-    def items(self):
-        return sorted(self._forward.items(), key=lambda t: _label_key(t[0]))
-
-
-def relabel(factorization: Factorization) -> RelabelMap:
-    """Name each global basis label by its factor and local role.
-
-    A Q keyed to the u-th coincidental corner row belongs to the factor below
-    the cut as q_{u,1}; the P at that corner becomes p_{u,0}.  All other
-    labels keep their position within the factor that owns the corner.
+    The map is a bijection onto the roles of all factors.  A Q keyed to the
+    u-th coincidental corner row belongs to the factor below the cut as
+    q_{u,1}; the P at that corner becomes p_{u,0}.  All other labels keep
+    their position within the factor that owns the corner.
     """
     ladder = factorization.ladder
     prof = corners(ladder)
@@ -296,10 +264,12 @@ def relabel(factorization: Factorization) -> RelabelMap:
                 raise LadderError(f"relabeling failure: no factor owns the upper corner {cell}")
             pairs.append((P(j), role))
 
-    rmap = RelabelMap(pairs)
-    if len(rmap) != prof.h + prof.k + 1:
+    roles = dict(pairs)
+    if len(set(roles.values())) != len(roles):
+        raise LadderError("relabeling is not a bijection")
+    if len(roles) != prof.h + prof.k + 1:
         raise LadderError("relabeling failure: wrong label count")
-    return rmap
+    return roles
 
 
 def embed_factor_omega(factorization: Factorization, u: int) -> DivisorClass:
@@ -310,15 +280,16 @@ def embed_factor_omega(factorization: Factorization, u: int) -> DivisorClass:
     """
     if not 0 <= u <= factorization.w:
         raise LadderError(f"factor index {u} out of range (w = {factorization.w})")
+    return _embed(factorization, relabel(factorization), u)
+
+
+def _embed(factorization: Factorization, roles: dict[BasisLabel, FactorRole], u: int) -> DivisorClass:
+    """embed_factor_omega with the relabeling supplied, so one map serves every factor."""
+    position = {role: i for i, role in enumerate(roles.values())}
     local = canonical_class(factorization.factors[u])
-    rmap = relabel(factorization)
-    coeffs: dict[BasisLabel, int] = {}
+    vec = [0] * len(position)
     for label, c in local.items():
-        target = rmap.label_of(FactorRole(u, label.kind.lower(), label.index))
-        coeffs[target] = coeffs.get(target, 0) + c
+        vec[position[FactorRole(u, label.kind.lower(), label.index)]] += c
     if u >= 1:
-        lam1 = local.coeff(Q(1))
-        if lam1:
-            target = rmap.label_of(FactorRole(u, "p", 0))
-            coeffs[target] = coeffs.get(target, 0) + lam1
-    return DivisorClass(factorization.ladder, coeffs)
+        vec[position[FactorRole(u, "p", 0)]] += local.coeff(Q(1))
+    return DivisorClass._make(factorization.ladder, tuple(vec))

@@ -32,6 +32,10 @@ from .rewrite import (
 )
 from .sdm import classify, construct_2n, is_gorenstein
 
+# The most semidualizing classes `sdm` prints; the count itself is cheap, but
+# the output grows as 2^N in the number of non-Gorenstein factors.
+MAX_SDM_CLASSES = 2**16
+
 
 class UsageError(Exception):
     pass
@@ -240,6 +244,10 @@ def _cmd_gorenstein(args) -> int:
 
 def _cmd_sdm(args) -> int:
     report = classify(_load_ladder(args))
+    if report.count > MAX_SDM_CLASSES:
+        raise LadderError(
+            f"{report.count} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}"
+        )
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -374,3 +382,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

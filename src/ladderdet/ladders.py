@@ -19,6 +19,11 @@ class LadderError(ValueError):
     """Raised for structurally invalid ladders and malformed ladder input."""
 
 
+# The most grid positions (m * n) render_ascii draws; a valid two-cell ladder
+# can span any extent, and its grid is allocated in full.
+MAX_RENDER_AREA = 10**6
+
+
 def is_int(value) -> bool:
     """Whether value is an int and not a bool, as every index and exponent must be."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -142,7 +147,7 @@ def parse_json(text: str) -> Ladder:
     """Parse a ladder from ``{"cells": [[row, col], ...]}``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise LadderError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict) or "cells" not in doc:
         raise LadderError('ladder JSON must be an object with a "cells" key')
@@ -193,7 +198,15 @@ def parse_auto(text: str) -> Ladder:
 
 
 def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
-    """Render as a ``#``/``.`` grid; with annotate, mark corners L/U/C."""
+    """Render as a ``#``/``.`` grid; with annotate, mark corners L/U/C.
+
+    Refuses ladders whose m x n extent exceeds ``MAX_RENDER_AREA``.
+    """
+    if ladder.m * ladder.n > MAX_RENDER_AREA:
+        raise LadderError(
+            f"cannot render a {ladder.m}x{ladder.n} grid: its {ladder.m * ladder.n} positions "
+            f"exceed the cap of {MAX_RENDER_AREA}"
+        )
     grid = [["." for _ in range(ladder.n)] for _ in range(ladder.m)]
     for p in ladder.cells:
         grid[p.row - 1][p.col - 1] = "#"

@@ -1,8 +1,12 @@
 """Gorenstein testing and enumeration of semidualizing module classes.
 
 The class set is the family of 0/1 combinations of the embedded factor
-canonical classes, so its size is 2 to the number of non-Gorenstein factors
-in the coincidental-corner decomposition.
+canonical classes.  The images of the non-Gorenstein factors are nonzero
+with pairwise disjoint supports, so these combinations are all distinct and
+their number is 2 to the number of non-Gorenstein factors in the
+coincidental-corner decomposition.  :func:`classify` certifies that from
+the factor images alone, each read once; the classes themselves are
+enumerated only when :attr:`SdmReport.classes` is read.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classgroup import DivisorClass, canonical_class, embed_factor_omega
-from .decompose import Factorization, decompose
+from .classgroup import DivisorClass, _embed, canonical_class, relabel
+from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
 
@@ -44,14 +48,32 @@ class FactorReport:
 
 @dataclass(frozen=True)
 class SdmReport:
-    """Classification of the semidualizing module classes of one ladder."""
+    """Classification of the semidualizing module classes of one ladder.
+
+    ``count``, ``theta_vectors`` and ``classes`` are computed on each access;
+    the last two are lexicographic in theta and aligned with each other.
+    """
 
     rank: int
     omega: DivisorClass
     factors: tuple[FactorReport, ...]
-    count: int
-    classes: tuple[DivisorClass, ...]
-    theta_vectors: tuple[tuple[int, ...], ...]
+
+    @property
+    def count(self) -> int:
+        return 2 ** sum(f.epsilon for f in self.factors)
+
+    @property
+    def theta_vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(*((0,) if f.gorenstein else (0, 1) for f in self.factors)))
+
+    @property
+    def classes(self) -> tuple[DivisorClass, ...]:
+        # Doubling from the last factor keeps theta order: one addition per class.
+        classes = [DivisorClass.zero(self.omega.ladder)]
+        for f in reversed(self.factors):
+            if not f.gorenstein:
+                classes += [f.omega_image + c for c in classes]
+        return tuple(classes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,58 +87,38 @@ class SdmReport:
 
 
 def classify(ladder: Ladder) -> SdmReport:
-    """Decompose, test each factor, and enumerate all 0/1 sums of factor classes.
+    """Decompose, test each factor, and certify the 2^N distinct classes.
 
-    Theta vectors are kept in lexicographic order, with the coordinate of a
-    Gorenstein factor pinned to 0 (its class is the zero vector, so allowing
-    1 there would only duplicate classes).
+    Theta vectors pin the coordinate of a Gorenstein factor to 0 (its class
+    is the zero vector, so allowing 1 there would only duplicate classes).
+    The certificate: each factor image is zero iff its factor is Gorenstein,
+    the images have pairwise disjoint supports, and they sum to the
+    canonical class.
     """
     factorization = decompose(ladder)
     omega = canonical_class(ladder)
-    prof = corners(ladder)
-    rank = prof.h + prof.k + 1
+    roles = relabel(factorization)
 
     reports = []
-    images = []
+    owner = {}
     for u, factor in enumerate(factorization.factors):
         gor = is_gorenstein(factor)
-        image = embed_factor_omega(factorization, u)
+        image = _embed(factorization, roles, u)
         if gor != image.is_zero:
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
+        for label, _ in image.items():
+            if owner.setdefault(label, u) != u:
+                raise LadderError(
+                    f"internal inconsistency: disjoint-support invariant fails: factor {u}'s canonical image "
+                    f"shares {label} with factor {owner[label]}'s"
+                )
         reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, image))
-        images.append(image)
 
-    total = DivisorClass.zero(ladder)
-    for image in images:
-        total = total + image
-    if total != omega:
+    if sum((r.omega_image for r in reports), DivisorClass.zero(ladder)) != omega:
         raise LadderError("internal inconsistency: factor images do not sum to the canonical class")
-
-    count = 2 ** sum(r.epsilon for r in reports)
-    thetas = []
-    classes = []
-    for theta in itertools.product((0, 1), repeat=len(images)):
-        if any(t and reports[u].gorenstein for u, t in enumerate(theta)):
-            continue
-        acc = DivisorClass.zero(ladder)
-        for u, t in enumerate(theta):
-            if t:
-                acc = acc + images[u]
-        thetas.append(theta)
-        classes.append(acc)
-    if len(set(classes)) != count or len(classes) != count:
-        raise LadderError("internal inconsistency: class enumeration does not match the expected count")
-
-    return SdmReport(
-        rank=rank,
-        omega=omega,
-        factors=tuple(reports),
-        count=count,
-        classes=tuple(classes),
-        theta_vectors=tuple(thetas),
-    )
+    return SdmReport(rank=len(roles), omega=omega, factors=tuple(reports))
 
 
 def construct_2n(n: int, sizes) -> Ladder:

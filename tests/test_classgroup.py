@@ -189,9 +189,9 @@ def test_divisor_class_json(l3):
 
 def test_relabel_l3(l3):
     rmap = relabel(decompose(l3))
-    assert rmap.role_of(Q(1)) == FactorRole(0, "q", 1)
-    assert rmap.role_of(Q(2)) == FactorRole(1, "q", 1)
-    assert rmap.role_of(P(1)) == FactorRole(1, "p", 0)
+    assert rmap[Q(1)] == FactorRole(0, "q", 1)
+    assert rmap[Q(2)] == FactorRole(1, "q", 1)
+    assert rmap[P(1)] == FactorRole(1, "p", 0)
     assert len(rmap) == 3
 
 
@@ -199,9 +199,9 @@ def test_relabel_trivial_for_single_factor(l2):
     rmap = relabel(decompose(l2))
     prof = corners(l2)
     for i in range(1, prof.h + 2):
-        assert rmap.role_of(Q(i)) == FactorRole(0, "q", i)
+        assert rmap[Q(i)] == FactorRole(0, "q", i)
     for j in range(1, prof.k + 1):
-        assert rmap.role_of(P(j)) == FactorRole(0, "p", j)
+        assert rmap[P(j)] == FactorRole(0, "p", j)
 
 
 def test_relabel_composite_has_w_cut_roles(l1, l2, l3):

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from ladderdet.cli import main
+import ladderdet
+from ladderdet import construct_2n
+from ladderdet.cli import MAX_SDM_CLASSES, main
 
 from helpers import L2_ASCII, L3_ASCII, L3_CELLS
 
@@ -43,6 +49,17 @@ def test_sdm_omega_matches_canonical_command(capsys, l3_json):
     code, canonical_out, _ = run(capsys, "canonical", "--in", l3_json, "--json")
     assert code == 0
     assert json.loads(sdm_out)["omega"] == json.loads(canonical_out)
+
+
+def test_sdm_over_class_cap_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "glue17.json"
+    path.write_text(json.dumps(construct_2n(17, [(2, 3), (3, 2)] * 8 + [(2, 3)]).to_json_dict()))
+    for mode in ("--json", "--pretty"):
+        start = time.process_time()
+        code, out, err = run(capsys, "sdm", "--in", str(path), mode)
+        assert time.process_time() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == f"error: {2**17} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}\n"
 
 
 def test_gorenstein_pretty(capsys, l2_txt, l3_json):
@@ -116,6 +133,16 @@ def test_render_annotated(capsys, l3_json):
     code, out, _ = run(capsys, "render", "--in", l3_json, "--annotate")
     assert code == 0
     assert out.split("\n")[2][1] == "C"
+
+
+@pytest.mark.parametrize("argv", [["render"], ["render", "--json"], ["antitranspose"]])
+def test_render_over_extent_cap_is_domain_error(capsys, tmp_path, argv):
+    # a valid two-cell ladder with a 100000 x 100000 bounding box
+    path = tmp_path / "wide.json"
+    path.write_text('{"cells": [[1,100000],[100000,1]]}')
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot render a 100000x100000 grid") and err.count("\n") == 1
 
 
 def test_render_json_grid(capsys, l3_json):
@@ -199,6 +226,34 @@ def test_malformed_monomial_is_domain_error(capsys, l3_json, monomials):
     code, out, err = run(capsys, command, "--in", l3_json, *monomials)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cells": [[1, ' + "9" * 5000 + "]]}",
+        '{"cells": ' + "[" * 200000 + "]" * 200000 + "}",
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_malformed_ladder_json_is_domain_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+
+
+def test_module_entry_point_matches_main(capsys, l3_json):
+    src = os.path.dirname(os.path.dirname(ladderdet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["validate", "--in", l3_json, "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ladderdet.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+    assert json.loads(out)["two_connected"] is True
 
 
 def test_degree_bound_cap_is_usage_error(capsys, l3_json):

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+import ladderdet.sdm as sdm_module
 from ladderdet import (
     DivisorClass,
     Ladder,
@@ -18,7 +20,7 @@ from ladderdet import (
     validate,
 )
 
-from helpers import random_staircase_cells
+from helpers import enumerate_ladder_cellsets, random_staircase_cells
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -103,6 +105,58 @@ def test_classify_contains_zero_and_omega_with_aligned_thetas(l1, l2, l3):
             if t:
                 acc = acc + factor.omega_image
         assert acc == cls
+
+
+def _analyzable(ladder):
+    report = validate(ladder)
+    return report.two_connected and report.sidedness != "other"
+
+
+def test_classify_classes_match_brute_force():
+    # Brute-force counterpart of classify's disjoint-support certificate: the
+    # classes are distinct, each is the sum of its theta's factor images, and
+    # theta runs over {0,1} (0 for Gorenstein factors) in lexicographic order.
+    ladders = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
+    ladders = [ladder for ladder in ladders if _analyzable(ladder)]
+    rng = random.Random(61)
+    ladders += [
+        compose([random_corner_free_factor(rng, 5, 5) for _ in range(rng.randint(2, 6))])
+        for _ in range(300)
+    ]
+    for ladder in ladders:
+        report = classify(ladder)
+        classes, thetas = report.classes, report.theta_vectors
+        assert report.count == 2 ** sum(not f.gorenstein for f in report.factors)
+        assert len(classes) == len(set(classes)) == report.count
+        assert len(thetas) == len(set(thetas)) == report.count
+        assert list(thetas) == sorted(thetas)
+        for theta, cls in zip(thetas, classes):
+            expected = {}
+            for t, factor in zip(theta, report.factors):
+                assert not (t and factor.gorenstein)
+                for label, c in factor.omega_image.items():
+                    expected[label] = expected.get(label, 0) + t * c
+            assert dict(cls.items()) == {label: c for label, c in expected.items() if c}
+
+
+def test_classify_2n_40_counts_without_enumerating():
+    sizes = [(2, 3), (3, 2)] * 20
+    start = time.process_time()
+    report = classify(construct_2n(40, sizes))
+    assert report.count == 2**40
+    assert time.process_time() - start < 1.0
+
+
+def test_classify_rejects_overlapping_factor_images(monkeypatch, l3):
+    embed = sdm_module._embed
+
+    def overlapping(factorization, roles, u):
+        image = embed(factorization, roles, u)
+        return image + embed(factorization, roles, 0) if u == 1 else image
+
+    monkeypatch.setattr(sdm_module, "_embed", overlapping)
+    with pytest.raises(LadderError, match="disjoint-support invariant fails: factor 1's"):
+        classify(l3)
 
 
 def test_classify_rejects_non_two_connected():
