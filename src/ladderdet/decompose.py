@@ -8,6 +8,7 @@ the original ladder.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .ladders import (
@@ -55,34 +56,23 @@ def decompose(ladder: Ladder) -> Factorization:
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
     closed regions between consecutive corners; all structural invariants
     (exact union, one-cell overlaps, corner-free 2-connected factors,
-    compose round trip) are asserted before returning.
+    compose round trip) are asserted before returning.  Every step is
+    linear in the number of cells, up to a bisection over the corner rows.
     """
     require_analyzable(ladder)
     cc = coincidental_corners(ladder)
-    w = len(cc)
-    if w == 0:
-        regions = [set(ladder.cells)]
-    else:
-        regions = []
-        regions.append({p for p in ladder.cells if p.row <= cc[0].row and p.col >= cc[0].col})
-        for u in range(1, w):
-            hi, lo = cc[u - 1], cc[u]
-            regions.append(
-                {p for p in ladder.cells if hi.row <= p.row <= lo.row and lo.col <= p.col <= hi.col}
-            )
-        regions.append({p for p in ladder.cells if p.row >= cc[-1].row and p.col <= cc[-1].col})
+    regions = _regions(ladder, cc)
+    _check_regions(ladder, cc, regions)
 
     factors = []
     offsets = []
     for region in regions:
-        if not region:
-            raise LadderError("decomposition failure: empty factor region")
         dr = min(p.row for p in region) - 1
         dc = min(p.col for p in region) - 1
         factors.append(Ladder(Cell(p.row - dr, p.col - dc) for p in region))
         offsets.append((dr, dc))
 
-    _check_invariants(ladder, factors, offsets, cc, regions)
+    _check_factors(ladder, factors, cc)
     return Factorization(
         ladder=ladder,
         factors=tuple(factors),
@@ -92,11 +82,32 @@ def decompose(ladder: Ladder) -> Factorization:
     )
 
 
-def _check_invariants(ladder, factors, offsets, cc, regions):
-    union = set()
-    for region in regions:
-        union |= region
-    if union != set(ladder.cells):
+def _regions(ladder, cc):
+    """The closed regions between consecutive corners, built in one pass.
+
+    Region u spans rows cc[u-1].row..cc[u].row and columns cc[u].col..cc[u-1].col,
+    running to the ladder's edge where u is the first or last region.  An
+    analyzable ladder's corner rows strictly increase, so a cell in row r can
+    lie only in region bisect_left(corner_rows, r) and, when r is a corner
+    row, in the next one.
+    """
+    w = len(cc)
+    corner_rows = [p.row for p in cc]
+    left = [p.col for p in cc] + [1]
+    right = [ladder.n] + [p.col for p in cc]
+    regions = [set() for _ in range(w + 1)]
+    for p in ladder.cells:
+        u = bisect_left(corner_rows, p.row)
+        for v in (u, u + 1) if u < w and corner_rows[u] == p.row else (u,):
+            if left[v] <= p.col <= right[v]:
+                regions[v].add(p)
+    return regions
+
+
+def _check_regions(ladder, cc, regions):
+    if not all(regions):
+        raise LadderError("decomposition failure: empty factor region")
+    if set().union(*regions) != ladder.cells:
         raise LadderError("decomposition failure: factors do not cover the ladder")
     for u in range(len(regions) - 1):
         overlap = regions[u] & regions[u + 1]
@@ -105,9 +116,19 @@ def _check_invariants(ladder, factors, offsets, cc, regions):
                 f"decomposition failure: factors {u} and {u + 1} overlap in {sorted(overlap)}, "
                 f"expected exactly {cc[u]}"
             )
-        for v in range(u + 2, len(regions)):
-            if regions[u] & regions[v]:
-                raise LadderError(f"decomposition failure: factors {u} and {v} overlap")
+    # The union is exact and adjacent regions share only their corner, so the
+    # sizes add up to |Y| + w exactly when no two non-adjacent regions meet.
+    if sum(map(len, regions)) != len(ladder) + len(cc):
+        u, v = next(
+            (u, v)
+            for u in range(len(regions))
+            for v in range(u + 2, len(regions))
+            if regions[u] & regions[v]
+        )
+        raise LadderError(f"decomposition failure: factors {u} and {v} overlap")
+
+
+def _check_factors(ladder, factors, cc):
     prof = corners(ladder)
     sum_h = sum(corners(f).h for f in factors)
     sum_k = sum(corners(f).k for f in factors)

@@ -18,6 +18,10 @@ from .classgroup import DivisorClass, _embed, canonical_class, relabel
 from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
+# The most cells construct_2n builds, summed over its blocks (sum of m_u * n_u);
+# every block is a full matrix, so a short --sizes list can ask for any number.
+MAX_CONSTRUCT_CELLS = 10**6
+
 
 def is_gorenstein(ladder: Ladder) -> bool:
     """True iff m = n and every inside corner (r, s) satisfies r + s = m + 1."""
@@ -126,13 +130,14 @@ def construct_2n(n: int, sizes) -> Ladder:
 
     Each block must be m x n with m, n > 1 and m != n; a square block would
     be Gorenstein (trivial canonical class) and contribute no factor of 2.
+    The blocks may hold at most ``MAX_CONSTRUCT_CELLS`` cells in all; that is
+    checked before any block is built.
     """
     sizes = list(sizes)
     if n < 1:
         raise LadderError("need at least one block; any Gorenstein ladder already gives a count of 1")
     if len(sizes) != n:
         raise LadderError(f"expected {n} block sizes, got {len(sizes)}")
-    blocks = []
     for m_u, n_u in sizes:
         if m_u < 2 or n_u < 2:
             raise LadderError(f"block {m_u}x{n_u} too small: both sides must exceed 1")
@@ -141,5 +146,9 @@ def construct_2n(n: int, sizes) -> Ladder:
                 f"square block {m_u}x{n_u} rejected: a square matrix is Gorenstein (m = n), "
                 "so it contributes no factor of 2"
             )
-        blocks.append(Ladder.full_matrix(m_u, n_u))
-    return compose(blocks)
+    total = sum(m_u * n_u for m_u, n_u in sizes)
+    if total > MAX_CONSTRUCT_CELLS:
+        raise LadderError(
+            f"blocks of {total} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}"
+        )
+    return compose(Ladder.full_matrix(m_u, n_u) for m_u, n_u in sizes)

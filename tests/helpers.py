@@ -138,6 +138,117 @@ def enumerate_ladder_cellsets(max_m, max_n):
     return out
 
 
+def single_cell_mutants(cellsets, rng, per_set=3, box=5):
+    """Each cell set with one seeded cell of the box x box grid toggled, per_set times; empty results dropped."""
+    out = []
+    for cells in cellsets:
+        for _ in range(per_set):
+            cell = (rng.randint(1, box), rng.randint(1, box))
+            mutant = cells ^ {cell}
+            if mutant:
+                out.append(mutant)
+    return out
+
+
+def validate_oracle(cells):
+    """The validation report as JSON, joining every pair of rows.
+
+    Full minors between rows r1 < r2 live on their common columns, so all
+    those cells form one component; unlike the library, which joins
+    consecutive occupied rows only, this joins every pair of rows.
+    Corners come from ``naive_corners``.
+    """
+    s = set(cells)
+    cells = sorted(s)
+    index = {p: i for i, p in enumerate(cells)}
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    covered = [False] * len(cells)
+    rows = {}
+    for r, c in cells:
+        rows.setdefault(r, set()).add(c)
+    order = sorted(rows)
+    for a, r1 in enumerate(order):
+        for r2 in order[a + 1:]:
+            common = sorted(rows[r1] & rows[r2])
+            if len(common) < 2:
+                continue
+            anchor = find(index[(r1, common[0])])
+            for c in common:
+                for r in (r1, r2):
+                    i = index[(r, c)]
+                    covered[i] = True
+                    root = find(i)
+                    if root != anchor:
+                        parent[root] = anchor
+
+    every_cell_in_minor = all(covered)
+    two_connected = every_cell_in_minor and len({find(i) for i in range(len(cells))}) == 1
+
+    seen = {cells[0]}
+    stack = [cells[0]]
+    while stack:
+        r, c = stack.pop()
+        for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if q in s and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    path_connected = len(seen) == len(cells)
+
+    lower, upper = naive_corners(s)
+    ordered = all(a[0] < b[0] for seq in (lower, upper) for a, b in zip(seq, seq[1:]))
+    m = max(r for r, _ in s)
+    n = max(c for _, c in s)
+
+    messages = []
+    if not every_cell_in_minor:
+        messages.append(f"{covered.count(False)} cell(s) belong to no full 2-minor")
+    if not two_connected and every_cell_in_minor:
+        messages.append("the 2-minor hypergraph is disconnected")
+    if not path_connected:
+        messages.append("cell set is not path-connected")
+    if not ordered:
+        messages.append("inside-corner rows are not strictly increasing")
+
+    if not path_connected or not ordered:
+        sidedness = "other"
+    elif len(s) == m * n:
+        sidedness = "matrix"
+    elif lower and upper:
+        sidedness = "two-sided"
+    elif bool(lower) != bool(upper):
+        sidedness = "one-sided"
+    else:
+        sidedness = "other"
+
+    return {
+        "is_ladder": True,
+        "normalized": min(rows) == 1 and min(c for _, c in s) == 1,
+        "every_cell_in_minor": every_cell_in_minor,
+        "two_connected": two_connected,
+        "path_connected": path_connected,
+        "sidedness": sidedness,
+        "messages": messages,
+    }
+
+
+def compose_oracle(factors):
+    """Glue normalized cell sets corner to corner, re-shifting the accumulated set per factor."""
+    acc = set(factors[0])
+    acc_m = max(r for r, _ in factors[0])
+    for nxt in factors[1:]:
+        shift = max(c for _, c in nxt) - 1
+        acc = {(r, c + shift) for r, c in acc}
+        acc |= {(r + acc_m - 1, c) for r, c in nxt}
+        acc_m += max(r for r, _ in nxt) - 1
+    return acc
+
+
 def random_staircase_cells(rng, max_m, max_n):
     """Random path-connected interval ladder (normalized), as a cell set."""
     m = rng.randint(2, max_m)

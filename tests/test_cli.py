@@ -10,6 +10,7 @@ import pytest
 import ladderdet
 from ladderdet import construct_2n
 from ladderdet.cli import MAX_SDM_CLASSES, main
+from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
 from helpers import L2_ASCII, L3_ASCII, L3_CELLS
 
@@ -163,6 +164,14 @@ def test_construct2n_refuses_square_block(capsys):
     code, _, err = run(capsys, "construct2n", "--sizes", "3x3")
     assert code == 1
     assert "Gorenstein" in err
+
+
+def test_construct2n_over_cell_cap_is_domain_error(capsys):
+    start = time.process_time()
+    code, out, err = run(capsys, "construct2n", "--sizes", "100000x99999", "--json")
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: blocks of {100000 * 99999} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}\n"
 
 
 def test_nf_command(capsys, l3_json):

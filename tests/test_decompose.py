@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -16,6 +17,9 @@ from ladderdet import (
 )
 
 from helpers import random_staircase_cells
+
+# the package's `decompose` attribute is the function, so fetch the module itself
+decompose_module = importlib.import_module("ladderdet.decompose")
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -89,6 +93,21 @@ def test_factor_invariants_randomized():
             translated |= {Cell(p.row + dr, p.col + dc) for p in factor.cells}
         assert translated == set(composite.cells)
         assert compose(f.factors) == composite
+
+
+def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
+    # one cell of the last region also placed in the first: the union and the
+    # adjacent overlaps stay right, only the size count sees the extra overlap
+    regions = decompose_module._regions
+
+    def overlapping(ladder, cc):
+        out = regions(ladder, cc)
+        out[0].add(min(out[2] - set(cc)))
+        return out
+
+    monkeypatch.setattr(decompose_module, "_regions", overlapping)
+    with pytest.raises(LadderError, match="decomposition failure: factors 0 and 2 overlap$"):
+        decompose(compose([l1, l2, Ladder.full_matrix(3, 2)]))
 
 
 def test_factorization_json(l3):

@@ -1,10 +1,14 @@
+import itertools
 import json
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderdet import ladders as ladders_module
 from ladderdet import (
     Cell,
     Ladder,
@@ -25,10 +29,13 @@ from helpers import (
     L3_ASCII,
     L3_CELLS,
     closure_holds,
+    compose_oracle,
     enumerate_ladder_cellsets,
     naive_corners,
     random_staircase_cells,
+    single_cell_mutants,
     two_connected_by_partitions,
+    validate_oracle,
 )
 
 cell_sets = st.sets(
@@ -54,6 +61,39 @@ def test_parse_json_singleton():
 def test_parse_json_closure_violation_names_a_pair():
     with pytest.raises(LadderError, match=r"\(1,1\) and \(2,2\)"):
         parse_json('{"cells": [[1, 1], [2, 2]]}')
+
+
+def test_closure_violation_names_a_genuine_pair():
+    # on every rejected single-cell mutant of the ladders <= 5x5, both named
+    # cells are in the input and at least one cell they require is not
+    pattern = re.compile(r"cells \((\d+),(\d+)\) and \((\d+),(\d+)\) require \((\d+),(\d+)\) and \((\d+),(\d+)\)")
+    rejected = 0
+    for cells in single_cell_mutants(enumerate_ladder_cellsets(5, 5), random.Random(41)):
+        try:
+            Ladder(cells)
+        except LadderError as exc:
+            rejected += 1
+            found = pattern.search(str(exc))
+            assert found, str(exc)
+            (i, j), (p, q), *required = (tuple(map(int, found.groups()[k:k + 2])) for k in range(0, 8, 2))
+            assert i < p and j <= q and required == [(i, q), (p, j)], str(exc)
+            # indices are reported after translating the bounding box to (1, 1)
+            dr = 1 - min(r for r, _ in cells)
+            dc = 1 - min(col for _, col in cells)
+            shifted = {(r + dr, col + dc) for r, col in cells}
+            assert (i, j) in shifted and (p, q) in shifted, (sorted(cells), str(exc))
+            assert not set(required) <= shifted, (sorted(cells), str(exc))
+    assert rejected > 10000
+
+
+def test_closure_error_path_is_linear():
+    # two rows {1..N} over {1..N} minus N-1: the violation sits at the far end
+    n = 100_000
+    cells = [(1, c) for c in range(1, n + 1)] + [(2, c) for c in range(1, n + 1) if c != n - 1]
+    start = time.process_time()
+    with pytest.raises(LadderError, match=rf"\(1,{n - 1}\) and \(2,{n}\) require \(1,{n}\) and \(2,{n - 1}\)"):
+        Ladder(cells)
+    assert time.process_time() - start < 1.0
 
 
 def test_parse_json_duplicates_warn_and_dedup():
@@ -359,3 +399,59 @@ def test_antitranspose_involution_property(cells):
     except LadderError:
         return
     assert antitranspose(antitranspose(ladder)) == ladder
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the consecutive-row structural layer
+
+def test_constructor_agrees_with_closure_on_every_4x4_subset():
+    grid = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+    for mask in range(1, 1 << 16):
+        cells = [grid[i] for i in range(16) if mask >> i & 1]
+        try:
+            Ladder(cells)
+            accepted = True
+        except LadderError:
+            accepted = False
+        assert accepted == closure_holds(cells), cells
+
+
+def test_validate_matches_pairwise_row_oracle():
+    small = enumerate_ladder_cellsets(5, 5)
+    mutants = single_cell_mutants(small, random.Random(43))
+    rng = random.Random(47)
+    staircases = [random_staircase_cells(rng, 20, 20) for _ in range(300)]
+    ladders = 0
+    for cells in itertools.chain(small, mutants, staircases):
+        try:
+            ladder = Ladder(cells)
+        except LadderError:
+            assert not closure_holds(cells), sorted(cells)
+            continue
+        assert closure_holds(cells), sorted(cells)
+        assert validate(ladder).to_json_dict() == validate_oracle(ladder.cells), sorted(cells)
+        ladders += 1
+    assert ladders > len(small) + len(staircases)
+
+
+def test_compose_matches_reshifting_oracle():
+    rng = random.Random(53)
+    for _ in range(200):
+        factors = [Ladder(random_staircase_cells(rng, 5, 5)) for _ in range(rng.randint(1, 12))]
+        expected = compose_oracle([set(f.cells) for f in factors])
+        assert set(compose(factors).cells) == expected
+
+
+def test_caches_are_bounded():
+    bound = ladders_module.CACHE_SIZE
+    rng = random.Random(59)
+    fresh = set()
+    while len(fresh) < bound + 100:
+        ladder = Ladder(random_staircase_cells(rng, 10, 10))
+        if ladder not in fresh:
+            fresh.add(ladder)
+            validate(ladder)
+            corners(ladder)
+    assert validate.cache_info().maxsize == bound
+    assert validate.cache_info().currsize <= bound
+    assert corners.cache_info().currsize <= bound
