@@ -1,5 +1,9 @@
 """Command-line front end: ladder analysis with JSON or human-readable output.
 
+Each command handler returns ``(json_doc, pretty_text, exit_code)``, the first
+two as zero-argument callables, so only the requested form is built; ``main``
+prints it once, after the command has succeeded, and maps errors to exit codes.
+
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error.
 """
 
@@ -7,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 
 from .classgroup import basis, canonical_class, ideal_generators
 from .decompose import decompose
@@ -15,7 +21,6 @@ from .ladders import (
     Ladder,
     LadderError,
     antitranspose,
-    coincidental_corners,
     compose,
     corners,
     parse_auto,
@@ -43,11 +48,14 @@ class UsageError(Exception):
 
 def _read_text(path):
     """The input text, decoded as strict UTF-8 from the file or from stdin."""
-    if path is None:
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None:
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read input: {exc}") from None
 
 
 def _load_ladders(args) -> list[Ladder]:
@@ -72,10 +80,6 @@ def _parse_monomial(text: str, bound: int) -> Monomial:
             f"monomial degree {mono.degree} exceeds --degree-bound {bound}"
         )
     return mono
-
-
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def _fmt_cells(cells) -> str:
@@ -111,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, inputs=True, many=False):
+    def add(name, run, help_text, inputs=True, many=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if inputs:
             p.add_argument(
                 "--in",
@@ -127,257 +132,195 @@ def build_parser() -> argparse.ArgumentParser:
         mode.add_argument("--pretty", action="store_true", help="human-readable output (default)")
         return p
 
-    add("validate", "structural and connectivity diagnostics")
-    add("corners", "lower, upper, and coincidental inside corners")
-    add("decompose", "factorization at the coincidental inside corners")
-    add("classgroup", "class group basis and ideal generators")
-    add("canonical", "canonical class in the Q/P basis")
-    add("gorenstein", "Gorenstein test")
-    add("sdm", "semidualizing module classes")
-    add("compose", "glue ladders corner to corner", many=True)
-    add("antitranspose", "reflect along the antidiagonal")
-    p = add("render", "ASCII grid")
+    add("validate", _cmd_validate, "structural and connectivity diagnostics")
+    add("corners", _cmd_corners, "lower, upper, and coincidental inside corners")
+    add("decompose", _cmd_decompose, "factorization at the coincidental inside corners")
+    add("classgroup", _cmd_classgroup, "class group basis and ideal generators")
+    add("canonical", _cmd_canonical, "canonical class in the Q/P basis")
+    add("gorenstein", _cmd_gorenstein, "Gorenstein test")
+    add("sdm", _cmd_sdm, "semidualizing module classes")
+    add("compose", _cmd_compose, "glue ladders corner to corner", many=True)
+    add("antitranspose", _cmd_antitranspose, "reflect along the antidiagonal")
+    p = add("render", _cmd_render, "ASCII grid")
     p.add_argument("--annotate", action="store_true", help="mark corners L/U/C")
 
-    p = add("construct2n", "compose non-square matrix blocks for a 2^N class count", inputs=False)
+    p = add("construct2n", _cmd_construct2n, "compose non-square matrix blocks for a 2^N class count", inputs=False)
     p.add_argument("--sizes", required=True, type=_sizes, metavar="M1xN1,M2xN2,...")
 
-    p = add("nf", "normal form of a monomial modulo the 2-minors")
+    p = add("nf", _cmd_nf, "normal form of a monomial modulo the 2-minors")
     p.add_argument("monomial", help='monomial JSON, e.g. {"exps": [[1,2,1],[3,3,1]]}')
     p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
 
-    p = add("eq", "equality of two monomials modulo the 2-minors")
+    p = add("eq", _cmd_eq, "equality of two monomials modulo the 2-minors")
     p.add_argument("monomial", nargs=2, help="two monomial JSON documents")
     p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
 
-    p = add("witness", "multiplication-map witness identities on a two-matrix glue")
+    p = add("witness", _cmd_witness, "multiplication-map witness identities on a two-matrix glue")
     p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
 
     return parser
 
 
-def _cmd_validate(args) -> int:
+def _ladder_output(ladder: Ladder):
+    """A ladder as a command result: its cells as JSON, its grid as text."""
+    return ladder.to_json_dict, partial(render_ascii, ladder), 0
+
+
+def _bool_output(result: bool):
+    """A yes/no command result: JSON true/false, text "true"/"false"."""
+    return lambda: result, lambda: str(result).lower(), 0
+
+
+def _cmd_validate(args):
     report = validate(_load_ladder(args))
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        for key in (
-            "is_ladder",
-            "normalized",
-            "every_cell_in_minor",
-            "two_connected",
-            "path_connected",
-        ):
-            print(f"{key}: {str(getattr(report, key)).lower()}")
-        print(f"sidedness: {report.sidedness}")
-        for msg in report.messages:
-            print(f"note: {msg}")
-    return 0 if report.two_connected else 1
+
+    def text():
+        flags = ("is_ladder", "normalized", "every_cell_in_minor", "two_connected", "path_connected")
+        lines = [f"{key}: {str(getattr(report, key)).lower()}" for key in flags]
+        lines.append(f"sidedness: {report.sidedness}")
+        return "\n".join(lines + [f"note: {msg}" for msg in report.messages])
+
+    return report.to_json_dict, text, 0 if report.two_connected else 1
 
 
-def _cmd_corners(args) -> int:
-    ladder = _load_ladder(args)
-    prof = corners(ladder)
-    if args.json:
-        _emit_json(
-            {
-                "lower": [[r, c] for r, c in prof.lower],
-                "upper": [[r, c] for r, c in prof.upper],
-                "coincidental": [[r, c] for r, c in prof.coincidental],
-            }
-        )
-    else:
-        print(f"lower: {_fmt_cells(prof.lower)}")
-        print(f"upper: {_fmt_cells(prof.upper)}")
-        print(f"coincidental: {_fmt_cells(prof.coincidental)}")
-    return 0
+def _cmd_corners(args):
+    prof = corners(_load_ladder(args))
+    kinds = {"lower": prof.lower, "upper": prof.upper, "coincidental": prof.coincidental}
+    return (
+        lambda: {kind: [[r, c] for r, c in cells] for kind, cells in kinds.items()},
+        lambda: "\n".join(f"{kind}: {_fmt_cells(cells)}" for kind, cells in kinds.items()),
+        0,
+    )
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     factorization = decompose(_load_ladder(args))
-    if args.json:
-        _emit_json(factorization.to_json_dict())
-    else:
-        print(f"coincidental: {_fmt_cells(factorization.coincidental)}")
+
+    def text():
+        lines = [f"coincidental: {_fmt_cells(factorization.coincidental)}"]
         for u, (factor, (dr, dc)) in enumerate(zip(factorization.factors, factorization.offsets)):
-            print(f"factor {u} ({factor.m}x{factor.n}) at offset ({dr},{dc}):")
-            print(render_ascii(factor))
-    return 0
+            lines += [f"factor {u} ({factor.m}x{factor.n}) at offset ({dr},{dc}):", render_ascii(factor)]
+        return "\n".join(lines)
+
+    return factorization.to_json_dict, text, 0
 
 
-def _cmd_classgroup(args) -> int:
+def _cmd_classgroup(args):
     ladder = _load_ladder(args)
-    labels = basis(ladder)
-    gens = {str(l): sorted(ideal_generators(ladder, l)) for l in labels}
-    if args.json:
-        _emit_json(
-            {
-                "rank": len(labels),
-                "basis": [str(l) for l in labels],
-                "generators": {name: [[r, c] for r, c in cells] for name, cells in gens.items()},
-            }
-        )
-    else:
-        print(f"rank: {len(labels)}")
-        for l in labels:
-            print(f"{l}: {_fmt_cells(gens[str(l)])}")
-    return 0
+    gens = {str(l): sorted(ideal_generators(ladder, l)) for l in basis(ladder)}
+    return (
+        lambda: {
+            "rank": len(gens),
+            "basis": list(gens),
+            "generators": {name: [[r, c] for r, c in cells] for name, cells in gens.items()},
+        },
+        lambda: "\n".join([f"rank: {len(gens)}"] + [f"{name}: {_fmt_cells(cells)}" for name, cells in gens.items()]),
+        0,
+    )
 
 
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args):
     omega = canonical_class(_load_ladder(args))
-    if args.json:
-        _emit_json(omega.to_json_dict())
-    else:
-        print(f"omega = {omega}")
-    return 0
+    return omega.to_json_dict, lambda: f"omega = {omega}", 0
 
 
-def _cmd_gorenstein(args) -> int:
-    result = is_gorenstein(_load_ladder(args))
-    if args.json:
-        _emit_json(result)
-    else:
-        print(str(result).lower())
-    return 0
+def _cmd_gorenstein(args):
+    return _bool_output(is_gorenstein(_load_ladder(args)))
 
 
-def _cmd_sdm(args) -> int:
+def _cmd_sdm(args):
     report = classify(_load_ladder(args))
     if report.count > MAX_SDM_CLASSES:
         raise LadderError(
             f"{report.count} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}"
         )
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"rank: {report.rank}")
-        print(f"omega: {report.omega}")
-        print(f"count: {report.count}")
-        print("factors:")
-        for u, f in enumerate(report.factors):
-            print(
-                f"  {u}: {f.m}x{f.n}  gorenstein={str(f.gorenstein).lower()}  "
-                f"omega_image={f.omega_image}"
-            )
-        print("classes:")
-        for theta, cls in zip(report.theta_vectors, report.classes):
-            print(f"  theta={','.join(map(str, theta))}  {cls}")
-    return 0
+
+    def text():
+        lines = [f"rank: {report.rank}", f"omega: {report.omega}", f"count: {report.count}", "factors:"]
+        lines += [
+            f"  {u}: {f.m}x{f.n}  gorenstein={str(f.gorenstein).lower()}  omega_image={f.omega_image}"
+            for u, f in enumerate(report.factors)
+        ]
+        lines.append("classes:")
+        lines += [
+            f"  theta={','.join(map(str, theta))}  {cls}"
+            for theta, cls in zip(report.theta_vectors, report.classes)
+        ]
+        return "\n".join(lines)
+
+    return report.to_json_dict, text, 0
 
 
-def _cmd_compose(args) -> int:
-    result = compose(_load_ladders(args))
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(render_ascii(result))
-    return 0
+def _cmd_compose(args):
+    return _ladder_output(compose(_load_ladders(args)))
 
 
-def _cmd_antitranspose(args) -> int:
-    result = antitranspose(_load_ladder(args))
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(render_ascii(result))
-    return 0
+def _cmd_antitranspose(args):
+    return _ladder_output(antitranspose(_load_ladder(args)))
 
 
-def _cmd_render(args) -> int:
-    text = render_ascii(_load_ladder(args), annotate=args.annotate)
-    if args.json:
-        _emit_json({"grid": text.split("\n")})
-    else:
-        print(text)
-    return 0
+def _cmd_render(args):
+    text = partial(render_ascii, _load_ladder(args), annotate=args.annotate)
+    return lambda: {"grid": text().split("\n")}, text, 0
 
 
-def _cmd_construct2n(args) -> int:
-    result = construct_2n(len(args.sizes), args.sizes)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(render_ascii(result))
-    return 0
+def _cmd_construct2n(args):
+    return _ladder_output(construct_2n(len(args.sizes), args.sizes))
 
 
-def _cmd_nf(args) -> int:
+def _cmd_nf(args):
     ladder = _load_ladder(args)
     mono = _parse_monomial(args.monomial, args.degree_bound)
     result = normal_form(mono, RewriteSystem(ladder))
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(str(result))
-    return 0
+    return result.to_json_dict, lambda: str(result), 0
 
 
-def _cmd_eq(args) -> int:
+def _cmd_eq(args):
     ladder = _load_ladder(args)
     m1 = _parse_monomial(args.monomial[0], args.degree_bound)
     m2 = _parse_monomial(args.monomial[1], args.degree_bound)
-    result = equal_mod_minors(m1, m2, RewriteSystem(ladder))
-    if args.json:
-        _emit_json(result)
-    else:
-        print(str(result).lower())
-    return 0
+    return _bool_output(equal_mod_minors(m1, m2, RewriteSystem(ladder)))
 
 
-def _cmd_witness(args) -> int:
-    ladder = _load_ladder(args)
-    report = verify_witnesses(ladder)
+def _cmd_witness(args):
+    report = verify_witnesses(_load_ladder(args))
     identity_degree = 2 * max(abs(report.lam_top), abs(report.lam_bottom)) + 1
     if not report.vacuous and identity_degree > args.degree_bound:
         raise LadderError(
             f"witness identities have degree {identity_degree}; raise --degree-bound"
         )
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"corner: ({report.corner.row},{report.corner.col})")
-        print(f"lambda_top: {report.lam_top}")
-        print(f"lambda_bottom: {report.lam_bottom}")
+
+    def text():
+        lines = [
+            f"corner: ({report.corner.row},{report.corner.col})",
+            f"lambda_top: {report.lam_top}",
+            f"lambda_bottom: {report.lam_bottom}",
+        ]
         if report.vacuous:
-            print("vacuous: no case hypothesis applies")
-        for case in report.cases:
-            print(f"case {case.name}: {'holds' if case.holds else 'FAILS'}")
-    return 0
+            lines.append("vacuous: no case hypothesis applies")
+        return "\n".join(lines + [f"case {case.name}: {'holds' if case.holds else 'FAILS'}" for case in report.cases])
 
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "corners": _cmd_corners,
-    "decompose": _cmd_decompose,
-    "classgroup": _cmd_classgroup,
-    "canonical": _cmd_canonical,
-    "gorenstein": _cmd_gorenstein,
-    "sdm": _cmd_sdm,
-    "compose": _cmd_compose,
-    "antitranspose": _cmd_antitranspose,
-    "render": _cmd_render,
-    "construct2n": _cmd_construct2n,
-    "nf": _cmd_nf,
-    "eq": _cmd_eq,
-    "witness": _cmd_witness,
-}
+    return report.to_json_dict, text, 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except LadderError as exc:
+        doc, text, code = args.run(args)
+        out = json.dumps(doc(), sort_keys=True, indent=2) if args.json else text()
+    except (LadderError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Send the rest to devnull so that the flush at
+        # interpreter exit does not fail again (the recipe in the Python docs'
+        # note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 def entry() -> None:

@@ -367,10 +367,10 @@ def validate(ladder: Ladder) -> ValidationReport:
         common = ladder.row_cols(r1) & ladder.row_cols(r2)
         if len(common) < 2:
             continue
-        anchor = index[Cell(r1, min(common))]
+        anchor = index[r1, min(common)]
         for c in common:
             for r in (r1, r2):
-                i = index[Cell(r, c)]
+                i = index[r, c]
                 covered[i] = True
                 union(anchor, i)
 
@@ -383,7 +383,7 @@ def validate(ladder: Ladder) -> ValidationReport:
     stack = [cells[0]]
     while stack:
         r, c = stack.pop()
-        for q in (Cell(r - 1, c), Cell(r + 1, c), Cell(r, c - 1), Cell(r, c + 1)):
+        for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             if q in ladder.cells and q not in seen:
                 seen.add(q)
                 stack.append(q)

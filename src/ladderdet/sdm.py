@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classgroup import DivisorClass, _embed, canonical_class, relabel
+from .classgroup import DivisorClass, _embed, _labels, canonical_class, relabel
 from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
@@ -112,11 +112,11 @@ def classify(ladder: Ladder) -> SdmReport:
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
-        for label, _ in image.items():
-            if owner.setdefault(label, u) != u:
+        for i in itertools.compress(range(len(image._vec)), image._vec):
+            if owner.setdefault(i, u) != u:
                 raise LadderError(
                     f"internal inconsistency: disjoint-support invariant fails: factor {u}'s canonical image "
-                    f"shares {label} with factor {owner[label]}'s"
+                    f"shares {_labels(ladder)[i]} with factor {owner[i]}'s"
                 )
         reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, image))
 

@@ -29,10 +29,46 @@ def l2_txt(tmp_path):
     return str(path)
 
 
+def child_env():
+    """The environment in which a child process imports this checkout's ladderdet."""
+    src = os.path.dirname(os.path.dirname(ladderdet.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+L3_PRETTY = {  # command: (extra arguments, exact stdout on L3)
+    "validate": ([], "is_ladder: true\nnormalized: true\nevery_cell_in_minor: true\ntwo_connected: true\n"
+                     "path_connected: true\nsidedness: two-sided\n"),
+    "corners": ([], "lower: (3,2)\nupper: (3,2)\ncoincidental: (3,2)\n"),
+    "decompose": ([], "coincidental: (3,2)\nfactor 0 (3x2) at offset (0,1):\n##\n##\n##\n"
+                      "factor 1 (3x2) at offset (2,0):\n##\n##\n##\n"),
+    "classgroup": ([], "rank: 3\nQ1: (1,2) (1,3)\nQ2: (3,1) (3,2) (3,3)\nP1: (1,2) (2,2) (3,1) (3,2)\n"),
+    "canonical": ([], "omega = Q1 + Q2 + P1\n"),
+    "gorenstein": ([], "false\n"),
+    "sdm": ([], "rank: 3\nomega: Q1 + Q2 + P1\ncount: 4\nfactors:\n"
+                "  0: 3x2  gorenstein=false  omega_image=Q1\n  1: 3x2  gorenstein=false  omega_image=Q2 + P1\n"
+                "classes:\n  theta=0,0  0\n  theta=0,1  Q2 + P1\n  theta=1,0  Q1\n  theta=1,1  Q1 + Q2 + P1\n"),
+    "compose": ([], L3_ASCII + "\n"),
+    "antitranspose": ([], "..###\n#####\n###..\n"),
+    "render": (["--annotate"], ".##\n.##\n#C#\n##.\n##.\n"),
+    "construct2n": (["--sizes", "3x2,3x2"], L3_ASCII + "\n"),
+    "nf": (['{"exps": [[1, 2, 1], [3, 3, 1]]}'], "x(1,3)*x(3,2)\n"),
+    "eq": (['{"exps": [[1, 2, 1], [2, 3, 1]]}', '{"exps": [[1, 3, 1], [2, 2, 1]]}'], "true\n"),
+    "witness": ([], "corner: (3,2)\nlambda_top: 1\nlambda_bottom: 1\ncase equal-sign: holds\n"),
+}
+
+
+@pytest.mark.parametrize("command", L3_PRETTY)
+def test_pretty_output_of_every_command(capsys, l3_json, command):
+    extra, expected = L3_PRETTY[command]
+    argv = [command, *extra] if command == "construct2n" else [command, "--in", l3_json, *extra]
+    assert run(capsys, *argv, "--pretty") == (0, expected, "")
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_sdm_json_count(capsys, l3_json):
@@ -146,6 +182,28 @@ def test_render_over_extent_cap_is_domain_error(capsys, tmp_path, argv):
     assert err.startswith("error: cannot render a 100000x100000 grid") and err.count("\n") == 1
 
 
+def test_failed_command_prints_nothing_to_stdout(capsys, monkeypatch, l3_json):
+    # L3's 3x2 factors fail to render only after the decomposition succeeded
+    monkeypatch.setattr("ladderdet.ladders.MAX_RENDER_AREA", 5)
+    code, out, err = run(capsys, "decompose", "--in", l3_json)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot render a 3x2 grid") and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # about 1.5 MB of JSON, far more than a pipe buffers
+    path = tmp_path / "glue12.json"
+    path.write_text(json.dumps(construct_2n(12, [(2, 3), (3, 2)] * 6).to_json_dict()))
+    with subprocess.Popen(
+        [sys.executable, "-m", "ladderdet.cli", "sdm", "--json", "--in", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "class'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_render_json_grid(capsys, l3_json):
     code, out, _ = run(capsys, "render", "--in", l3_json, "--json")
     assert code == 0
@@ -254,11 +312,9 @@ def test_malformed_ladder_json_is_domain_error(capsys, tmp_path, text):
 
 
 def test_module_entry_point_matches_main(capsys, l3_json):
-    src = os.path.dirname(os.path.dirname(ladderdet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["validate", "--in", l3_json, "--json"]
     proc = subprocess.run(
-        [sys.executable, "-m", "ladderdet.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "ladderdet.cli", *argv], capture_output=True, text=True, env=child_env(), timeout=60
     )
     code, out, _ = run(capsys, *argv)
     assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
