@@ -3,6 +3,8 @@
 Each command handler returns ``(json_doc, pretty_text, exit_code)``, the first
 two as zero-argument callables, so only the requested form is built; ``main``
 prints it once, after the command has succeeded, and maps errors to exit codes.
+Handlers import ``classgroup``, ``rewrite`` and ``sdm`` themselves, so a run
+loads only the modules its command uses.
 
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error.
 """
@@ -14,8 +16,8 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import islice
 
-from .classgroup import basis, canonical_class, ideal_generators
 from .decompose import decompose
 from .ladders import (
     Ladder,
@@ -27,15 +29,6 @@ from .ladders import (
     render_ascii,
     validate,
 )
-from .rewrite import (
-    MAX_DEGREE_BOUND,
-    Monomial,
-    RewriteSystem,
-    equal_mod_minors,
-    normal_form,
-    verify_witnesses,
-)
-from .sdm import classify, construct_2n, is_gorenstein
 
 # The most semidualizing classes `sdm` prints; the count itself is cheap, but
 # the output grows as 2^N in the number of non-Gorenstein factors.
@@ -69,7 +62,9 @@ def _load_ladder(args) -> Ladder:
     return _load_ladders(args)[0]
 
 
-def _parse_monomial(text: str, bound: int) -> Monomial:
+def _parse_monomial(text: str, bound: int):
+    from .rewrite import Monomial
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
@@ -87,6 +82,8 @@ def _fmt_cells(cells) -> str:
 
 
 def _degree_bound(value: str) -> int:
+    from .rewrite import MAX_DEGREE_BOUND
+
     bound = int(value)
     if not 1 <= bound <= MAX_DEGREE_BOUND:
         raise argparse.ArgumentTypeError(
@@ -206,6 +203,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_classgroup(args):
+    from .classgroup import basis, ideal_generators
+
     ladder = _load_ladder(args)
     gens = {str(l): sorted(ideal_generators(ladder, l)) for l in basis(ladder)}
     return (
@@ -220,15 +219,21 @@ def _cmd_classgroup(args):
 
 
 def _cmd_canonical(args):
+    from .classgroup import canonical_class
+
     omega = canonical_class(_load_ladder(args))
     return omega.to_json_dict, lambda: f"omega = {omega}", 0
 
 
 def _cmd_gorenstein(args):
+    from .sdm import is_gorenstein
+
     return _bool_output(is_gorenstein(_load_ladder(args)))
 
 
 def _cmd_sdm(args):
+    from .sdm import classify
+
     report = classify(_load_ladder(args))
     if report.count > MAX_SDM_CLASSES:
         raise LadderError(
@@ -265,10 +270,14 @@ def _cmd_render(args):
 
 
 def _cmd_construct2n(args):
+    from .sdm import construct_2n
+
     return _ladder_output(construct_2n(len(args.sizes), args.sizes))
 
 
 def _cmd_nf(args):
+    from .rewrite import RewriteSystem, normal_form
+
     ladder = _load_ladder(args)
     mono = _parse_monomial(args.monomial, args.degree_bound)
     result = normal_form(mono, RewriteSystem(ladder))
@@ -276,6 +285,8 @@ def _cmd_nf(args):
 
 
 def _cmd_eq(args):
+    from .rewrite import RewriteSystem, equal_mod_minors
+
     ladder = _load_ladder(args)
     m1 = _parse_monomial(args.monomial[0], args.degree_bound)
     m2 = _parse_monomial(args.monomial[1], args.degree_bound)
@@ -283,6 +294,8 @@ def _cmd_eq(args):
 
 
 def _cmd_witness(args):
+    from .rewrite import verify_witnesses
+
     report = verify_witnesses(_load_ladder(args))
     identity_degree = 2 * max(abs(report.lam_top), abs(report.lam_bottom)) + 1
     if not report.vacuous and identity_degree > args.degree_bound:
@@ -307,12 +320,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, text, code = args.run(args)
-        out = json.dumps(doc(), sort_keys=True, indent=2) if args.json else text()
+        out = doc() if args.json else text()
     except (LadderError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
     try:
-        print(out)
+        if args.json:
+            # Encode in batches of chunks: a large document is never held as
+            # one string, and an unbuffered stdout is not written per chunk.
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(out)
+            while batch := "".join(islice(chunks, 8192)):
+                sys.stdout.write(batch)
+            sys.stdout.write("\n")
+        else:
+            print(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone.  Send the rest to devnull so that the flush at

@@ -9,7 +9,7 @@ the original ladder.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ladders import (
     Cell,
@@ -24,8 +24,7 @@ from .ladders import (
 )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Ordered factors of a ladder, cut at its coincidental inside corners.
 
     ``offsets[u]`` translates factor-local coordinates into coordinates of

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -245,8 +244,7 @@ def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # corners
 
-@dataclass(frozen=True)
-class CornerProfile:
+class CornerProfile(NamedTuple):
     """Inside corners of a ladder, with the conventional sentinel corners.
 
     ``lower_ext`` lists (a_0, b_0) = (1, n), the lower inside corners in row
@@ -310,8 +308,7 @@ def coincidental_corners(ladder: Ladder) -> tuple[Cell, ...]:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     is_ladder: bool
     normalized: bool
     every_cell_in_minor: bool

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .decompose import decompose
@@ -239,8 +238,7 @@ class WitnessCase(NamedTuple):
     holds: bool
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of the multiplication-map witness identities on a two-matrix glue."""
 
     corner: Cell

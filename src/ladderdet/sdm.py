@@ -12,7 +12,7 @@ enumerated only when :attr:`SdmReport.classes` is read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classgroup import DivisorClass, _embed, _labels, canonical_class, relabel
 from .decompose import decompose
@@ -33,8 +33,7 @@ def is_gorenstein(ladder: Ladder) -> bool:
     return all(r + s == target for r, s in prof.lower + prof.upper)
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     m: int
     n: int
     gorenstein: bool
@@ -50,8 +49,7 @@ class FactorReport:
         }
 
 
-@dataclass(frozen=True)
-class SdmReport:
+class SdmReport(NamedTuple):
     """Classification of the semidualizing module classes of one ladder.
 
     ``count``, ``theta_vectors`` and ``classes`` are computed on each access;

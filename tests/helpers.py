@@ -6,6 +6,7 @@ suite cross-checks two implementations against each other.
 """
 
 import itertools
+import os
 
 L1_ASCII = ".##\n###\n###\n##.\n##."
 L2_ASCII = ".####\n.####\n.###.\n###..\n###.."
@@ -330,3 +331,11 @@ def certify_confluence(cells, max_degree=3):
             assert len(terminal) == degree, f"degree not preserved rewriting {ms} to {terminal}"
             checked += 1
     return checked
+
+
+def child_env():
+    """The environment in which a child process imports the same ladderdet as the suite."""
+    import ladderdet  # for its location only; nothing above uses the library
+
+    src = os.path.dirname(os.path.dirname(ladderdet.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

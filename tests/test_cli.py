@@ -1,18 +1,16 @@
 import io
 import json
-import os
 import subprocess
 import sys
 import time
 
 import pytest
 
-import ladderdet
 from ladderdet import construct_2n
 from ladderdet.cli import MAX_SDM_CLASSES, main
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
-from helpers import L2_ASCII, L3_ASCII, L3_CELLS
+from helpers import L2_ASCII, L3_ASCII, L3_CELLS, child_env
 
 
 @pytest.fixture
@@ -27,12 +25,6 @@ def l2_txt(tmp_path):
     path = tmp_path / "l2.txt"
     path.write_text(L2_ASCII)
     return str(path)
-
-
-def child_env():
-    """The environment in which a child process imports this checkout's ladderdet."""
-    src = os.path.dirname(os.path.dirname(ladderdet.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -202,6 +194,34 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+# What importing the CLI must not load: ``dataclasses`` pulls in ``inspect``,
+# and each command loads the library modules it uses itself.
+HEAVY_MODULES = ("dataclasses", "inspect", "ladderdet.classgroup", "ladderdet.rewrite", "ladderdet.sdm")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], ""),
+        (["validate"], ""),
+        (["nf", '{"exps": [[1, 2, 1], [3, 3, 1]]}'], "ladderdet.rewrite"),
+        (["eq", '{"exps": [[1, 2, 1]]}', '{"exps": [[1, 2, 1]]}'], "ladderdet.rewrite"),
+    ],
+    ids=["import", "validate", "nf", "eq"],
+)
+def test_cli_imports_only_what_its_command_uses(l3_json, argv, loaded):
+    probe = (
+        "import sys\nfrom ladderdet.cli import main\n"
+        "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        f"print(code, *(m for m in {HEAVY_MODULES!r} if m in sys.modules), file=sys.stderr)"
+    )
+    args = [*argv[:1], "--in", l3_json, "--json", *argv[1:]] if argv else []
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.stderr.split() == ["0", *loaded.split()]
 
 
 def test_render_json_grid(capsys, l3_json):
