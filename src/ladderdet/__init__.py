@@ -18,8 +18,8 @@ _EXPORTS = {
     "classgroup": """BasisLabel DivisorClass FactorRole P Q QPrime basis canonical_class
         embed_factor_omega ideal_generators qprime_class relabel""",
     "rewrite": """MAX_DEGREE_BOUND Monomial RewriteSystem WitnessCase WitnessReport
-        equal_mod_minors ideal_monomials_bounded intersect_bounded is_normal
-        normal_form normal_monomials verify_witnesses""",
+        equal_mod_minors ideal_monomials_bounded intersect_bounded normal_form
+        verify_witnesses""",
     "sdm": "FactorReport SdmReport classify construct_2n is_gorenstein",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

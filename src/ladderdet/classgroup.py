@@ -160,14 +160,14 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
 
     Q(i) is generated by the cells in row a_{i-1}; P(j) by the cells weakly
     above and left of the j-th upper corner; QPrime(i) by the cells in
-    column b_{i-1}.
+    column b_i, the column whose class ``qprime_class`` gives.
     """
     require_analyzable(ladder)
     prof = corners(ladder)
     if isinstance(label, QPrime):
         if not 1 <= label.index <= prof.h + 1:
             raise LadderError(f"QPrime index {label.index} out of range (h = {prof.h})")
-        col = prof.lower_ext[label.index - 1].col
+        col = prof.lower_ext[label.index].col
         return frozenset(p for p in ladder.cells if p.col == col)
     _check_label(prof, label)
     if label.kind == "Q":

@@ -10,8 +10,18 @@ the normal form: the rows in ascending order paired with the columns in
 descending order.  This is the Groebner basis of the 2-minors of a ladder
 (Narasimhan 1986; Conca, "Ladder determinantal rings", 1995).  Monomials are
 handled as run-length content, so costs grow with the support, not the
-degree.  The ideal-level operations are degree-bounded enumerations at desk
-scale.
+degree.
+
+The ideal operations work on the same content.  Order the cells by
+(i, j) <= (p, q) iff i <= p and j >= q.  A support admits no rule iff no cell
+is strictly north-west of another, iff it is a chain: normal monomials are the
+multichains, listed once each by adding cells at or above the last.  A content
+is realizable iff its ascending-row/descending-column zip lies in the ladder,
+as every realization rewrites to that zip.  Under x[i,j] -> s_i*t_j the
+quotient is a semigroup ring, where (G) is spanned by the multiples of G: m lies
+in (G) iff m - g (m's content less g's row and column) is realizable for a g in
+G.  A common member m is not minimal iff m - x is realizable and common for a
+cell x (if m = u*t' with t' common and deg u > 0, take x in u: (u/x)*t' is common).
 """
 
 from __future__ import annotations
@@ -101,9 +111,6 @@ class Monomial:
     def __hash__(self):
         return hash(self._exps)
 
-    def sort_key(self):
-        return (self.degree, self._exps)
-
     def __repr__(self):
         return f"Monomial({self})"
 
@@ -169,10 +176,6 @@ def normal_form(mono: Monomial, system: RewriteSystem) -> Monomial:
     return Monomial(exps)
 
 
-def is_normal(mono: Monomial, system: RewriteSystem) -> bool:
-    return normal_form(mono, system) == mono
-
-
 def equal_mod_minors(m1: Monomial, m2: Monomial, system: RewriteSystem) -> bool:
     """Whether two monomials agree in the quotient ring (equal row and column content)."""
     return _content(m1, system) == _content(m2, system)
@@ -181,53 +184,50 @@ def equal_mod_minors(m1: Monomial, m2: Monomial, system: RewriteSystem) -> bool:
 # ---------------------------------------------------------------------------
 # degree-bounded ideal operations
 
-def _check_bound(d: int) -> None:
+def _quotients(rows, cols, among, cells):
+    """For each cell x of among with (rows, cols) = x * t modulo the minors, the content of t."""
+    for r, c in set(itertools.product(rows, cols)).intersection(among):
+        i, j = rows.index(r), cols.index(c)
+        rest = (rows[:i] + rows[i + 1:], cols[:j] + cols[j + 1:])
+        if cells.issuperset(zip(*rest)):
+            yield rest
+
+
+def _members(gens, d: int, system: RewriteSystem) -> set:
+    """Sorted content of the degree <= d normal members of (gens); a multichain extending a member is one."""
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
         raise LadderError(f"degree bound {d} exceeds the safety cap {MAX_DEGREE_BOUND}")
-
-
-def normal_monomials(system: RewriteSystem, degree: int) -> list[Monomial]:
-    """All normal-form monomials of the given exact degree, sorted."""
-    if degree == 0:
-        return [Monomial.unit()]
-    out = []
-    for ms in itertools.combinations_with_replacement(system.ladder.sorted_cells(), degree):
-        mono = Monomial.from_cells(ms)
-        if is_normal(mono, system):
-            out.append(mono)
+    gens = sorted(Cell(*g) for g in gens)
+    cells = system.ladder.cells
+    bad = [g for g in gens if g not in cells]
+    if bad:
+        raise LadderError(f"generators outside the ladder: {bad}")
+    stack = [((r,), (c,), False) for r, c in cells]
+    out = set()
+    while stack:
+        rows, cols, member = stack.pop()
+        member = member or any(_quotients(rows, cols, gens, cells))
+        if member:
+            out.add((rows, cols))
+        if len(rows) < d:
+            stack.extend((rows + (r,), cols + (c,), member) for r, c in cells if r >= rows[-1] and c <= cols[-1])
     return out
 
 
 def ideal_monomials_bounded(gens, d: int, system: RewriteSystem) -> frozenset[Monomial]:
     """Normal forms of all degree <= d monomials in the ideal generated by gens."""
-    _check_bound(d)
-    gens = sorted(Cell(*g) for g in gens)
-    bad = [g for g in gens if g not in system.ladder.cells]
-    if bad:
-        raise LadderError(f"generators outside the ladder: {bad}")
-    out = set()
-    for t_degree in range(d):
-        for t in normal_monomials(system, t_degree):
-            for g in gens:
-                out.add(normal_form(t * Monomial({g: 1}), system))
-    return frozenset(out)
+    return frozenset(Monomial.from_cells(zip(*content)) for content in _members(gens, d, system))
 
 
 def intersect_bounded(gens1, gens2, d: int, system: RewriteSystem) -> frozenset[Monomial]:
-    """Minimal members of the degree <= d intersection of two monomial-generated ideals.
-
-    The intersection holds every member of degree <= d, so a member is
-    non-minimal exactly when it is the normal form of one variable times a
-    member of lower degree.
-    """
-    common = ideal_monomials_bounded(gens1, d, system) & ideal_monomials_bounded(gens2, d, system)
-    variables = [Monomial({x: 1}) for x in system.ladder.sorted_cells()]
-    multiples = {
-        normal_form(x * other, system) for other in common if other.degree < d for x in variables
-    }
-    return common - multiples
+    """Minimal members of the degree <= d intersection of two monomial-generated ideals."""
+    common = _members(gens1, d, system) & _members(gens2, d, system)
+    return frozenset(
+        Monomial.from_cells(zip(*content)) for content in common
+        if not any(t in common for t in _quotients(*content, system.ladder.cells, system.ladder.cells))
+    )
 
 
 # ---------------------------------------------------------------------------

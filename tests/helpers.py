@@ -333,6 +333,53 @@ def certify_confluence(cells, max_degree=3):
     return checked
 
 
+def is_normal(cells, support):
+    """Whether no rewrite rule applies: no two cells of support are the diagonal of a full minor in cells."""
+    return not _redexes(frozenset(cells), support)
+
+
+def normal_monomials(cells, degree):
+    """All normal monomials of the given exact degree, as sorted cell tuples."""
+    cells = frozenset(cells)
+    return [
+        ms for ms in itertools.combinations_with_replacement(sorted(cells), degree) if is_normal(cells, ms)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the bounded ideal oracle
+#
+# Every cell multiset of degree < d is multiplied by every generator and the
+# product rewritten to its normal form by the rewriting oracle above, using
+# none of the library's closed forms (multichains, realizable content).
+
+def _rewritten(cells, ms, memo):
+    """The one terminal monomial that rewriting reaches from ms (unpacking fails if there are more)."""
+    (terminal,) = _reachable(cells, tuple(sorted(ms)), memo)
+    return terminal
+
+
+def ideal_monomials_oracle(cells, gens, d):
+    """Normal forms of all degree <= d monomials in the ideal generated by gens."""
+    cells = frozenset(cells)
+    memo = {}
+    return {
+        _rewritten(cells, t + (tuple(g),), memo)
+        for degree in range(d)
+        for t in normal_monomials(cells, degree)
+        for g in gens
+    }
+
+
+def intersect_oracle(cells, gens1, gens2, d):
+    """Members of both degree <= d ideals that are not one variable times a lower-degree common member."""
+    cells = frozenset(cells)
+    memo = {}
+    common = ideal_monomials_oracle(cells, gens1, d) & ideal_monomials_oracle(cells, gens2, d)
+    multiples = {_rewritten(cells, t + (x,), memo) for t in common if len(t) < d for x in cells}
+    return common - multiples
+
+
 def child_env():
     """The environment in which a child process imports the same ladderdet as the suite."""
     import ladderdet  # for its location only; nothing above uses the library

@@ -25,7 +25,7 @@ from ladderdet import (
     validate,
 )
 
-from helpers import random_staircase_cells
+from helpers import naive_corners, random_staircase_cells
 
 
 def random_two_connected(rng, max_m=8, max_n=8):
@@ -72,8 +72,24 @@ def test_ideal_generators_l3(l3):
     assert ideal_generators(l3, Q(1)) == {Cell(1, 2), Cell(1, 3)}
     assert ideal_generators(l3, Q(2)) == {Cell(3, 1), Cell(3, 2), Cell(3, 3)}
     assert ideal_generators(l3, P(1)) == {Cell(1, 2), Cell(2, 2), Cell(3, 1), Cell(3, 2)}
-    assert ideal_generators(l3, QPrime(1)) == {Cell(1, 3), Cell(2, 3), Cell(3, 3)}
-    assert ideal_generators(l3, QPrime(2)) == {Cell(1, 2), Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(5, 2)}
+    # QPrime(i) is the column b_i prime: column 2 (class -Q1-P1) and column 1 (class -Q2-P1)
+    assert ideal_generators(l3, QPrime(1)) == {Cell(1, 2), Cell(2, 2), Cell(3, 2), Cell(4, 2), Cell(5, 2)}
+    assert ideal_generators(l3, QPrime(2)) == {Cell(3, 1), Cell(4, 1), Cell(5, 1)}
+
+
+def test_qprime_generators_are_the_column_qprime_class_keys_on():
+    rng = random.Random(37)
+    for _ in range(60):
+        ladder = random_two_connected(rng, 7, 7)
+        cells = set(ladder.cells)
+        lower, _ = naive_corners(cells)
+        m = max(r for r, _ in cells)
+        n = max(c for _, c in cells)
+        ext = [(1, n), *lower, (m, 1)]
+        for i in range(1, len(ext)):
+            a_prev, b_i = ext[i - 1][0], ext[i][1]
+            assert (a_prev, b_i) in cells
+            assert ideal_generators(ladder, QPrime(i)) == {p for p in cells if p[1] == b_i}
 
 
 def test_ideal_generators_out_of_range(l3):

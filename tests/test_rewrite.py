@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import helpers
 from ladderdet import (
     Cell,
     Ladder,
@@ -12,14 +13,15 @@ from ladderdet import (
     P,
     Q,
     RewriteSystem,
+    basis,
     compose,
     equal_mod_minors,
     ideal_generators,
     ideal_monomials_bounded,
     intersect_bounded,
-    is_normal,
     normal_form,
-    normal_monomials,
+    parse_ascii,
+    require_analyzable,
     verify_witnesses,
 )
 
@@ -27,6 +29,10 @@ from helpers import (
     certify_confluence,
     enumerate_ladder_cellsets,
     full_minors,
+    ideal_monomials_oracle,
+    intersect_oracle,
+    is_normal,
+    normal_monomials,
     random_staircase_cells,
     reachable_normal_forms,
 )
@@ -96,7 +102,7 @@ def test_normal_form_no_applicable_rule(l3):
     s = RewriteSystem(l3)
     m = mono((2, 2), (5, 1))
     assert normal_form(m, s) == m
-    assert is_normal(m, s)
+    assert is_normal(l3.cells, m.support)
 
 
 def test_normal_form_unit(l3):
@@ -156,7 +162,7 @@ def test_normal_form_huge_exponent():
     assert nf == Monomial({Cell(1, 1): 10**12 - 1, Cell(1, 2): 1, Cell(2, 1): 1})
     assert equal_mod_minors(m, nf, s)
     assert not equal_mod_minors(m, Monomial({Cell(1, 1): 10**12, Cell(2, 1): 1}), s)
-    assert is_normal(nf, s) and not is_normal(m, s)
+    assert is_normal(s.ladder.cells, nf.support) and not is_normal(s.ladder.cells, m.support)
     assert time.process_time() - start < 0.5
 
 
@@ -216,9 +222,16 @@ def test_equivalence_classes_partition_bidirectional_closure():
 # bounded ideal operations
 
 def test_normal_monomials_degree_one(l3):
-    s = RewriteSystem(l3)
-    assert len(normal_monomials(s, 1)) == len(l3)
-    assert normal_monomials(s, 0) == [Monomial.unit()]
+    # the oracle the ideal tests use: every variable is normal, and so is the unit
+    assert normal_monomials(l3.cells, 1) == [(c,) for c in l3.sorted_cells()]
+    assert normal_monomials(l3.cells, 0) == [()]
+
+
+def test_maximal_ideal_lists_every_normal_monomial(l1, l3):
+    # the ideal of all variables holds every monomial of positive degree
+    for ladder in (l1, l3):
+        expected = {Monomial.from_cells(t) for degree in (1, 2, 3) for t in normal_monomials(ladder.cells, degree)}
+        assert ideal_monomials_bounded(ladder.cells, 3, RewriteSystem(ladder)) == expected
 
 
 def test_ideal_monomials_degree_one_slice(l3):
@@ -273,6 +286,64 @@ def test_intersect_identical_gens(l3):
 def test_intersect_disjoint_gens(l3):
     s = RewriteSystem(l3)
     assert intersect_bounded({(1, 2)}, {(3, 3)}, 2, s) == {mono((1, 3), (3, 2))}
+
+
+def _monos(tuples):
+    return {Monomial.from_cells(t) for t in tuples}
+
+
+@pytest.mark.parametrize("ascii_name, d", [("L1", 3), ("L2", 3), ("L3", 3), ("L1", 4), ("L3", 4)])
+def test_ideal_operations_match_oracle_on_label_pairs(ascii_name, d):
+    ladder = parse_ascii(getattr(helpers, f"{ascii_name}_ASCII"))
+    s = RewriteSystem(ladder)
+    gens = {label: ideal_generators(ladder, label) for label in basis(ladder)}
+    for g in gens.values():
+        assert ideal_monomials_bounded(g, d, s) == _monos(ideal_monomials_oracle(ladder.cells, g, d))
+    for a, b in itertools.combinations_with_replacement(gens, 2):
+        expected = _monos(intersect_oracle(ladder.cells, gens[a], gens[b], d))
+        assert intersect_bounded(gens[a], gens[b], d, s) == expected, (a, b)
+
+
+def test_ideal_operations_match_oracle_on_random_generators():
+    rng = random.Random(79)
+    cellsets = []
+    for cells in enumerate_ladder_cellsets(4, 4):
+        try:
+            require_analyzable(Ladder(cells))
+        except LadderError:
+            continue
+        cellsets.append(sorted(cells))
+    for case in range(200):
+        cells = rng.choice(cellsets)
+        d = rng.randint(1, 3)
+        first = set(rng.sample(cells, rng.randint(1, 3)))
+        kind = case % 4
+        if kind == 0:  # one side empty
+            second = set()
+        elif kind == 1:  # identical
+            second = set(first)
+        else:
+            rest = [c for c in cells if c not in first]
+            second = set(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
+            if kind == 3:  # overlapping
+                second.add(rng.choice(sorted(first)))
+        if rng.random() < 0.5:
+            first, second = second, first
+        s = RewriteSystem(Ladder(cells))
+        expected = _monos(intersect_oracle(cells, first, second, d))
+        assert intersect_bounded(first, second, d, s) == expected, (cells, first, second, d)
+        assert ideal_monomials_bounded(first, d, s) == _monos(ideal_monomials_oracle(cells, first, d))
+
+
+def test_intersect_at_the_degree_cap(l3):
+    # d = 8 is the cap; enumerating all cell multisets there, O(|Y|^d), takes over 10 s
+    s = RewriteSystem(l3)
+    q11 = ideal_generators(l3, Q(2))
+    p10 = ideal_generators(l3, P(1))
+    start = time.process_time()
+    result = intersect_bounded(q11, p10, 8, s)
+    assert time.process_time() - start < 5.0
+    assert result == {mono((3, 1)), mono((3, 2))}
 
 
 # ---------------------------------------------------------------------------
