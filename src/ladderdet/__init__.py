@@ -14,7 +14,7 @@ _EXPORTS = {
     "ladders": """Cell CornerProfile Ladder LadderError ValidationReport antitranspose
         coincidental_corners compose corners parse_ascii parse_auto parse_json
         render_ascii require_analyzable validate""",
-    "decompose": "Factorization decompose factorization_roundtrip_check",
+    "decompose": "Factorization decompose",
     "classgroup": """BasisLabel DivisorClass FactorRole P Q QPrime basis canonical_class
         embed_factor_omega ideal_generators qprime_class relabel""",
     "rewrite": """MAX_DEGREE_BOUND Monomial RewriteSystem WitnessCase WitnessReport

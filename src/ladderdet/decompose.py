@@ -140,14 +140,3 @@ def _check_factors(ladder, factors, cc):
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
     if compose(factors) != ladder:
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")
-
-
-def factorization_roundtrip_check(factors) -> bool:
-    """Whether decompose(compose(factors)) returns exactly the given factors."""
-    factors = list(factors)
-    for f in factors:
-        require_analyzable(f)
-        if coincidental_corners(f):
-            raise LadderError("round-trip factors must be free of coincidental corners")
-    result = decompose(compose(factors))
-    return list(result.factors) == factors

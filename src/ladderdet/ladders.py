@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from functools import lru_cache
+from itertools import compress, count, repeat
 from typing import Iterable, NamedTuple
 
 
@@ -57,20 +58,25 @@ class Cell(NamedTuple):
 
 
 class Ladder:
-    """An immutable ladder, normalized so its bounding box starts at (1, 1)."""
+    """An immutable ladder, normalized to start at (1, 1), held as rows of columns; cells are built on first use."""
 
-    __slots__ = ("cells", "m", "n", "_rows", "_hash")
+    __slots__ = ("_cells", "m", "n", "_rows", "_hash")
 
-    def __init__(self, cells: Iterable[tuple[int, int]]):
+    def __new__(cls, cells: Iterable[tuple[int, int]]):
         rows = {}
         for rc in cells:
             try:
                 r, c = rc
             except (TypeError, ValueError):
                 raise LadderError(f"bad cell {rc!r}: expected a (row, col) pair") from None
-            if not (is_int(r) and is_int(c)):
+            if not (type(r) is int is type(c) or is_int(r) and is_int(c)):
                 raise LadderError(f"cell indices must be integers, got {rc!r}")
             rows.setdefault(r, set()).add(c)
+        return cls._from_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: dict[int, Iterable[int]]) -> "Ladder":
+        """A ladder from its integer rows and their integer columns, checked as the cells are."""
         if not rows:
             raise LadderError("a ladder needs at least one cell")
         dr = 1 - min(rows)
@@ -80,12 +86,20 @@ class Ladder:
             for r, cols in rows.items()
         }
         _check_closure(rows)
-        cells = frozenset(Cell(r, c) for r, cols in rows.items() for c in cols)
-        object.__setattr__(self, "cells", cells)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "m", max(rows))
         object.__setattr__(self, "n", max(map(max, rows.values())))
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", hash(cells))
+        object.__setattr__(self, "_hash", hash(frozenset(rows.items())))
+        return self
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        if self._cells is None:  # tuple.__new__ makes each Cell without a Python-level call
+            cells = [(r, c) for r, cols in self._rows.items() for c in cols]
+            object.__setattr__(self, "_cells", frozenset(map(tuple.__new__, repeat(Cell), cells)))
+        return self._cells
 
     def __setattr__(self, name, value):
         raise AttributeError("Ladder is immutable")
@@ -95,7 +109,7 @@ class Ladder:
         """The full m x n grid of cells."""
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
-        return cls((r, c) for r in range(1, m + 1) for c in range(1, n + 1))
+        return cls._from_rows(dict.fromkeys(range(1, m + 1), range(1, n + 1)))
 
     def row_cols(self, r: int) -> frozenset[int]:
         """Columns occupied in row r (empty set if the row is empty)."""
@@ -107,7 +121,7 @@ class Ladder:
 
     @property
     def is_full_matrix(self) -> bool:
-        return len(self.cells) == self.m * self.n
+        return len(self) == self.m * self.n
 
     def sorted_cells(self) -> list[Cell]:
         return sorted(self.cells)
@@ -119,19 +133,19 @@ class Ladder:
         return Cell(*cell) in self.cells
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return sum(map(len, self._rows.values()))
 
     def __iter__(self):
         return iter(self.sorted_cells())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ladder) and self.cells == other.cells
+        return isinstance(other, Ladder) and self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self):
-        return f"Ladder({self.m}x{self.n}, {len(self.cells)} cells)"
+        return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
 
 
 def _check_closure(rows: dict[int, frozenset[int]]) -> None:
@@ -148,11 +162,11 @@ def _check_closure(rows: dict[int, frozenset[int]]) -> None:
     for r1, r2 in zip(order, order[1:]):
         c1, c2 = rows[r1], rows[r2]
         lo, hi = min(c1), max(c2)
-        bad_q = [q for q in c2 if q >= lo and q not in c1]
+        bad_q = [q for q in c2 - c1 if q >= lo]
         if bad_q:
             j, q = lo, min(bad_q)
         else:
-            bad_j = [j for j in c1 if j <= hi and j not in c2]
+            bad_j = [j for j in c1 - c2 if j <= hi]
             if not bad_j:
                 continue
             j, q = min(bad_j), hi
@@ -181,7 +195,11 @@ def parse_json(text: str) -> Ladder:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise LadderError(f"bad cell entry {entry!r}: expected [row, col]")
         cells.append((entry[0], entry[1]))
-    if len(set(map(tuple, cells))) != len(cells):
+    try:
+        duplicates = len(set(cells)) != len(cells)
+    except TypeError:  # an unhashable index, which Ladder rejects
+        duplicates = False
+    if duplicates:
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)
     return Ladder(cells)
 
@@ -198,17 +216,16 @@ def parse_ascii(text: str) -> Ladder:
     if not occupied:
         raise LadderError("empty grid: no '#' cells found")
     first, last = occupied[0], occupied[-1]
-    cells = []
+    rows = {}
     for i in range(first, last + 1):
         line = lines[i]
         if "#" not in line:
             raise LadderError(f"blank row {i + 1} between occupied rows")
-        for j, ch in enumerate(line):
-            if ch == "#":
-                cells.append((i - first + 1, j + 1))
-            elif ch not in ". \t":
-                raise LadderError(f"unexpected character {ch!r} at row {i + 1}, column {j + 1}")
-    return Ladder(cells)
+        if set(line) - set("#. \t"):
+            j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "#. \t")
+            raise LadderError(f"unexpected character {ch!r} at row {i + 1}, column {j + 1}")
+        rows[i - first + 1] = frozenset(compress(count(1), map("#".__eq__, line)))
+    return Ladder._from_rows(rows)
 
 
 def parse_auto(text: str) -> Ladder:
@@ -381,7 +398,7 @@ def validate(ladder: Ladder) -> ValidationReport:
     while stack:
         r, c = stack.pop()
         for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if q in ladder.cells and q not in seen:
+            if q in index and q not in seen:
                 seen.add(q)
                 stack.append(q)
     path_connected = len(seen) == len(cells)

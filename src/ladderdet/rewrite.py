@@ -85,13 +85,6 @@ class Monomial:
     def items(self) -> tuple:
         return self._exps
 
-    def exponent(self, cell) -> int:
-        cell = Cell(*cell)
-        for c, e in self._exps:
-            if c == cell:
-                return e
-        return 0
-
     @property
     def degree(self) -> int:
         return sum(e for _, e in self._exps)
@@ -139,17 +132,13 @@ class RewriteSystem:
     def __init__(self, ladder: Ladder):
         self.ladder = ladder
 
-    def has_rule(self, a: Cell, b: Cell) -> bool:
-        cells = self.ladder.cells
-        return a.row < b.row and a.col < b.col and a in cells and b in cells
-
     def __repr__(self):
         return f"RewriteSystem({self.ladder!r})"
 
 
 def _content(mono: Monomial, system: RewriteSystem):
     """Row runs ascending and column runs descending, as (index, count) pairs."""
-    bad = [c for c in mono.support if c not in system.ladder.cells]
+    bad = [c for c in mono.support if c.col not in system.ladder.row_cols(c.row)]
     if bad:
         raise LadderError(f"monomial uses cells outside the ladder: {bad}")
     rows, cols = Counter(), Counter()
@@ -193,37 +182,41 @@ def _quotients(rows, cols, among, cells):
             yield rest
 
 
-def _members(gens, d: int, system: RewriteSystem) -> set:
-    """Sorted content of the degree <= d normal members of (gens); a multichain extending a member is one."""
+def _members(gen_sets, d: int, system: RewriteSystem) -> set:
+    """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
         raise LadderError(f"degree bound {d} exceeds the safety cap {MAX_DEGREE_BOUND}")
-    gens = sorted(Cell(*g) for g in gens)
     cells = system.ladder.cells
-    bad = [g for g in gens if g not in cells]
-    if bad:
-        raise LadderError(f"generators outside the ladder: {bad}")
-    stack = [((r,), (c,), False) for r, c in cells]
+    pending = []
+    for gens in gen_sets:
+        gens = sorted(Cell(*g) for g in gens)
+        bad = [g for g in gens if g not in cells]
+        if bad:
+            raise LadderError(f"generators outside the ladder: {bad}")
+        pending.append(gens)
+    above = {x: [(r, c) for r, c in cells if r >= x.row and c <= x.col] for x in cells} if d > 1 else {}
+    stack = [((r,), (c,), tuple(pending)) for r, c in cells]
     out = set()
     while stack:
-        rows, cols, member = stack.pop()
-        member = member or any(_quotients(rows, cols, gens, cells))
-        if member:
+        rows, cols, pending = stack.pop()
+        pending = tuple(gens for gens in pending if not any(_quotients(rows, cols, gens, cells)))
+        if not pending:
             out.add((rows, cols))
         if len(rows) < d:
-            stack.extend((rows + (r,), cols + (c,), member) for r, c in cells if r >= rows[-1] and c <= cols[-1])
+            stack.extend((rows + (r,), cols + (c,), pending) for r, c in above[rows[-1], cols[-1]])
     return out
 
 
 def ideal_monomials_bounded(gens, d: int, system: RewriteSystem) -> frozenset[Monomial]:
     """Normal forms of all degree <= d monomials in the ideal generated by gens."""
-    return frozenset(Monomial.from_cells(zip(*content)) for content in _members(gens, d, system))
+    return frozenset(Monomial.from_cells(zip(*content)) for content in _members([gens], d, system))
 
 
 def intersect_bounded(gens1, gens2, d: int, system: RewriteSystem) -> frozenset[Monomial]:
     """Minimal members of the degree <= d intersection of two monomial-generated ideals."""
-    common = _members(gens1, d, system) & _members(gens2, d, system)
+    common = _members([gens1, gens2], d, system)
     return frozenset(
         Monomial.from_cells(zip(*content)) for content in common
         if not any(t in common for t in _quotients(*content, system.ladder.cells, system.ladder.cells))

@@ -7,6 +7,7 @@ suite cross-checks two implementations against each other.
 
 import itertools
 import os
+from fractions import Fraction
 
 L1_ASCII = ".##\n###\n###\n##.\n##."
 L2_ASCII = ".####\n.####\n.###.\n###..\n###.."
@@ -344,6 +345,85 @@ def normal_monomials(cells, degree):
     return [
         ms for ms in itertools.combinations_with_replacement(sorted(cells), degree) if is_normal(cells, ms)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the class-group oracle
+#
+# Ordered by (i, j) <= (p, q) iff i <= p and j >= q, a ladder is a distributive
+# lattice (closure makes it closed under meet and join) and each 2-minor is a
+# Hibi relation, so the ring is the Hibi ring of that lattice (Hibi 1987).  Let
+# P be its join-irreducibles and P-hat = P with a new bottom and top.  The
+# facets of the ring's cone are the cover relations p < q of P-hat; a cell x
+# has valuation [p <= x] - [q <= x] on facet p < q, the bottom lying below
+# every cell and the top below none (Stanley 1986, "Two poset polytopes").  The
+# class group is Z^facets modulo the valuation vectors of the cells.
+
+
+def _below(x, y):
+    return x[0] <= y[0] and x[1] >= y[1]
+
+
+def hibi_facets(cells):
+    """{generator set: valuation of each cell} over the facets of the Hibi cone of cells."""
+    cells = sorted(set(map(tuple, cells)))
+    lower = {x: [y for y in cells if y != x and _below(y, x)] for x in cells}
+    covered = {x: [y for y in lower[x] if not any(y != z and _below(y, z) for z in lower[x])] for x in cells}
+    joins = [x for x in cells if len(covered[x]) == 1]
+    nodes = ["bottom", *joins, "top"]
+
+    def leq(p, x):
+        if p == "bottom" or x == "top":
+            return True
+        return p != "top" and x != "bottom" and _below(p, x)
+
+    facets = {}
+    for p, q in itertools.permutations(nodes, 2):
+        if leq(p, q) and not any(r not in (p, q) and leq(p, r) and leq(r, q) for r in nodes):
+            valuation = {x: int(leq(p, x)) - int(leq(q, x)) for x in cells}
+            gens = frozenset(x for x in cells if valuation[x])
+            assert gens not in facets, "two facets with one generator set"
+            facets[gens] = valuation
+    return facets
+
+
+def _reduce(columns, targets):
+    """Row-reduce [columns | targets] over Q: the pivot columns and the reduced target entries of their rows."""
+    width = len(columns)
+    rows = [[Fraction(v[e]) for v in [*columns, *targets]] for e in range(len(columns[0]))]
+    pivots = []
+    for k in range(width):
+        row = next((r for r in range(len(pivots), len(rows)) if rows[r][k]), None)
+        if row is None:
+            continue
+        rows[len(pivots)], rows[row] = rows[row], rows[len(pivots)]
+        pivot = rows[len(pivots)]
+        pivot[:] = [v / pivot[k] for v in pivot]
+        for other in rows:
+            if other is not pivot and other[k]:
+                factor = other[k]
+                other[:] = [a - factor * b for a, b in zip(other, pivot)]
+        pivots.append(k)
+    assert not any(any(r[width:]) for r in rows[len(pivots):]), "no solution"
+    return pivots, [r[width:] for r in rows[:len(pivots)]]
+
+
+def hibi_coordinates(cells, divisors, basis):
+    """Each divisor's class in the basis; divisors are lists, and basis entries, of facet generator sets."""
+    facets = hibi_facets(cells)
+    order = list(facets)
+    cells = sorted(set(map(tuple, cells)))
+    assert all(gens in facets for gens in [*basis, *(g for divisor in divisors for g in divisor)]), "not a facet"
+    columns = [[facets[f][x] for f in order] for x in cells]
+    columns += [[int(f == gens) for f in order] for gens in basis]
+    targets = [[sum(f == gens for gens in divisor) for f in order] for divisor in divisors]
+    pivots, solved = _reduce(columns, targets)
+    # The basis columns come last, so they are pivots iff independent modulo the cells' valuations.
+    assert pivots[len(pivots) - len(basis):] == list(range(len(cells), len(columns))), "basis is dependent"
+    assert len(pivots) == len(order), "basis does not span"
+    coords = [[row[t] for row in solved[len(pivots) - len(basis):]] for t in range(len(divisors))]
+    assert all(c.denominator == 1 for coord in coords for c in coord)
+    return [[int(c) for c in coord] for coord in coords]
 
 
 # ---------------------------------------------------------------------------

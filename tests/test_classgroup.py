@@ -22,10 +22,17 @@ from ladderdet import (
     is_gorenstein,
     qprime_class,
     relabel,
+    require_analyzable,
     validate,
 )
 
-from helpers import naive_corners, random_staircase_cells
+from helpers import (
+    enumerate_ladder_cellsets,
+    hibi_coordinates,
+    hibi_facets,
+    naive_corners,
+    random_staircase_cells,
+)
 
 
 def random_two_connected(rng, max_m=8, max_n=8):
@@ -77,19 +84,37 @@ def test_ideal_generators_l3(l3):
     assert ideal_generators(l3, QPrime(2)) == {Cell(3, 1), Cell(4, 1), Cell(5, 1)}
 
 
-def test_qprime_generators_are_the_column_qprime_class_keys_on():
+def _hibi_cases():
+    small = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
     rng = random.Random(37)
-    for _ in range(60):
-        ladder = random_two_connected(rng, 7, 7)
+    drawn = [random_two_connected(rng, 6, 6) for _ in range(60)]
+    return [ladder for ladder in small + drawn if _analyzable(ladder)]
+
+
+def _analyzable(ladder):
+    try:
+        require_analyzable(ladder)
+    except LadderError:
+        return False
+    return True
+
+
+def test_classes_match_the_hibi_oracle():
+    """QPrime(i) is a column prime of class qprime_class(i), and the facets sum to the canonical class."""
+    cases = _hibi_cases()
+    assert len(cases) > 500
+    for ladder in cases:
         cells = set(ladder.cells)
-        lower, _ = naive_corners(cells)
-        m = max(r for r, _ in cells)
-        n = max(c for _, c in cells)
-        ext = [(1, n), *lower, (m, 1)]
-        for i in range(1, len(ext)):
-            a_prev, b_i = ext[i - 1][0], ext[i][1]
-            assert (a_prev, b_i) in cells
-            assert ideal_generators(ladder, QPrime(i)) == {p for p in cells if p[1] == b_i}
+        labels = basis(ladder)
+        primes = [ideal_generators(ladder, label) for label in labels]
+        qprimes = [ideal_generators(ladder, QPrime(i)) for i in range(1, corners(ladder).h + 2)]
+        for gens in qprimes:
+            (col,) = {p.col for p in gens}
+            assert gens == {p for p in cells if p.col == col}
+        *coords, omega = hibi_coordinates(cells, [[gens] for gens in qprimes] + [list(hibi_facets(cells))], primes)
+        for i, coord in enumerate(coords, start=1):
+            assert DivisorClass(ladder, zip(labels, coord)) == qprime_class(ladder, i), (ladder, i)
+        assert DivisorClass(ladder, zip(labels, omega)) == canonical_class(ladder), ladder
 
 
 def test_ideal_generators_out_of_range(l3):

@@ -12,7 +12,7 @@ from ladderdet import (
     compose,
     corners,
     decompose,
-    factorization_roundtrip_check,
+    require_analyzable,
     validate,
 )
 
@@ -20,6 +20,16 @@ from helpers import random_staircase_cells
 
 # the package's `decompose` attribute is the function, so fetch the module itself
 decompose_module = importlib.import_module("ladderdet.decompose")
+
+
+def factorization_roundtrip_check(factors):
+    """Whether decompose(compose(factors)) returns exactly the given factors."""
+    factors = list(factors)
+    for f in factors:
+        require_analyzable(f)
+        if coincidental_corners(f):
+            raise LadderError("round-trip factors must be free of coincidental corners")
+    return list(decompose(compose(factors)).factors) == factors
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):

@@ -104,7 +104,10 @@ def test_parse_json_duplicates_warn_and_dedup():
 
 @pytest.mark.parametrize(
     "text",
-    ["not json", '{"cells": "nope"}', '{"sells": []}', '{"cells": [[1]]}', '{"cells": [[1, "a"]]}'],
+    [
+        "not json", '{"cells": "nope"}', '{"sells": []}', '{"cells": [[1]]}', '{"cells": [[1, "a"]]}',
+        '{"cells": [[[1], 2]]}', '{"cells": [[1, {"a": 2}], [1, 1]]}',
+    ],
 )
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(LadderError):
@@ -141,6 +144,32 @@ def test_parse_ascii_rejects_interior_blank_line():
 def test_parse_ascii_rejects_stray_characters():
     with pytest.raises(LadderError, match="unexpected character"):
         parse_ascii("#x\n##")
+
+
+def test_parse_ascii_names_the_first_stray_character():
+    with pytest.raises(LadderError, match=re.escape("unexpected character 'x' at row 2, column 3")):
+        parse_ascii("##.\n##x#y\n##z")
+
+
+def test_every_construction_gives_the_same_ladder():
+    rng = random.Random(11)
+    for _ in range(100):
+        cells = sorted(random_staircase_cells(rng, 6, 6))
+        shuffled = cells[:]
+        rng.shuffle(shuffled)
+        ladder = Ladder(shuffled)
+        built = [
+            Ladder(cells),
+            Ladder((r + 3, c + 2) for r, c in cells),
+            parse_json(json.dumps({"cells": shuffled})),
+            parse_ascii(render_ascii(ladder)),
+        ]
+        for other in built:
+            assert other == ladder and hash(other) == hash(ladder)
+            assert other.cells == set(cells) and len(other) == len(cells)
+            assert all(type(p) is Cell for p in other.cells)
+        assert ladder.cells is ladder.cells
+        assert ladder.is_full_matrix == (ladder == Ladder.full_matrix(ladder.m, ladder.n))
 
 
 def test_parse_ascii_rejects_empty():
