@@ -10,11 +10,12 @@ sums and differences are element-wise.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple
 
 from .decompose import Factorization
-from .ladders import Cell, CornerProfile, Ladder, LadderError, corners, require_analyzable
+from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, corners, require_analyzable
 
 
 class BasisLabel(NamedTuple):
@@ -168,13 +169,13 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
         if not 1 <= label.index <= prof.h + 1:
             raise LadderError(f"QPrime index {label.index} out of range (h = {prof.h})")
         col = prof.lower_ext[label.index].col
-        return frozenset(p for p in ladder.cells if p.col == col)
+        return _cell_set((r, col) for r, cols in ladder._rows.items() if col in cols)
     _check_label(prof, label)
     if label.kind == "Q":
         row = prof.lower_ext[label.index - 1].row
-        return frozenset(p for p in ladder.cells if p.row == row)
+        return _cell_set(zip(repeat(row), ladder.row_cols(row)))
     c, d = prof.upper[label.index - 1]
-    return frozenset(p for p in ladder.cells if p.row <= c and p.col <= d)
+    return _cell_set((r, col) for r, cols in ladder._rows.items() if r <= c for col in cols if col <= d)
 
 
 def canonical_class(ladder: Ladder) -> DivisorClass:

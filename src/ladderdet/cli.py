@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from functools import partial
 from itertools import islice
 
@@ -316,11 +317,18 @@ def _cmd_witness(args):
     return report.to_json_dict, text, 0
 
 
+def _print_warning(message, *_):
+    """Show a library warning as one ``warning:`` line, without Python's source header."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, text, code = args.run(args)
-        out = doc() if args.json else text()
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            doc, text, code = args.run(args)
+            out = doc() if args.json else text()
     except (LadderError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -8,7 +8,6 @@ the original ladder.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .ladders import (
@@ -53,63 +52,70 @@ def decompose(ladder: Ladder) -> Factorization:
     """Cut a 2-connected ladder at its coincidental corners into factors.
 
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
-    closed regions between consecutive corners; all structural invariants
-    (exact union, one-cell overlaps, corner-free 2-connected factors,
-    compose round trip) are asserted before returning.  Every step is
-    linear in the number of cells, up to a bisection over the corner rows.
+    closed regions between consecutive corners, each a slice of the
+    ladder's rows (see ``_regions``); all structural invariants (exact
+    union, one-cell overlaps, corner-free 2-connected factors, compose
+    round trip) are asserted before returning.  Every step reads rows of
+    columns and is linear in the number of cells.
     """
     require_analyzable(ladder)
     cc = coincidental_corners(ladder)
     regions = _regions(ladder, cc)
     _check_regions(ladder, cc, regions)
 
-    factors = []
-    offsets = []
-    for region in regions:
-        dr = min(p.row for p in region) - 1
-        dc = min(p.col for p in region) - 1
-        factors.append(Ladder(Cell(p.row - dr, p.col - dc) for p in region))
-        offsets.append((dr, dc))
-
+    factors = tuple(map(Ladder._from_rows, regions))
+    offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
     _check_factors(ladder, factors, cc)
     return Factorization(
         ladder=ladder,
-        factors=tuple(factors),
+        factors=factors,
         coincidental=cc,
-        offsets=tuple(offsets),
+        offsets=offsets,
         per_factor_corners=tuple(corners(f) for f in factors),
     )
 
 
 def _regions(ladder, cc):
-    """The closed regions between consecutive corners, built in one pass.
+    """The closed regions between consecutive corners, each as its rows of columns.
 
-    Region u spans rows cc[u-1].row..cc[u].row and columns cc[u].col..cc[u-1].col,
-    running to the ladder's edge where u is the first or last region.  An
-    analyzable ladder's corner rows strictly increase, so a cell in row r can
-    lie only in region bisect_left(corner_rows, r) and, when r is a corner
-    row, in the next one.
+    Region u is the row slice of rows cc[u-1].row..cc[u].row, cut to the
+    columns cc[u].col..cc[u-1].col, running to the ladder's edge where u is
+    the first or last region.  A row that falls inside the column range is
+    shared, not copied; rows left empty by the cut are dropped.
     """
-    w = len(cc)
-    corner_rows = [p.row for p in cc]
-    left = [p.col for p in cc] + [1]
-    right = [ladder.n] + [p.col for p in cc]
-    regions = [set() for _ in range(w + 1)]
-    for p in ladder.cells:
-        u = bisect_left(corner_rows, p.row)
-        for v in (u, u + 1) if u < w and corner_rows[u] == p.row else (u,):
-            if left[v] <= p.col <= right[v]:
-                regions[v].add(p)
+    tops = [1] + [p.row for p in cc]
+    bottoms = [p.row for p in cc] + [ladder.m]
+    lefts = [p.col for p in cc] + [1]
+    rights = [ladder.n] + [p.col for p in cc]
+    regions = []
+    for top, bottom, lo, hi in zip(tops, bottoms, lefts, rights):
+        region = {}
+        for r in range(top, bottom + 1):
+            cols = ladder.row_cols(r)
+            if cols and not (lo <= min(cols) and max(cols) <= hi):
+                cols = frozenset(c for c in cols if lo <= c <= hi)
+            if cols:
+                region[r] = cols
+        regions.append(region)
     return regions
+
+
+def _overlap(a, b):
+    """The cells two regions share."""
+    return {Cell(r, c) for r in a.keys() & b.keys() for c in a[r] & b[r]}
 
 
 def _check_regions(ladder, cc, regions):
     if not all(regions):
         raise LadderError("decomposition failure: empty factor region")
-    if set().union(*regions) != ladder.cells:
+    covered = {}
+    for region in regions:
+        for r, cols in region.items():
+            covered[r] = covered[r] | cols if r in covered else cols
+    if covered != ladder._rows:
         raise LadderError("decomposition failure: factors do not cover the ladder")
     for u in range(len(regions) - 1):
-        overlap = regions[u] & regions[u + 1]
+        overlap = _overlap(regions[u], regions[u + 1])
         if overlap != {cc[u]}:
             raise LadderError(
                 f"decomposition failure: factors {u} and {u + 1} overlap in {sorted(overlap)}, "
@@ -117,12 +123,12 @@ def _check_regions(ladder, cc, regions):
             )
     # The union is exact and adjacent regions share only their corner, so the
     # sizes add up to |Y| + w exactly when no two non-adjacent regions meet.
-    if sum(map(len, regions)) != len(ladder) + len(cc):
+    if sum(len(cols) for region in regions for cols in region.values()) != len(ladder) + len(cc):
         u, v = next(
             (u, v)
             for u in range(len(regions))
             for v in range(u + 2, len(regions))
-            if regions[u] & regions[v]
+            if _overlap(regions[u], regions[v])
         )
         raise LadderError(f"decomposition failure: factors {u} and {v} overlap")
 

@@ -20,6 +20,35 @@ on (r1, r2) puts j in C2; if b > q, closure on (r1, r2) puts j in C2 and
 then closure on (r2, r3) puts q in C2.  So a full 2-minor on rows r1 < r3
 is tied to the other cells of its columns through the minors of the
 consecutive occupied rows between them.
+
+Two row-level facts follow, and :func:`validate` rests on them.  Let
+r_0 < ... < r_t be the occupied rows, K_i the columns rows r_i and r_{i+1}
+share, and call B_i = {r_i, r_{i+1}} x K_i a block when |K_i| >= 2.
+
+Block chain.  The cells that lie in a full 2-minor are exactly the union of
+the blocks, and Y is 2-connected exactly when that union is all of Y, every
+K_i has at least two columns, and K_{i-1} and K_i meet for 0 < i < t.
+Proof: for j < q in K_i the four cells (r_i|r_{i+1}, j|q) form a full
+minor, so every block lies in the cover and is connected; by the corollary
+every full minor on rows r_a < r_b has its two columns in each K_i between
+them, so its cells lie in blocks that the chain of those blocks joins.
+Blocks i and j with |i - j| >= 2 share no row, hence no cell, and blocks
+i - 1 and i meet exactly in {r_i} x (K_{i-1} & K_i).  So the components of
+the cover are the maximal stretches of consecutive blocks in which each
+block meets the next; if some K_i has fewer than two columns, no block
+holds cells of both rows r_i and r_{i+1}.
+
+Runs.  Y is path-connected exactly when every row is one run of
+consecutive columns, no empty row lies between occupied ones, and each two
+adjacent rows share a column.  Proof: the axiom for rows r1 < r2 says they
+agree on every column from min C1 to max C2.  So if row r holds j < g < q
+but not g, no row holds g: any other row holding g would share such a
+window with row r, and g would lie in it.  A path moves one column at a
+time, so it cannot get from (r, j) to (r, q).  A path also moves one row
+at a time, and it steps from row r to row r + 1 in a column of both.
+Conversely, interval rows on consecutive indices whose neighbours share a
+column are connected.  So no union-find over the runs of each row is
+needed: on a ladder a row with a gap already disconnects it.
 """
 
 from __future__ import annotations
@@ -55,6 +84,11 @@ class Cell(NamedTuple):
 
     def __repr__(self):
         return f"({self.row},{self.col})"
+
+
+def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
+    """The cells at the given (row, col) pairs; tuple.__new__ makes each without a Python-level call."""
+    return frozenset(map(tuple.__new__, repeat(Cell), pairs))
 
 
 class Ladder:
@@ -96,9 +130,8 @@ class Ladder:
 
     @property
     def cells(self) -> frozenset[Cell]:
-        if self._cells is None:  # tuple.__new__ makes each Cell without a Python-level call
-            cells = [(r, c) for r, cols in self._rows.items() for c in cols]
-            object.__setattr__(self, "_cells", frozenset(map(tuple.__new__, repeat(Cell), cells)))
+        if self._cells is None:
+            object.__setattr__(self, "_cells", _cell_set((r, c) for r, cols in self._rows.items() for c in cols))
         return self._cells
 
     def __setattr__(self, name, value):
@@ -130,7 +163,8 @@ class Ladder:
         return {"cells": [[p.row, p.col] for p in self.sorted_cells()]}
 
     def __contains__(self, cell) -> bool:
-        return Cell(*cell) in self.cells
+        r, c = cell
+        return c in self._rows.get(r, ())
 
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -304,17 +338,24 @@ class CornerProfile(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def corners(ladder: Ladder) -> CornerProfile:
-    """All lower and upper inside corners, found by exhaustive membership test."""
-    cells = ladder.cells
+    """All lower and upper inside corners, each row tested against its neighbours.
+
+    (r, c) is a lower corner when (r-1, c) and (r, c-1) are cells and
+    (r-1, c-1) is not, so c - 1 is a column of row r missing from row r-1;
+    upper corners mirror this with row r+1.  Only the columns a row does not
+    share with a neighbour are scanned.
+    """
+    rows = ladder._rows
+    none = frozenset()
     lower = []
     upper = []
-    for p in cells:
-        r, c = p
-        if (r - 1, c) in cells and (r, c - 1) in cells and (r - 1, c - 1) not in cells:
-            lower.append(p)
-        if (r + 1, c) in cells and (r, c + 1) in cells and (r + 1, c + 1) not in cells:
-            upper.append(p)
-    return CornerProfile(ladder.m, ladder.n, tuple(sorted(lower)), tuple(sorted(upper)))
+    for r in sorted(rows):
+        cols = rows[r]
+        above = rows.get(r - 1, none)
+        below = rows.get(r + 1, none)
+        lower += [Cell(r, c) for c in sorted({c + 1 for c in cols - above} & cols & above)]
+        upper += [Cell(r, c) for c in sorted({c - 1 for c in cols - below} & cols & below)]
+    return CornerProfile(ladder.m, ladder.n, tuple(lower), tuple(upper))
 
 
 def coincidental_corners(ladder: Ladder) -> tuple[Cell, ...]:
@@ -352,63 +393,38 @@ def validate(ladder: Ladder) -> ValidationReport:
 
     Two-connectedness is tested operationally: every cell must belong to some
     full 2-minor and the hypergraph whose hyperedges are the full 2-minors
-    must be connected.
+    must be connected.  Both tests read the chain of blocks of consecutive
+    occupied rows, and path-connectivity the column span of each row, as the
+    module docstring proves.
     """
-    cells = sorted(ladder.cells)
-    index = {p: i for i, p in enumerate(cells)}
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    covered = [False] * len(cells)
-    rows = ladder.occupied_rows
-    # Full minors between rows r1 < r2 live exactly on the common columns:
-    # closure makes {(r1,j),(r1,q),(r2,j),(r2,q)} a minor for j < q in the
-    # intersection, so one union over the shared columns suffices.  Only
-    # consecutive occupied rows are joined: by the module lemma, two columns
-    # shared by rows r1 < r3 lie in every occupied row between them, so the
-    # minors of (r1, r3) are covered and connected by the consecutive ones.
-    for r1, r2 in zip(rows, rows[1:]):
-        common = ladder.row_cols(r1) & ladder.row_cols(r2)
-        if len(common) < 2:
-            continue
-        anchor = index[r1, min(common)]
-        for c in common:
-            for r in (r1, r2):
-                i = index[r, c]
-                covered[i] = True
-                union(anchor, i)
-
-    every_cell_in_minor = all(covered)
-    roots = {find(i) for i in range(len(cells))}
-    two_connected = every_cell_in_minor and len(roots) == 1
-
-    # 4-neighbor connectivity
-    seen = {cells[0]}
-    stack = [cells[0]]
-    while stack:
-        r, c = stack.pop()
-        for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if q in index and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    path_connected = len(seen) == len(cells)
+    rows = ladder._rows
+    order = sorted(rows)
+    none = frozenset()
+    blocks = []
+    for r1, r2 in zip(order, order[1:]):
+        common = rows[r1] & rows[r2]
+        blocks.append(common if len(common) >= 2 else none)
+    # Row order[i] lies in blocks i-1 and i, which meet in meets[i].
+    padded = [none, *blocks, none]
+    meets = [a & b for a, b in zip(padded, padded[1:])]
+    loose = sum(
+        len(rows[r]) - len(a) - len(b) + len(both)
+        for r, a, b, both in zip(order, padded, padded[1:], meets)
+    )
+    every_cell_in_minor = not loose
+    two_connected = every_cell_in_minor and all(blocks) and all(meets[1:-1])
+    spans = [(min(rows[r]), max(rows[r])) for r in order]
+    path_connected = (
+        len(order) == ladder.m
+        and all(hi - lo + 1 == len(rows[r]) for r, (lo, hi) in zip(order, spans))
+        and all(lo <= b and a <= hi for (lo, hi), (a, b) in zip(spans, spans[1:]))
+    )
 
     prof = corners(ladder)
     ordered = prof.rows_strictly_increasing()
 
     messages = []
     if not every_cell_in_minor:
-        loose = sum(1 for c in covered if not c)
         messages.append(f"{loose} cell(s) belong to no full 2-minor")
     if not two_connected and every_cell_in_minor:
         messages.append("the 2-minor hypergraph is disconnected")
@@ -475,15 +491,18 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     if not factors:
         raise LadderError("compose needs at least one factor")
     for f in factors:
-        if Cell(f.m, 1) not in f.cells or Cell(1, f.n) not in f.cells:
+        if 1 not in f.row_cols(f.m) or f.n not in f.row_cols(1):
             raise LadderError("factor lacks its lower-left or top-right cell")
     # Factor u sits below the earlier factors and left of the later ones;
-    # each cell is placed once, at its final position.
-    cells = []
+    # each row is shifted once, to its final position, and the last row of
+    # one factor merges with the first row of the next.
+    rows = {}
     dr = 0
     dc = sum(f.n - 1 for f in factors)
     for f in factors:
         dc -= f.n - 1
-        cells.extend((p.row + dr, p.col + dc) for p in f.cells)
+        for r, cols in f._rows.items():
+            cols = frozenset(map(dc.__add__, cols)) if dc else cols
+            rows[r + dr] = rows[r + dr] | cols if r + dr in rows else cols
         dr += f.m - 1
-    return Ladder(cells)
+    return Ladder._from_rows(rows)

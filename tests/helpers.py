@@ -5,6 +5,7 @@ brute force), deliberately not reusing the library's algorithms, so the
 suite cross-checks two implementations against each other.
 """
 
+import functools
 import itertools
 import os
 from fractions import Fraction
@@ -265,6 +266,26 @@ def random_staircase_cells(rng, max_m, max_n):
     return {(i + 1, c) for i in range(m) for c in range(left[i], right[i] + 1)}
 
 
+def random_two_connected_staircase(rng, max_m, max_n):
+    """Random 2-connected staircase (normalized), as a cell set.
+
+    Rows are intervals [left, right], both ends moving left going down.
+    Consecutive rows share two columns or more, the shared intervals of
+    rows i-1, i and of rows i, i+1 meet, and the first two rows end in
+    column n and the last two start in column 1, so every cell lies in a
+    full 2-minor and the minors form one connected hypergraph.
+    """
+    m = rng.randint(2, max_m)
+    n = rng.randint(2, max_n)
+    right = [n, n]
+    while len(right) < m:
+        right.append(max(2, right[-1] - rng.randint(0, 2)))
+    left = [1, 1]
+    for i in range(m - 3, -1, -1):
+        left.insert(0, min(left[0] + rng.randint(0, 2), right[i + 1] - 1, right[i + 2]))
+    return {(i + 1, c) for i in range(m) for c in range(left[i], right[i] + 1)}
+
+
 # ---------------------------------------------------------------------------
 # the 2-minor rewriting oracle
 #
@@ -364,33 +385,56 @@ def _below(x, y):
     return x[0] <= y[0] and x[1] >= y[1]
 
 
-def hibi_facets(cells):
-    """{generator set: valuation of each cell} over the facets of the Hibi cone of cells."""
-    cells = sorted(set(map(tuple, cells)))
+def _leq(p, x):
+    """The order of P-hat, extended to the cells: the bottom lies below everything, the top above."""
+    if p == "bottom" or x == "top":
+        return True
+    return p != "top" and x != "bottom" and _below(p, x)
+
+
+@functools.lru_cache(maxsize=8)  # one ladder's facets, coordinates and grading reuse it
+def _hibi_covers(cells):
+    """The cover relations (p, q) of P-hat, its bottom and top included; cells is a sorted tuple."""
     lower = {x: [y for y in cells if y != x and _below(y, x)] for x in cells}
     covered = {x: [y for y in lower[x] if not any(y != z and _below(y, z) for z in lower[x])] for x in cells}
     joins = [x for x in cells if len(covered[x]) == 1]
     nodes = ["bottom", *joins, "top"]
+    return [
+        (p, q)
+        for p, q in itertools.permutations(nodes, 2)
+        if _leq(p, q) and not any(r not in (p, q) and _leq(p, r) and _leq(r, q) for r in nodes)
+    ]
 
-    def leq(p, x):
-        if p == "bottom" or x == "top":
-            return True
-        return p != "top" and x != "bottom" and _below(p, x)
 
+def hibi_facets(cells):
+    """{generator set: valuation of each cell} over the facets of the Hibi cone of cells."""
+    cells = tuple(sorted(set(map(tuple, cells))))
     facets = {}
-    for p, q in itertools.permutations(nodes, 2):
-        if leq(p, q) and not any(r not in (p, q) and leq(p, r) and leq(r, q) for r in nodes):
-            valuation = {x: int(leq(p, x)) - int(leq(q, x)) for x in cells}
-            gens = frozenset(x for x in cells if valuation[x])
-            assert gens not in facets, "two facets with one generator set"
-            facets[gens] = valuation
+    for p, q in _hibi_covers(cells):
+        valuation = {x: int(_leq(p, x)) - int(_leq(q, x)) for x in cells}
+        gens = frozenset(x for x in cells if valuation[x])
+        assert gens not in facets, "two facets with one generator set"
+        facets[gens] = valuation
     return facets
+
+
+def hibi_graded(cells):
+    """Whether every maximal chain of P-hat has one length; the Hibi ring is Gorenstein iff so (Hibi 1987)."""
+    covers = _hibi_covers(tuple(sorted(set(map(tuple, cells)))))
+    lengths = {"bottom": {0}}
+    # A cover goes up in the order, so each node's chains are known once all its lower covers' are.
+    while "top" not in lengths:
+        for q in {q for _, q in covers} - lengths.keys():
+            below = [p for p, top in covers if top == q]
+            if all(p in lengths for p in below):
+                lengths[q] = {n + 1 for p in below for n in lengths[p]}
+    return len(lengths["top"]) == 1
 
 
 def _reduce(columns, targets):
     """Row-reduce [columns | targets] over Q: the pivot columns and the reduced target entries of their rows."""
     width = len(columns)
-    rows = [[Fraction(v[e]) for v in [*columns, *targets]] for e in range(len(columns[0]))]
+    rows = [[v[e] for v in [*columns, *targets]] for e in range(len(columns[0]))]
     pivots = []
     for k in range(width):
         row = next((r for r in range(len(pivots), len(rows)) if rows[r][k]), None)
@@ -398,11 +442,17 @@ def _reduce(columns, targets):
             continue
         rows[len(pivots)], rows[row] = rows[row], rows[len(pivots)]
         pivot = rows[len(pivots)]
-        pivot[:] = [v / pivot[k] for v in pivot]
+        # Entries start as ints and become Fractions only where a pivot divides them.
+        support = [i for i, v in enumerate(pivot) if v]
+        if pivot[k] != 1:
+            scale = Fraction(1, pivot[k])
+            for i in support:
+                pivot[i] *= scale
         for other in rows:
             if other is not pivot and other[k]:
                 factor = other[k]
-                other[:] = [a - factor * b for a, b in zip(other, pivot)]
+                for i in support:
+                    other[i] -= factor * pivot[i]
         pivots.append(k)
     assert not any(any(r[width:]) for r in rows[len(pivots):]), "no solution"
     return pivots, [r[width:] for r in rows[:len(pivots)]]

@@ -30,8 +30,10 @@ from helpers import (
     enumerate_ladder_cellsets,
     hibi_coordinates,
     hibi_facets,
+    hibi_graded,
     naive_corners,
     random_staircase_cells,
+    random_two_connected_staircase,
 )
 
 
@@ -88,7 +90,13 @@ def _hibi_cases():
     small = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
     rng = random.Random(37)
     drawn = [random_two_connected(rng, 6, 6) for _ in range(60)]
-    return [ladder for ladder in small + drawn if _analyzable(ladder)]
+    rng = random.Random(41)
+    staircases = [Ladder(random_two_connected_staircase(rng, 8, 8)) for _ in range(300)]
+    glues = [
+        compose(Ladder(random_two_connected_staircase(rng, 4, 4)) for _ in range(rng.randint(2, 6)))
+        for _ in range(200)
+    ]
+    return [ladder for ladder in small + drawn + staircases + glues if _analyzable(ladder)]
 
 
 def _analyzable(ladder):
@@ -100,11 +108,14 @@ def _analyzable(ladder):
 
 
 def test_classes_match_the_hibi_oracle():
-    """QPrime(i) is a column prime of class qprime_class(i), and the facets sum to the canonical class."""
+    """QPrime(i) is a column prime of class qprime_class(i), the facets sum to the canonical class,
+    and the ladder is Gorenstein exactly when P-hat is graded."""
     cases = _hibi_cases()
-    assert len(cases) > 500
+    assert len(cases) > 1000
+    assert sum(len(decompose(ladder).factors) > 1 for ladder in cases) > 200
     for ladder in cases:
         cells = set(ladder.cells)
+        assert is_gorenstein(ladder) == hibi_graded(cells), ladder
         labels = basis(ladder)
         primes = [ideal_generators(ladder, label) for label in labels]
         qprimes = [ideal_generators(ladder, QPrime(i)) for i in range(1, corners(ladder).h + 2)]

@@ -114,6 +114,21 @@ def test_validate_not_two_connected_exits_1(capsys, tmp_path):
     assert "two_connected: false" in out
 
 
+def test_duplicate_cell_warning_is_one_line(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"cells": [[1, 1], [1, 1], [1, 2]]}')
+    code, out, err = run(capsys, "validate", "--in", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["two_connected"] is False
+    assert err == "warning: duplicate cells in ladder input; deduplicating\n"
+    # a failing command still shows the warning first, then its error
+    path.write_text('{"cells": [[1, 1], [1, 1], [2, 2]]}')
+    assert run(capsys, "validate", "--in", str(path)) == (
+        1, "", "warning: duplicate cells in ladder input; deduplicating\n"
+        "error: closure violation: cells (1,1) and (2,2) require (1,2) and (2,1)\n",
+    )
+
+
 def test_validate_pretty_ok(capsys, l3_json):
     code, out, _ = run(capsys, "validate", "--in", l3_json)
     assert code == 0

@@ -106,13 +106,16 @@ def test_factor_invariants_randomized():
 
 
 def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
-    # one cell of the last region also placed in the first: the union and the
-    # adjacent overlaps stay right, only the size count sees the extra overlap
+    # one cell of the last region also placed in the first, in a row of its
+    # own there: the union and the adjacent overlaps stay right, only the
+    # size count sees the extra overlap
     regions = decompose_module._regions
 
     def overlapping(ladder, cc):
         out = regions(ladder, cc)
-        out[0].add(min(out[2] - set(cc)))
+        row = max(out[2])
+        assert row > cc[-1].row and row not in out[0]
+        out[0][row] = frozenset({min(out[2][row])})
         return out
 
     monkeypatch.setattr(decompose_module, "_regions", overlapping)

@@ -269,14 +269,29 @@ def test_coincidental_corners(l1, l2, l3):
     assert len(coincidental_corners(composite)) == 3
 
 
+def staircase_glues(rng, count):
+    """count seeded compose glues of 2-6 staircases of up to 6x6 each."""
+    return [
+        compose(Ladder(random_staircase_cells(rng, 6, 6)) for _ in range(rng.randint(2, 6)))
+        for _ in range(count)
+    ]
+
+
 def test_corners_against_naive_scan():
     rng = random.Random(7)
-    for _ in range(60):
-        ladder = Ladder(random_staircase_cells(rng, 7, 7))
+    drawn = [Ladder(random_staircase_cells(rng, 7, 7)) for _ in range(60)]
+    small = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
+    rng = random.Random(61)
+    staircases = [Ladder(random_staircase_cells(rng, 20, 20)) for _ in range(300)]
+    glues = staircase_glues(random.Random(67), 100)
+    corners.cache_clear()
+    for ladder in drawn + small + staircases + glues:
         prof = corners(ladder)
         lower, upper = naive_corners(ladder.cells)
-        assert [tuple(c) for c in prof.lower] == lower
-        assert [tuple(c) for c in prof.upper] == upper
+        assert (prof.m, prof.n) == (ladder.m, ladder.n)
+        assert [tuple(c) for c in prof.lower] == lower, ladder.to_json_dict()
+        assert [tuple(c) for c in prof.upper] == upper, ladder.to_json_dict()
+    assert sum(bool(coincidental_corners(glue)) for glue in glues) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +465,20 @@ def test_validate_matches_pairwise_row_oracle():
     mutants = single_cell_mutants(small, random.Random(43))
     rng = random.Random(47)
     staircases = [random_staircase_cells(rng, 20, 20) for _ in range(300)]
+    glues = [set(glue.cells) for glue in staircase_glues(random.Random(71), 100)]
+    # closed, but with gaps inside rows or between them, so not path-connected:
+    # spreading the rows or columns apart keeps the closure axiom
+    gapped = [
+        {(1, 1), (1, 3), (2, 1), (2, 3)},
+        {(1, 1), (1, 3), (3, 1), (3, 3)},
+        {(1, 2), (1, 4), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)},
+        *({(r, 2 * c - 1) for r, c in cells} for cells in staircases[:100]),
+        *({(2 * r - 1, c) for r, c in cells} for cells in staircases[100:200]),
+        *({(2 * r - 1, 3 * c - 2) for r, c in cells} for cells in staircases[200:]),
+    ]
+    assert not any(validate(Ladder(cells)).path_connected for cells in gapped)
     ladders = 0
-    for cells in itertools.chain(small, mutants, staircases):
+    for cells in itertools.chain(small, mutants, staircases, glues, gapped):
         try:
             ladder = Ladder(cells)
         except LadderError:

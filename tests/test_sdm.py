@@ -10,17 +10,23 @@ from ladderdet import (
     LadderError,
     P,
     Q,
+    QPrime,
     antitranspose,
+    basis,
     canonical_class,
     classify,
     coincidental_corners,
     compose,
     construct_2n,
+    corners,
+    decompose,
+    ideal_generators,
     is_gorenstein,
+    parse_ascii,
     validate,
 )
 
-from helpers import enumerate_ladder_cellsets, random_staircase_cells
+from helpers import L3_ASCII, enumerate_ladder_cellsets, random_staircase_cells
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -227,3 +233,22 @@ def test_construct_2n_rejects_bad_arity():
         construct_2n(0, [])
     with pytest.raises(LadderError):
         construct_2n(2, [(2, 3)])
+
+
+def test_classify_builds_no_cell_set():
+    # a 30x30 staircase: row i runs from column max(1, 21 - i) to min(30, 41 - i)
+    staircase = "\n".join(
+        "." * (max(1, 21 - i) - 1) + "#" * (min(30, 41 - i) - max(1, 21 - i) + 1) for i in range(30)
+    )
+    for text in (L3_ASCII, staircase):
+        validate.cache_clear()
+        corners.cache_clear()
+        ladder = parse_ascii(text)
+        assert classify(ladder).count >= 1
+        factors = decompose(ladder).factors
+        glued = compose(factors)
+        for label in (*basis(ladder), *map(QPrime, range(1, corners(ladder).h + 2))):
+            assert ideal_generators(ladder, label)
+        assert glued == ladder
+        assert all(x._cells is None for x in (ladder, glued, *factors))
+    assert (ladder.m, ladder.n, validate(ladder).sidedness) == (30, 30, "two-sided")
