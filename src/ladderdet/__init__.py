@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 # Every public name, by the submodule that defines it.
 _EXPORTS = {
     "ladders": """Cell CornerProfile Ladder LadderError ValidationReport antitranspose
-        coincidental_corners compose corners parse_ascii parse_auto parse_json
-        render_ascii require_analyzable validate""",
+        compose corners parse_ascii parse_auto parse_json render_ascii
+        require_analyzable validate""",
     "decompose": "Factorization decompose",
     "classgroup": """BasisLabel DivisorClass FactorRole P Q QPrime basis canonical_class
-        embed_factor_omega ideal_generators qprime_class relabel""",
+        ideal_generators qprime_class relabel""",
     "rewrite": """MAX_DEGREE_BOUND Monomial RewriteSystem WitnessCase WitnessReport
         equal_mod_minors ideal_monomials_bounded intersect_bounded normal_form
         verify_witnesses""",

@@ -15,7 +15,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .decompose import Factorization
-from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, corners, require_analyzable
+from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, corners, is_int, require_analyzable
 
 
 class BasisLabel(NamedTuple):
@@ -72,7 +72,9 @@ class DivisorClass:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for label, c in items:
                 _check_label(prof, label)
-                vec[label.index - 1 if label.kind == "Q" else prof.h + label.index] += int(c)
+                if not is_int(c):
+                    raise LadderError(f"coefficient of {label} must be an integer, got {c!r}")
+                vec[label.index - 1 if label.kind == "Q" else prof.h + label.index] += c
         object.__setattr__(self, "ladder", ladder)
         object.__setattr__(self, "_vec", tuple(vec))
 
@@ -94,9 +96,6 @@ class DivisorClass:
     def items(self) -> tuple:
         """The (label, coefficient) pairs with a nonzero coefficient, in basis order."""
         return tuple((l, c) for l, c in zip(_labels(self.ladder), self._vec) if c)
-
-    def coeff(self, label: BasisLabel) -> int:
-        return dict(self.items()).get(label, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -239,7 +238,8 @@ def relabel(factorization: Factorization) -> dict[BasisLabel, FactorRole]:
 
     q_row_role: dict[int, FactorRole] = {}
     upper_cell_role: dict[Cell, FactorRole] = {}
-    for u, (fprof, (dr, dc)) in enumerate(zip(factorization.per_factor_corners, factorization.offsets)):
+    for u, (factor, (dr, dc)) in enumerate(zip(factorization.factors, factorization.offsets)):
+        fprof = corners(factor)
         top_row = 1 if u == 0 else cc[u - 1].row
         key_rows = [top_row] + [p.row + dr for p in fprof.lower]
         for i, row in enumerate(key_rows, start=1):
@@ -273,24 +273,18 @@ def relabel(factorization: Factorization) -> dict[BasisLabel, FactorRole]:
     return roles
 
 
-def embed_factor_omega(factorization: Factorization, u: int) -> DivisorClass:
+def _embed(factorization: Factorization, roles: dict[BasisLabel, FactorRole], u: int) -> DivisorClass:
     """Image of the u-th factor's canonical class inside the composite group.
 
-    The factor-local coefficient on q_{u,1} is carried to both q_{u,1} and
-    p_{u,0} for u >= 1; factor 0 has no p-role at the cut.
+    ``roles`` is ``relabel(factorization)``, passed in so one map serves
+    every factor.  The factor-local coefficient on q_{u,1} is carried to
+    both q_{u,1} and p_{u,0} for u >= 1; factor 0 has no p-role at the cut.
     """
-    if not 0 <= u <= factorization.w:
-        raise LadderError(f"factor index {u} out of range (w = {factorization.w})")
-    return _embed(factorization, relabel(factorization), u)
-
-
-def _embed(factorization: Factorization, roles: dict[BasisLabel, FactorRole], u: int) -> DivisorClass:
-    """embed_factor_omega with the relabeling supplied, so one map serves every factor."""
     position = {role: i for i, role in enumerate(roles.values())}
     local = canonical_class(factorization.factors[u])
     vec = [0] * len(position)
     for label, c in local.items():
         vec[position[FactorRole(u, label.kind.lower(), label.index)]] += c
     if u >= 1:
-        vec[position[FactorRole(u, "p", 0)]] += local.coeff(Q(1))
+        vec[position[FactorRole(u, "p", 0)]] += local._vec[0]  # the Q(1) coordinate
     return DivisorClass._make(factorization.ladder, tuple(vec))

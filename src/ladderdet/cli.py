@@ -277,21 +277,21 @@ def _cmd_construct2n(args):
 
 
 def _cmd_nf(args):
-    from .rewrite import RewriteSystem, normal_form
+    from .rewrite import normal_form
 
     ladder = _load_ladder(args)
     mono = _parse_monomial(args.monomial, args.degree_bound)
-    result = normal_form(mono, RewriteSystem(ladder))
+    result = normal_form(mono, ladder)
     return result.to_json_dict, lambda: str(result), 0
 
 
 def _cmd_eq(args):
-    from .rewrite import RewriteSystem, equal_mod_minors
+    from .rewrite import equal_mod_minors
 
     ladder = _load_ladder(args)
     m1 = _parse_monomial(args.monomial[0], args.degree_bound)
     m2 = _parse_monomial(args.monomial[1], args.degree_bound)
-    return _bool_output(equal_mod_minors(m1, m2, RewriteSystem(ladder)))
+    return _bool_output(equal_mod_minors(m1, m2, ladder))
 
 
 def _cmd_witness(args):

@@ -12,10 +12,8 @@ from typing import NamedTuple
 
 from .ladders import (
     Cell,
-    CornerProfile,
     Ladder,
     LadderError,
-    coincidental_corners,
     compose,
     corners,
     require_analyzable,
@@ -34,7 +32,6 @@ class Factorization(NamedTuple):
     factors: tuple[Ladder, ...]
     coincidental: tuple[Cell, ...]
     offsets: tuple[tuple[int, int], ...]
-    per_factor_corners: tuple[CornerProfile, ...]
 
     @property
     def w(self) -> int:
@@ -59,20 +56,14 @@ def decompose(ladder: Ladder) -> Factorization:
     columns and is linear in the number of cells.
     """
     require_analyzable(ladder)
-    cc = coincidental_corners(ladder)
+    cc = corners(ladder).coincidental
     regions = _regions(ladder, cc)
     _check_regions(ladder, cc, regions)
 
     factors = tuple(map(Ladder._from_rows, regions))
     offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
     _check_factors(ladder, factors, cc)
-    return Factorization(
-        ladder=ladder,
-        factors=factors,
-        coincidental=cc,
-        offsets=offsets,
-        per_factor_corners=tuple(corners(f) for f in factors),
-    )
+    return Factorization(ladder=ladder, factors=factors, coincidental=cc, offsets=offsets)
 
 
 def _regions(ladder, cc):
@@ -140,7 +131,7 @@ def _check_factors(ladder, factors, cc):
     if sum_h + len(cc) != prof.h or sum_k + len(cc) != prof.k:
         raise LadderError("decomposition failure: corner counts do not add up")
     for u, f in enumerate(factors):
-        if coincidental_corners(f):
+        if corners(f).coincidental:
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         if not validate(f).two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")

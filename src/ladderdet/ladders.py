@@ -149,18 +149,11 @@ class Ladder:
         return self._rows.get(r, frozenset())
 
     @property
-    def occupied_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
-
-    @property
     def is_full_matrix(self) -> bool:
         return len(self) == self.m * self.n
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
     def to_json_dict(self) -> dict:
-        return {"cells": [[p.row, p.col] for p in self.sorted_cells()]}
+        return {"cells": [[r, c] for r, c in self]}
 
     def __contains__(self, cell) -> bool:
         r, c = cell
@@ -170,7 +163,7 @@ class Ladder:
         return sum(map(len, self._rows.values()))
 
     def __iter__(self):
-        return iter(self.sorted_cells())
+        return iter(sorted(self.cells))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ladder) and self._rows == other._rows
@@ -299,8 +292,7 @@ class CornerProfile(NamedTuple):
     """Inside corners of a ladder, with the conventional sentinel corners.
 
     ``lower_ext`` lists (a_0, b_0) = (1, n), the lower inside corners in row
-    order, then (a_{h+1}, b_{h+1}) = (m, 1); ``upper_ext`` is analogous for
-    the upper corners.
+    order, then (a_{h+1}, b_{h+1}) = (m, 1).
     """
 
     m: int
@@ -319,10 +311,6 @@ class CornerProfile(NamedTuple):
     @property
     def lower_ext(self) -> tuple[Cell, ...]:
         return (Cell(1, self.n),) + self.lower + (Cell(self.m, 1),)
-
-    @property
-    def upper_ext(self) -> tuple[Cell, ...]:
-        return (Cell(1, self.n),) + self.upper + (Cell(self.m, 1),)
 
     @property
     def coincidental(self) -> tuple[Cell, ...]:
@@ -356,11 +344,6 @@ def corners(ladder: Ladder) -> CornerProfile:
         lower += [Cell(r, c) for c in sorted({c + 1 for c in cols - above} & cols & above)]
         upper += [Cell(r, c) for c in sorted({c - 1 for c in cols - below} & cols & below)]
     return CornerProfile(ladder.m, ladder.n, tuple(lower), tuple(upper))
-
-
-def coincidental_corners(ladder: Ladder) -> tuple[Cell, ...]:
-    """Cells that are simultaneously lower and upper inside corners, by row."""
-    return corners(ladder).coincidental
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +468,13 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
 
     The lower-left cell of the accumulated ladder is identified with the
     top-right cell of each successive factor, producing one coincidental
-    inside corner per identification.
+    inside corner per identification.  Every normalized ladder holds both
+    cells: a cell (i, 1) and a cell (m, q) force (m, 1) by the closure axiom,
+    and a cell (1, j) and a cell (p, n) force (1, n).
     """
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    for f in factors:
-        if 1 not in f.row_cols(f.m) or f.n not in f.row_cols(1):
-            raise LadderError("factor lacks its lower-left or top-right cell")
     # Factor u sits below the earlier factors and left of the later ones;
     # each row is shifted once, to its final position, and the last row of
     # one factor merges with the first row of the next.

@@ -64,10 +64,6 @@ class Monomial:
         raise AttributeError("Monomial is immutable")
 
     @classmethod
-    def unit(cls) -> "Monomial":
-        return cls()
-
-    @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Monomial":
         return cls((cell, 1) for cell in cells)
 
@@ -119,26 +115,17 @@ class Monomial:
         return {"exps": [[c.row, c.col, e] for c, e in self._exps]}
 
 
-class RewriteSystem:
-    """The 2-minor rewriting rules of a ladder.
+def RewriteSystem(ladder: Ladder) -> Ladder:
+    """Deprecated: returns the ladder, which the rewrite functions now take directly.
 
-    A rule is a diagonal cell pair (a, b), a strictly north-west of b, both in
-    the ladder; by the closure axiom its full minor lies in the ladder too.  It
-    rewrites x[a]*x[b] into the antidiagonal product of that minor.
+    Its last caller is ``bench/workloads.py``; it goes when that call does.
     """
-
-    __slots__ = ("ladder",)
-
-    def __init__(self, ladder: Ladder):
-        self.ladder = ladder
-
-    def __repr__(self):
-        return f"RewriteSystem({self.ladder!r})"
+    return ladder
 
 
-def _content(mono: Monomial, system: RewriteSystem):
+def _content(mono: Monomial, ladder: Ladder):
     """Row runs ascending and column runs descending, as (index, count) pairs."""
-    bad = [c for c in mono.support if c.col not in system.ladder.row_cols(c.row)]
+    bad = [c for c in mono.support if c.col not in ladder.row_cols(c.row)]
     if bad:
         raise LadderError(f"monomial uses cells outside the ladder: {bad}")
     rows, cols = Counter(), Counter()
@@ -148,9 +135,9 @@ def _content(mono: Monomial, system: RewriteSystem):
     return sorted(rows.items()), sorted(cols.items(), reverse=True)
 
 
-def normal_form(mono: Monomial, system: RewriteSystem) -> Monomial:
+def normal_form(mono: Monomial, ladder: Ladder) -> Monomial:
     """The unique normal form: ascending rows zipped with descending columns."""
-    rows, cols = _content(mono, system)
+    rows, cols = _content(mono, ladder)
     exps = []
     cols = iter(cols)
     col = left = 0
@@ -165,9 +152,9 @@ def normal_form(mono: Monomial, system: RewriteSystem) -> Monomial:
     return Monomial(exps)
 
 
-def equal_mod_minors(m1: Monomial, m2: Monomial, system: RewriteSystem) -> bool:
+def equal_mod_minors(m1: Monomial, m2: Monomial, ladder: Ladder) -> bool:
     """Whether two monomials agree in the quotient ring (equal row and column content)."""
-    return _content(m1, system) == _content(m2, system)
+    return _content(m1, ladder) == _content(m2, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +169,13 @@ def _quotients(rows, cols, among, cells):
             yield rest
 
 
-def _members(gen_sets, d: int, system: RewriteSystem) -> set:
+def _members(gen_sets, d: int, ladder: Ladder) -> set:
     """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
         raise LadderError(f"degree bound {d} exceeds the safety cap {MAX_DEGREE_BOUND}")
-    cells = system.ladder.cells
+    cells = ladder.cells
     pending = []
     for gens in gen_sets:
         gens = sorted(Cell(*g) for g in gens)
@@ -209,17 +196,17 @@ def _members(gen_sets, d: int, system: RewriteSystem) -> set:
     return out
 
 
-def ideal_monomials_bounded(gens, d: int, system: RewriteSystem) -> frozenset[Monomial]:
+def ideal_monomials_bounded(gens, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Normal forms of all degree <= d monomials in the ideal generated by gens."""
-    return frozenset(Monomial.from_cells(zip(*content)) for content in _members([gens], d, system))
+    return frozenset(Monomial.from_cells(zip(*content)) for content in _members([gens], d, ladder))
 
 
-def intersect_bounded(gens1, gens2, d: int, system: RewriteSystem) -> frozenset[Monomial]:
+def intersect_bounded(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Minimal members of the degree <= d intersection of two monomial-generated ideals."""
-    common = _members([gens1, gens2], d, system)
+    common = _members([gens1, gens2], d, ladder)
     return frozenset(
         Monomial.from_cells(zip(*content)) for content in common
-        if not any(t in common for t in _quotients(*content, system.ladder.cells, system.ladder.cells))
+        if not any(t in common for t in _quotients(*content, ladder.cells, ladder.cells))
     )
 
 
@@ -273,7 +260,6 @@ def verify_witnesses(ladder: Ladder) -> WitnessReport:
     m, n = ladder.m, ladder.n
     lam_top = a + b - 1 - n
     lam_bottom = m + 1 - a - b
-    system = RewriteSystem(ladder)
     cases = []
 
     if lam_bottom > 0 and lam_bottom == -lam_top:
@@ -284,7 +270,7 @@ def verify_witnesses(ladder: Ladder) -> WitnessReport:
         right = Monomial({Cell(a, 1): 1, Cell(1, b): 1, Cell(a, b): lam - 1}) * Monomial(
             {Cell(a, b): lam}
         )
-        cases.append(WitnessCase("opposite-sign", equal_mod_minors(left, right, system)))
+        cases.append(WitnessCase("opposite-sign", equal_mod_minors(left, right, ladder)))
 
     if lam_bottom > 0 and lam_bottom == lam_top:
         lam = lam_bottom
@@ -292,7 +278,7 @@ def verify_witnesses(ladder: Ladder) -> WitnessReport:
             {Cell(a, b): 1, Cell(a, n): lam - 1}
         )
         right = Monomial({Cell(a, 1): 1, Cell(1, b): lam}) * Monomial({Cell(a, n): lam})
-        cases.append(WitnessCase("equal-sign", equal_mod_minors(left, right, system)))
+        cases.append(WitnessCase("equal-sign", equal_mod_minors(left, right, ladder)))
 
     return WitnessReport(
         corner=Cell(a, b), lam_top=lam_top, lam_bottom=lam_bottom, cases=tuple(cases)

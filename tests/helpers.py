@@ -516,3 +516,14 @@ def child_env():
 
     src = os.path.dirname(os.path.dirname(ladderdet.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def embed_factor_omega(factorization, u):
+    """The library's image of factor u's canonical class in the composite group, as ``classify`` builds it.
+
+    A shorthand over the library, not an oracle: tests pin its values by hand
+    and check that the images sum to the canonical class.
+    """
+    from ladderdet.classgroup import _embed, relabel
+
+    return _embed(factorization, relabel(factorization), u)

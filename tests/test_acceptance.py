@@ -15,15 +15,12 @@ from ladderdet import (
     Monomial,
     P,
     Q,
-    RewriteSystem,
     canonical_class,
     classify,
-    coincidental_corners,
     compose,
     construct_2n,
     corners,
     decompose,
-    embed_factor_omega,
     ideal_generators,
     intersect_bounded,
     is_gorenstein,
@@ -39,6 +36,7 @@ from helpers import (
     L3_ASCII,
     certify_confluence,
     enumerate_ladder_cellsets,
+    embed_factor_omega,
     random_staircase_cells,
     reachable_normal_forms,
 )
@@ -71,7 +69,7 @@ def test_criterion_02_corner_extraction():
     assert corners(L1).upper == (Cell(3, 2),)
     assert corners(L2).lower == (Cell(4, 2),)
     assert corners(L2).upper == (Cell(2, 4), Cell(3, 3))
-    assert coincidental_corners(L3) == (Cell(3, 2),)
+    assert corners(L3).coincidental == (Cell(3, 2),)
     _passed(2, "corners: L1 (2,2)/(3,2); L2 (4,2)/{(2,4),(3,3)}; L3 coincidental (3,2)")
 
 
@@ -111,7 +109,7 @@ def test_criterion_06_decompose_roundtrip():
     def corner_free_factor():
         while True:
             ladder = Ladder(random_staircase_cells(rng, 6, 6))
-            if validate(ladder).two_connected and not coincidental_corners(ladder):
+            if validate(ladder).two_connected and not corners(ladder).coincidental:
                 return ladder
 
     for _ in range(200):
@@ -141,21 +139,21 @@ def test_criterion_07_global_factor_consistency():
 def test_criterion_08_rewriter_confluence():
     start = time.monotonic()
     cellsets = enumerate_ladder_cellsets(5, 5)
-    systems = []
+    ladders = []
     checked = 0
     for cells in cellsets:
-        systems.append(RewriteSystem(Ladder(cells)))
+        ladders.append(Ladder(cells))
         checked += certify_confluence(cells, max_degree=3)
 
     rng = random.Random(4242)
     for _ in range(1000):
-        system = rng.choice(systems)
-        ms = rng.choices(system.ladder.sorted_cells(), k=4)
-        outcomes = reachable_normal_forms(system.ladder.cells, ms)
+        ladder = rng.choice(ladders)
+        ms = rng.choices(sorted(ladder), k=4)
+        outcomes = reachable_normal_forms(ladder.cells, ms)
         assert len(outcomes) == 1
         assert len(next(iter(outcomes))) == 4
         # the library's closed form agrees with the rewriting oracle
-        assert {Monomial.from_cells(t) for t in outcomes} == {normal_form(Monomial.from_cells(ms), system)}
+        assert {Monomial.from_cells(t) for t in outcomes} == {normal_form(Monomial.from_cells(ms), ladder)}
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"confluence sweep took {elapsed:.1f}s"
@@ -167,10 +165,9 @@ def test_criterion_08_rewriter_confluence():
 
 
 def test_criterion_09_worked_intersection():
-    system = RewriteSystem(L3)
     q11 = ideal_generators(L3, Q(2))
     p10 = ideal_generators(L3, P(1))
-    result = intersect_bounded(q11, p10, 2, system)
+    result = intersect_bounded(q11, p10, 2, L3)
     assert result == {Monomial.from_cells([(3, 1)]), Monomial.from_cells([(3, 2)])}
     _passed(9, "intersection of q11 and p10 at degree 2 has minimal generators x(3,1), x(3,2)")
 

@@ -8,7 +8,6 @@ from ladderdet import (
     Cell,
     Ladder,
     LadderError,
-    coincidental_corners,
     compose,
     corners,
     decompose,
@@ -27,7 +26,7 @@ def factorization_roundtrip_check(factors):
     factors = list(factors)
     for f in factors:
         require_analyzable(f)
-        if coincidental_corners(f):
+        if corners(f).coincidental:
             raise LadderError("round-trip factors must be free of coincidental corners")
     return list(decompose(compose(factors)).factors) == factors
 
@@ -35,7 +34,7 @@ def factorization_roundtrip_check(factors):
 def random_corner_free_factor(rng, max_m=6, max_n=6):
     while True:
         ladder = Ladder(random_staircase_cells(rng, max_m, max_n))
-        if validate(ladder).two_connected and not coincidental_corners(ladder):
+        if validate(ladder).two_connected and not corners(ladder).coincidental:
             return ladder
 
 
@@ -94,12 +93,12 @@ def test_factor_invariants_randomized():
         f = decompose(composite)
         assert len(f.factors) == f.w + 1
         prof = corners(composite)
-        assert sum(p.h for p in f.per_factor_corners) + f.w == prof.h
-        assert sum(p.k for p in f.per_factor_corners) + f.w == prof.k
+        assert sum(corners(factor).h for factor in f.factors) + f.w == prof.h
+        assert sum(corners(factor).k for factor in f.factors) + f.w == prof.k
         translated = set()
         for factor, (dr, dc) in zip(f.factors, f.offsets):
             assert validate(factor).two_connected
-            assert not coincidental_corners(factor)
+            assert not corners(factor).coincidental
             translated |= {Cell(p.row + dr, p.col + dc) for p in factor.cells}
         assert translated == set(composite.cells)
         assert compose(f.factors) == composite

@@ -14,7 +14,6 @@ from ladderdet import (
     Ladder,
     LadderError,
     antitranspose,
-    coincidental_corners,
     compose,
     corners,
     parse_ascii,
@@ -258,15 +257,13 @@ def test_corner_sentinels(l3):
     prof = corners(l3)
     assert prof.lower_ext[0] == Cell(1, 3)
     assert prof.lower_ext[-1] == Cell(5, 1)
-    assert prof.upper_ext[0] == Cell(1, 3)
-    assert prof.upper_ext[-1] == Cell(5, 1)
 
 
 def test_coincidental_corners(l1, l2, l3):
-    assert coincidental_corners(l3) == (Cell(3, 2),)
-    assert coincidental_corners(l1) == ()
+    assert corners(l3).coincidental == (Cell(3, 2),)
+    assert corners(l1).coincidental == ()
     composite = compose([l1, l2, l3])
-    assert len(coincidental_corners(composite)) == 3
+    assert len(corners(composite).coincidental) == 3
 
 
 def staircase_glues(rng, count):
@@ -291,7 +288,9 @@ def test_corners_against_naive_scan():
         assert (prof.m, prof.n) == (ladder.m, ladder.n)
         assert [tuple(c) for c in prof.lower] == lower, ladder.to_json_dict()
         assert [tuple(c) for c in prof.upper] == upper, ladder.to_json_dict()
-    assert sum(bool(coincidental_corners(glue)) for glue in glues) > 10
+        # compose relies on every ladder holding its lower-left and top-right cells
+        assert (ladder.m, 1) in ladder and (1, ladder.n) in ladder, ladder.to_json_dict()
+    assert sum(bool(corners(glue).coincidental) for glue in glues) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_antitranspose_involution(l2):
 def test_antitranspose_l3_geometry(l3):
     flipped = antitranspose(l3)
     assert (flipped.m, flipped.n) == (3, 5)
-    assert coincidental_corners(flipped) == (Cell(2, 3),)
+    assert corners(flipped).coincidental == (Cell(2, 3),)
 
 
 def test_antitranspose_swaps_corner_roles():
@@ -341,7 +340,7 @@ def test_compose_2x3_with_3x4():
     result = compose([Ladder.full_matrix(2, 3), Ladder.full_matrix(3, 4)])
     assert (result.m, result.n) == (4, 6)
     # glue corner sits at (rows of first factor, columns of second factor)
-    assert coincidental_corners(result) == (Cell(2, 4),)
+    assert corners(result).coincidental == (Cell(2, 4),)
 
 
 def test_compose_empty_list_rejected():

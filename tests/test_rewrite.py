@@ -12,7 +12,6 @@ from ladderdet import (
     Monomial,
     P,
     Q,
-    RewriteSystem,
     basis,
     compose,
     equal_mod_minors,
@@ -50,8 +49,8 @@ def test_monomial_basics():
     assert m.degree == 3
     assert dict(m.items()) == {Cell(1, 2): 2, Cell(3, 3): 1}
     assert str(m) == "x(1,2)^2*x(3,3)"
-    assert str(Monomial.unit()) == "1"
-    assert m * Monomial.unit() == m
+    assert str(Monomial()) == "1"
+    assert m * Monomial() == m
     assert mono((1, 2)) * mono((1, 2)) == Monomial({Cell(1, 2): 2})
 
 
@@ -80,73 +79,66 @@ def test_monomial_rejects_non_integer_entries(entry):
 # ---------------------------------------------------------------------------
 # rewrite system and normal forms
 
-def has_rule(s, a, b):
-    """Whether the diagonal pair (a, b) of ladder cells is the source of a rewrite rule of s."""
-    return a.row < b.row and a.col < b.col and a in s.ladder.cells and b in s.ladder.cells
+def has_rule(ladder, a, b):
+    """Whether the diagonal pair (a, b) of ladder cells is the source of a 2-minor rewrite rule."""
+    return a.row < b.row and a.col < b.col and a in ladder and b in ladder
 
 
 def test_rules_of_l3(l3):
-    s = RewriteSystem(l3)
-    assert has_rule(s, Cell(1, 2), Cell(2, 3))
-    assert has_rule(s, Cell(1, 2), Cell(3, 3))
-    assert has_rule(s, Cell(3, 1), Cell(4, 2))
+    assert has_rule(l3, Cell(1, 2), Cell(2, 3))
+    assert has_rule(l3, Cell(1, 2), Cell(3, 3))
+    assert has_rule(l3, Cell(3, 1), Cell(4, 2))
     # an antidiagonal pair is the target of a rule, never its source
-    assert not has_rule(s, Cell(2, 2), Cell(5, 1))
-    rules = {(a, b) for a in l3.sorted_cells() for b in l3.sorted_cells() if has_rule(s, a, b)}
+    assert not has_rule(l3, Cell(2, 2), Cell(5, 1))
+    rules = {(a, b) for a in sorted(l3) for b in sorted(l3) if has_rule(l3, a, b)}
     assert all(a.row < b.row and a.col < b.col for a, b in rules)
     # the rules are exactly the diagonals of the full minors, checked on all four corners
     assert rules == {(min(minor), max(minor)) for minor in full_minors(l3.cells)}
 
 
 def test_normal_form_single_step(l3):
-    s = RewriteSystem(l3)
-    assert normal_form(mono((1, 2), (3, 3)), s) == mono((1, 3), (3, 2))
+    assert normal_form(mono((1, 2), (3, 3)), l3) == mono((1, 3), (3, 2))
 
 
 def test_normal_form_no_applicable_rule(l3):
-    s = RewriteSystem(l3)
     m = mono((2, 2), (5, 1))
-    assert normal_form(m, s) == m
+    assert normal_form(m, l3) == m
     assert is_normal(l3.cells, m.support)
 
 
 def test_normal_form_unit(l3):
-    s = RewriteSystem(l3)
-    assert normal_form(Monomial.unit(), s) == Monomial.unit()
+    assert normal_form(Monomial(), l3) == Monomial()
 
 
 def test_normal_form_rejects_unsupported_cells(l3):
     with pytest.raises(LadderError, match="outside the ladder"):
-        normal_form(mono((1, 1)), RewriteSystem(l3))
+        normal_form(mono((1, 1)), l3)
 
 
 def test_equal_mod_minors(l3):
-    s = RewriteSystem(l3)
-    assert equal_mod_minors(mono((1, 2), (2, 3)), mono((1, 3), (2, 2)), s)
+    assert equal_mod_minors(mono((1, 2), (2, 3)), mono((1, 3), (2, 2)), l3)
     m = mono((1, 2), (5, 1), (3, 3))
-    assert equal_mod_minors(m, m, s)
-    assert not equal_mod_minors(mono((1, 2), (5, 1)), mono((1, 3), (5, 1)), s)
+    assert equal_mod_minors(m, m, l3)
+    assert not equal_mod_minors(mono((1, 2), (5, 1)), mono((1, 3), (5, 1)), l3)
 
 
 def test_degree_preserved_randomized():
     rng = random.Random(61)
     for _ in range(40):
         ladder = Ladder(random_staircase_cells(rng, 6, 6))
-        s = RewriteSystem(ladder)
-        cells = ladder.sorted_cells()
+        cells = sorted(ladder)
         m = Monomial.from_cells(rng.choices(cells, k=rng.randint(1, 6)))
-        assert normal_form(m, s).degree == m.degree
+        assert normal_form(m, ladder).degree == m.degree
 
 
 def test_normal_form_is_reachable_and_unique_small():
     rng = random.Random(67)
     for _ in range(25):
         ladder = Ladder(random_staircase_cells(rng, 5, 5))
-        s = RewriteSystem(ladder)
-        cells = ladder.sorted_cells()
+        cells = sorted(ladder)
         ms = rng.choices(cells, k=3)
         outcomes = {Monomial.from_cells(t) for t in reachable_normal_forms(ladder.cells, ms)}
-        assert outcomes == {normal_form(Monomial.from_cells(ms), s)}
+        assert outcomes == {normal_form(Monomial.from_cells(ms), ladder)}
 
 
 def test_normal_form_matches_rewriting_oracle():
@@ -156,18 +148,18 @@ def test_normal_form_matches_rewriting_oracle():
         cells = rng.choice(cellsets)
         ms = rng.choices(sorted(cells), k=rng.randint(1, 6))
         outcomes = {Monomial.from_cells(t) for t in reachable_normal_forms(cells, ms)}
-        assert outcomes == {normal_form(Monomial.from_cells(ms), RewriteSystem(Ladder(cells)))}
+        assert outcomes == {normal_form(Monomial.from_cells(ms), Ladder(cells))}
 
 
 def test_normal_form_huge_exponent():
-    s = RewriteSystem(Ladder.full_matrix(3, 3))
+    ladder = Ladder.full_matrix(3, 3)
     m = Monomial({Cell(1, 1): 10**12, Cell(2, 2): 1})
     start = time.process_time()
-    nf = normal_form(m, s)
+    nf = normal_form(m, ladder)
     assert nf == Monomial({Cell(1, 1): 10**12 - 1, Cell(1, 2): 1, Cell(2, 1): 1})
-    assert equal_mod_minors(m, nf, s)
-    assert not equal_mod_minors(m, Monomial({Cell(1, 1): 10**12, Cell(2, 1): 1}), s)
-    assert is_normal(s.ladder.cells, nf.support) and not is_normal(s.ladder.cells, m.support)
+    assert equal_mod_minors(m, nf, ladder)
+    assert not equal_mod_minors(m, Monomial({Cell(1, 1): 10**12, Cell(2, 1): 1}), ladder)
+    assert is_normal(ladder.cells, nf.support) and not is_normal(ladder.cells, m.support)
     assert time.process_time() - start < 0.5
 
 
@@ -183,12 +175,11 @@ def test_equivalence_classes_partition_bidirectional_closure():
     # classes by normal form must equal connected components under single
     # rewrites used in both directions
     ladder = Ladder.full_matrix(3, 3)
-    s = RewriteSystem(ladder)
-    cells = ladder.sorted_cells()
+    cells = sorted(ladder)
     monos = [Monomial.from_cells(c) for c in itertools.combinations_with_replacement(cells, 2)]
     by_nf = {}
     for m in monos:
-        by_nf.setdefault(normal_form(m, s), set()).add(m)
+        by_nf.setdefault(normal_form(m, ladder), set()).add(m)
 
     def step(m, remove, add):
         stepped = dict(m.items())
@@ -203,11 +194,11 @@ def test_equivalence_classes_partition_bidirectional_closure():
     def neighbors(m):
         ms = []
         for a, b in itertools.combinations(m.support, 2):
-            if has_rule(s, a, b):  # forward: diagonal to antidiagonal
+            if has_rule(ladder, a, b):  # forward: diagonal to antidiagonal
                 ms.append(step(m, (a, b), (Cell(a.row, b.col), Cell(b.row, a.col))))
             elif a.row < b.row and a.col > b.col:  # backward over the same minor
                 u, v = Cell(a.row, b.col), Cell(b.row, a.col)
-                if has_rule(s, u, v):
+                if has_rule(ladder, u, v):
                     ms.append(step(m, (a, b), (u, v)))
         return [m2 for m2 in ms if m2 is not None]
 
@@ -220,7 +211,7 @@ def test_equivalence_classes_partition_bidirectional_closure():
                 if nxt not in component:
                     component.add(nxt)
                     frontier.append(nxt)
-        assert component == by_nf[normal_form(m, s)]
+        assert component == by_nf[normal_form(m, ladder)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +219,7 @@ def test_equivalence_classes_partition_bidirectional_closure():
 
 def test_normal_monomials_degree_one(l3):
     # the oracle the ideal tests use: every variable is normal, and so is the unit
-    assert normal_monomials(l3.cells, 1) == [(c,) for c in l3.sorted_cells()]
+    assert normal_monomials(l3.cells, 1) == [(c,) for c in sorted(l3)]
     assert normal_monomials(l3.cells, 0) == [()]
 
 
@@ -236,61 +227,54 @@ def test_maximal_ideal_lists_every_normal_monomial(l1, l3):
     # the ideal of all variables holds every monomial of positive degree
     for ladder in (l1, l3):
         expected = {Monomial.from_cells(t) for degree in (1, 2, 3) for t in normal_monomials(ladder.cells, degree)}
-        assert ideal_monomials_bounded(ladder.cells, 3, RewriteSystem(ladder)) == expected
+        assert ideal_monomials_bounded(ladder.cells, 3, ladder) == expected
 
 
 def test_ideal_monomials_degree_one_slice(l3):
-    s = RewriteSystem(l3)
-    assert ideal_monomials_bounded({(1, 2), (1, 3)}, 1, s) == {mono((1, 2)), mono((1, 3))}
+    assert ideal_monomials_bounded({(1, 2), (1, 3)}, 1, l3) == {mono((1, 2)), mono((1, 3))}
 
 
 def test_ideal_monomials_empty_gens(l3):
-    assert ideal_monomials_bounded(set(), 3, RewriteSystem(l3)) == frozenset()
+    assert ideal_monomials_bounded(set(), 3, l3) == frozenset()
 
 
 def test_ideal_monomials_monotone(l3):
-    s = RewriteSystem(l3)
-    small = ideal_monomials_bounded({(3, 1)}, 2, s)
-    assert small <= ideal_monomials_bounded({(3, 1)}, 3, s)
-    assert small <= ideal_monomials_bounded({(3, 1), (1, 2)}, 2, s)
+    small = ideal_monomials_bounded({(3, 1)}, 2, l3)
+    assert small <= ideal_monomials_bounded({(3, 1)}, 3, l3)
+    assert small <= ideal_monomials_bounded({(3, 1), (1, 2)}, 2, l3)
 
 
 def test_ideal_monomials_bounds_checked(l3):
-    s = RewriteSystem(l3)
     with pytest.raises(LadderError):
-        ideal_monomials_bounded({(1, 2)}, 0, s)
+        ideal_monomials_bounded({(1, 2)}, 0, l3)
     with pytest.raises(LadderError):
-        ideal_monomials_bounded({(1, 2)}, 9, s)
+        ideal_monomials_bounded({(1, 2)}, 9, l3)
     with pytest.raises(LadderError):
-        ideal_monomials_bounded({(1, 1)}, 2, s)
+        ideal_monomials_bounded({(1, 1)}, 2, l3)
 
 
 def test_intersect_worked_example(l3):
-    s = RewriteSystem(l3)
     q11 = ideal_generators(l3, Q(2))
     p10 = ideal_generators(l3, P(1))
-    assert intersect_bounded(q11, p10, 2, s) == {mono((3, 1)), mono((3, 2))}
+    assert intersect_bounded(q11, p10, 2, l3) == {mono((3, 1)), mono((3, 2))}
 
 
 def test_intersect_contains_all_bounded_multiples(l3):
-    s = RewriteSystem(l3)
     q11 = ideal_generators(l3, Q(2))
     p10 = ideal_generators(l3, P(1))
-    common = ideal_monomials_bounded(q11, 2, s) & ideal_monomials_bounded(p10, 2, s)
+    common = ideal_monomials_bounded(q11, 2, l3) & ideal_monomials_bounded(p10, 2, l3)
     for g in ((3, 1), (3, 2)):
         assert mono(g) in common
-        for c in l3.sorted_cells():
-            assert normal_form(mono(g, c), s) in common
+        for c in sorted(l3):
+            assert normal_form(mono(g, c), l3) in common
 
 
 def test_intersect_identical_gens(l3):
-    s = RewriteSystem(l3)
-    assert intersect_bounded({(1, 2)}, {(1, 2)}, 2, s) == {mono((1, 2))}
+    assert intersect_bounded({(1, 2)}, {(1, 2)}, 2, l3) == {mono((1, 2))}
 
 
 def test_intersect_disjoint_gens(l3):
-    s = RewriteSystem(l3)
-    assert intersect_bounded({(1, 2)}, {(3, 3)}, 2, s) == {mono((1, 3), (3, 2))}
+    assert intersect_bounded({(1, 2)}, {(3, 3)}, 2, l3) == {mono((1, 3), (3, 2))}
 
 
 def _monos(tuples):
@@ -300,13 +284,12 @@ def _monos(tuples):
 @pytest.mark.parametrize("ascii_name, d", [("L1", 3), ("L2", 3), ("L3", 3), ("L1", 4), ("L3", 4)])
 def test_ideal_operations_match_oracle_on_label_pairs(ascii_name, d):
     ladder = parse_ascii(getattr(helpers, f"{ascii_name}_ASCII"))
-    s = RewriteSystem(ladder)
     gens = {label: ideal_generators(ladder, label) for label in basis(ladder)}
     for g in gens.values():
-        assert ideal_monomials_bounded(g, d, s) == _monos(ideal_monomials_oracle(ladder.cells, g, d))
+        assert ideal_monomials_bounded(g, d, ladder) == _monos(ideal_monomials_oracle(ladder.cells, g, d))
     for a, b in itertools.combinations_with_replacement(gens, 2):
         expected = _monos(intersect_oracle(ladder.cells, gens[a], gens[b], d))
-        assert intersect_bounded(gens[a], gens[b], d, s) == expected, (a, b)
+        assert intersect_bounded(gens[a], gens[b], d, ladder) == expected, (a, b)
 
 
 def test_ideal_operations_match_oracle_on_random_generators():
@@ -334,19 +317,18 @@ def test_ideal_operations_match_oracle_on_random_generators():
                 second.add(rng.choice(sorted(first)))
         if rng.random() < 0.5:
             first, second = second, first
-        s = RewriteSystem(Ladder(cells))
+        ladder = Ladder(cells)
         expected = _monos(intersect_oracle(cells, first, second, d))
-        assert intersect_bounded(first, second, d, s) == expected, (cells, first, second, d)
-        assert ideal_monomials_bounded(first, d, s) == _monos(ideal_monomials_oracle(cells, first, d))
+        assert intersect_bounded(first, second, d, ladder) == expected, (cells, first, second, d)
+        assert ideal_monomials_bounded(first, d, ladder) == _monos(ideal_monomials_oracle(cells, first, d))
 
 
 def test_intersect_at_the_degree_cap(l3):
     # d = 8 is the cap; enumerating all cell multisets there, O(|Y|^d), takes over 10 s
-    s = RewriteSystem(l3)
     q11 = ideal_generators(l3, Q(2))
     p10 = ideal_generators(l3, P(1))
     start = time.process_time()
-    result = intersect_bounded(q11, p10, 8, s)
+    result = intersect_bounded(q11, p10, 8, l3)
     assert time.process_time() - start < 5.0
     assert result == {mono((3, 1)), mono((3, 2))}
 

@@ -15,7 +15,6 @@ from ladderdet import (
     basis,
     canonical_class,
     classify,
-    coincidental_corners,
     compose,
     construct_2n,
     corners,
@@ -32,7 +31,7 @@ from helpers import L3_ASCII, enumerate_ladder_cellsets, random_staircase_cells
 def random_corner_free_factor(rng, max_m=6, max_n=6):
     while True:
         ladder = Ladder(random_staircase_cells(rng, max_m, max_n))
-        if validate(ladder).two_connected and not coincidental_corners(ladder):
+        if validate(ladder).two_connected and not corners(ladder).coincidental:
             return ladder
 
 
