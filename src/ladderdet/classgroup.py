@@ -51,10 +51,10 @@ def _check_label(prof: CornerProfile, label) -> None:
     if not isinstance(label, BasisLabel):
         raise LadderError(f"not a basis label: {label!r}")
     if label.kind == "Q":
-        if not 1 <= label.index <= prof.h + 1:
+        if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
             raise LadderError(f"label {label} out of range (h = {prof.h})")
     elif label.kind == "P":
-        if not 1 <= label.index <= prof.k:
+        if not (is_int(label.index) and 1 <= label.index <= prof.k):
             raise LadderError(f"label {label} out of range (k = {prof.k})")
     else:
         raise LadderError(f"unknown label kind {label.kind!r}")
@@ -165,8 +165,8 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
     require_analyzable(ladder)
     prof = corners(ladder)
     if isinstance(label, QPrime):
-        if not 1 <= label.index <= prof.h + 1:
-            raise LadderError(f"QPrime index {label.index} out of range (h = {prof.h})")
+        if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
+            raise LadderError(f"QPrime index {label.index!r} out of range (h = {prof.h})")
         col = prof.lower_ext[label.index].col
         return _cell_set((r, col) for r, cols in ladder._rows.items() if col in cols)
     _check_label(prof, label)
@@ -198,8 +198,8 @@ def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
     """[QPrime(i)] expressed in the basis: -Q(i) minus the P(j) dominating (a_{i-1}, b_i)."""
     require_analyzable(ladder)
     prof = corners(ladder)
-    if not 1 <= i <= prof.h + 1:
-        raise LadderError(f"QPrime index {i} out of range (h = {prof.h})")
+    if not (is_int(i) and 1 <= i <= prof.h + 1):
+        raise LadderError(f"QPrime index {i!r} out of range (h = {prof.h})")
     le = prof.lower_ext
     a_prev, b_i = le[i - 1].row, le[i].col
     coeffs: dict[BasisLabel, int] = {Q(i): -1}

@@ -63,34 +63,24 @@ def _load_ladder(args) -> Ladder:
     return _load_ladders(args)[0]
 
 
-def _parse_monomial(text: str, bound: int):
-    from .rewrite import Monomial
+def _parse_monomial(text: str):
+    from .rewrite import MAX_DEGREE_BOUND, Monomial
 
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise LadderError(f"malformed monomial JSON: {exc}") from None
     mono = Monomial.from_json_dict(doc)
-    if mono.degree > bound:
-        raise LadderError(
-            f"monomial degree {mono.degree} exceeds --degree-bound {bound}"
-        )
+    # The cap keeps every exponent of the answer printable: Python will not
+    # convert an integer of over 4300 digits to a string.  For the same
+    # reason the message leaves the degree out.
+    if mono.degree > MAX_DEGREE_BOUND:
+        raise LadderError(f"monomial degree exceeds the cap of {MAX_DEGREE_BOUND}")
     return mono
 
 
 def _fmt_cells(cells) -> str:
     return " ".join(f"({r},{c})" for r, c in cells)
-
-
-def _degree_bound(value: str) -> int:
-    from .rewrite import MAX_DEGREE_BOUND
-
-    bound = int(value)
-    if not 1 <= bound <= MAX_DEGREE_BOUND:
-        raise argparse.ArgumentTypeError(
-            f"degree bound must be between 1 and {MAX_DEGREE_BOUND}"
-        )
-    return bound
 
 
 def _sizes(value: str) -> list[tuple[int, int]]:
@@ -147,14 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nf", _cmd_nf, "normal form of a monomial modulo the 2-minors")
     p.add_argument("monomial", help='monomial JSON, e.g. {"exps": [[1,2,1],[3,3,1]]}')
-    p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
 
     p = add("eq", _cmd_eq, "equality of two monomials modulo the 2-minors")
     p.add_argument("monomial", nargs=2, help="two monomial JSON documents")
-    p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
 
-    p = add("witness", _cmd_witness, "multiplication-map witness identities on a two-matrix glue")
-    p.add_argument("--degree-bound", type=_degree_bound, default=4, metavar="D")
+    add("witness", _cmd_witness, "multiplication-map witness identities on a two-matrix glue")
 
     return parser
 
@@ -280,7 +267,7 @@ def _cmd_nf(args):
     from .rewrite import normal_form
 
     ladder = _load_ladder(args)
-    mono = _parse_monomial(args.monomial, args.degree_bound)
+    mono = _parse_monomial(args.monomial)
     result = normal_form(mono, ladder)
     return result.to_json_dict, lambda: str(result), 0
 
@@ -289,8 +276,8 @@ def _cmd_eq(args):
     from .rewrite import equal_mod_minors
 
     ladder = _load_ladder(args)
-    m1 = _parse_monomial(args.monomial[0], args.degree_bound)
-    m2 = _parse_monomial(args.monomial[1], args.degree_bound)
+    m1 = _parse_monomial(args.monomial[0])
+    m2 = _parse_monomial(args.monomial[1])
     return _bool_output(equal_mod_minors(m1, m2, ladder))
 
 
@@ -298,11 +285,6 @@ def _cmd_witness(args):
     from .rewrite import verify_witnesses
 
     report = verify_witnesses(_load_ladder(args))
-    identity_degree = 2 * max(abs(report.lam_top), abs(report.lam_bottom)) + 1
-    if not report.vacuous and identity_degree > args.degree_bound:
-        raise LadderError(
-            f"witness identities have degree {identity_degree}; raise --degree-bound"
-        )
 
     def text():
         lines = [

@@ -317,12 +317,6 @@ class CornerProfile(NamedTuple):
         both = set(self.lower) & set(self.upper)
         return tuple(sorted(both))
 
-    def rows_strictly_increasing(self) -> bool:
-        for seq in (self.lower, self.upper):
-            if any(a.row >= b.row for a, b in zip(seq, seq[1:])):
-                return False
-        return True
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def corners(ladder: Ladder) -> CornerProfile:
@@ -379,6 +373,18 @@ def validate(ladder: Ladder) -> ValidationReport:
     must be connected.  Both tests read the chain of blocks of consecutive
     occupied rows, and path-connectivity the column span of each row, as the
     module docstring proves.
+
+    Three checks are constant on a ladder, so none is made:
+
+    - ``normalized`` is true: ``Ladder._from_rows`` shifts every ladder to
+      start at (1, 1).
+    - Inside-corner rows increase strictly: closure on rows r-1 < r forces a
+      lower corner (r, c) to have c = min C_{r-1}, so a row holds at most one
+      lower corner, and upper corners mirror this with c = max C_{r+1}.
+    - A path-connected ladder with h = k = 0 is a full matrix: its rows are
+      overlapping intervals, closure lets row r start and end no further
+      right than row r-1, and an earlier start of row r would give a lower
+      corner, an earlier end an upper one.
     """
     rows = ladder._rows
     order = sorted(rows)
@@ -403,9 +409,6 @@ def validate(ladder: Ladder) -> ValidationReport:
         and all(lo <= b and a <= hi for (lo, hi), (a, b) in zip(spans, spans[1:]))
     )
 
-    prof = corners(ladder)
-    ordered = prof.rows_strictly_increasing()
-
     messages = []
     if not every_cell_in_minor:
         messages.append(f"{loose} cell(s) belong to no full 2-minor")
@@ -413,29 +416,20 @@ def validate(ladder: Ladder) -> ValidationReport:
         messages.append("the 2-minor hypergraph is disconnected")
     if not path_connected:
         messages.append("cell set is not path-connected")
-    if not ordered:
-        messages.append("inside-corner rows are not strictly increasing")
 
-    if not path_connected or not ordered:
+    prof = corners(ladder)
+    if not path_connected:
         sidedness = "other"
     elif ladder.is_full_matrix:
         sidedness = "matrix"
     elif prof.h > 0 and prof.k > 0:
         sidedness = "two-sided"
-    elif (prof.h == 0) != (prof.k == 0):
-        sidedness = "one-sided"
     else:
-        sidedness = "other"
+        sidedness = "one-sided"
 
-    normalized = (
-        1 in ladder._rows
-        and ladder.m in ladder._rows
-        and any(1 in s for s in ladder._rows.values())
-        and any(ladder.n in s for s in ladder._rows.values())
-    )
     return ValidationReport(
         is_ladder=True,
-        normalized=normalized,
+        normalized=True,
         every_cell_in_minor=every_cell_in_minor,
         two_connected=two_connected,
         path_connected=path_connected,

@@ -158,7 +158,7 @@ def equal_mod_minors(m1: Monomial, m2: Monomial, ladder: Ladder) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degree-bounded ideal operations
+# ideal operations up to a degree bound
 
 def _quotients(rows, cols, among, cells):
     """For each cell x of among with (rows, cols) = x * t modulo the minors, the content of t."""
@@ -171,13 +171,18 @@ def _quotients(rows, cols, among, cells):
 
 def _members(gen_sets, d: int, ladder: Ladder) -> set:
     """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
+    if not is_int(d):
+        raise LadderError(f"degree bound must be an integer, got {d!r}")
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
         raise LadderError(f"degree bound {d} exceeds the safety cap {MAX_DEGREE_BOUND}")
     cells = ladder.cells
     pending = []
-    for gens in gen_sets:
+    for gens in map(list, gen_sets):
+        bad = [g for g in gens if not (isinstance(g, (tuple, list)) and len(g) == 2 and all(map(is_int, g)))]
+        if bad:
+            raise LadderError(f"generators must be (row, col) pairs of integers: {bad}")
         gens = sorted(Cell(*g) for g in gens)
         bad = [g for g in gens if g not in cells]
         if bad:

@@ -19,6 +19,8 @@ from ladderdet import (
     corners,
     decompose,
     ideal_generators,
+    ideal_monomials_bounded,
+    intersect_bounded,
     is_gorenstein,
     qprime_class,
     relabel,
@@ -229,6 +231,27 @@ def test_divisor_class_rejects_bad_labels(l3):
 def test_divisor_class_rejects_non_integer_coefficients(l3, value):
     with pytest.raises(LadderError, match=re.escape(f"coefficient of Q1 must be an integer, got {value!r}")):
         DivisorClass(l3, {Q(1): value})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda l: DivisorClass(l, {Q(True): 1}), id="label-Q(True)"),
+        pytest.param(lambda l: DivisorClass(l, {Q(1.0): 1}), id="label-Q(1.0)"),
+        pytest.param(lambda l: ideal_generators(l, Q(1.5)), id="generators-Q(1.5)"),
+        pytest.param(lambda l: ideal_generators(l, QPrime(1.0)), id="generators-QPrime(1.0)"),
+        pytest.param(lambda l: ideal_generators(l, QPrime(True)), id="generators-QPrime(True)"),
+        pytest.param(lambda l: qprime_class(l, True), id="qprime-True"),
+        pytest.param(lambda l: ideal_monomials_bounded([(1.0, 2)], 2, l), id="generator-(1.0,2)"),
+        pytest.param(lambda l: ideal_monomials_bounded([(1,)], 2, l), id="generator-(1,)"),
+        pytest.param(lambda l: ideal_monomials_bounded([(1, 2)], 2.5, l), id="d-2.5"),
+        pytest.param(lambda l: ideal_monomials_bounded([(1, 2)], True, l), id="d-True"),
+        pytest.param(lambda l: intersect_bounded([(1, 2)], [(3, True)], 2, l), id="intersect-(3,True)"),
+    ],
+)
+def test_label_and_ideal_inputs_must_be_integers(l3, call):
+    with pytest.raises(LadderError):
+        call(l3)
 
 
 def test_divisor_classes_from_different_ladders_never_equal(l1, l3):

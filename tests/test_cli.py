@@ -286,27 +286,13 @@ def test_eq_command(capsys, l3_json):
 
 
 def test_eq_degree_bound_enforced(capsys, l3_json):
-    code, _, err = run(
-        capsys,
-        "eq",
-        "--in",
-        l3_json,
-        '{"exps": [[1, 2, 5]]}',
-        '{"exps": [[1, 3, 5]]}',
-    )
-    assert code == 1
-    assert "degree" in err
-    code, out, _ = run(
-        capsys,
-        "eq",
-        "--in",
-        l3_json,
-        "--degree-bound",
-        "6",
-        '{"exps": [[1, 2, 5]]}',
-        '{"exps": [[1, 3, 5]]}',
-    )
-    assert (code, out.strip()) == (0, "false")
+    # Degrees up to the cap of 8 are answered; above it, one error line.
+    for e in (5, 8):
+        code, out, _ = run(capsys, "eq", "--in", l3_json, f'{{"exps": [[1, 2, {e}]]}}', f'{{"exps": [[1, 3, {e}]]}}')
+        assert (code, out) == (0, "false\n")
+    code, out, err = run(capsys, "eq", "--in", l3_json, '{"exps": [[1, 2, 9]]}', '{"exps": [[1, 3, 9]]}')
+    assert (code, out) == (1, "")
+    assert err == "error: monomial degree exceeds the cap of 8\n"
 
 
 @pytest.mark.parametrize(
@@ -321,6 +307,10 @@ def test_eq_degree_bound_enforced(capsys, l3_json):
         ['{"exps": [[1, 2, true]]}'],
         ['{"exps": [[1, 2, ' + "9" * 5000 + "]]}"],
         ["[" * 100000],
+        # A degree of 4301 digits, one more than Python prints.
+        ['{"exps": [[1, 2, ' + "9" * 4300 + "], [1, 2, 1]]}"],
+        ['{"exps": [[1, 2, ' + "9" * 4300 + "], [1, 2, " + "9" * 4300 + "]]}"],
+        ['{"exps": [[1, 2, ' + "9" * 4300 + "], [1, 2, " + "9" * 4300 + "]]}", '{"exps": [[1, 2, 1]]}'],
     ],
 )
 def test_malformed_monomial_is_domain_error(capsys, l3_json, monomials):
@@ -357,9 +347,11 @@ def test_module_entry_point_matches_main(capsys, l3_json):
 
 
 def test_degree_bound_cap_is_usage_error(capsys, l3_json):
-    with pytest.raises(SystemExit) as exc:
-        main(["nf", "--in", l3_json, "--degree-bound", "9", '{"exps": []}'])
-    assert exc.value.code == 2
+    # The option is gone: the cap is fixed.
+    for argv in (["nf", '{"exps": []}'], ["eq", '{"exps": []}', '{"exps": []}'], ["witness"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--in", l3_json, "--degree-bound", "4"])
+        assert exc.value.code == 2
 
 
 def test_witness_command(capsys, l3_json):
@@ -367,6 +359,20 @@ def test_witness_command(capsys, l3_json):
     assert code == 0
     doc = json.loads(out)
     assert doc["cases"] == [{"holds": True, "name": "equal-sign"}]
+
+
+@pytest.mark.parametrize(
+    "sizes, case",
+    [([(4, 2), (4, 2)], "equal-sign"), ([(6, 2), (6, 2)], "equal-sign"), ([(2, 6), (6, 2)], "opposite-sign")],
+    ids=["4x2#4x2", "6x2#6x2", "2x6#6x2"],
+)
+def test_witness_identities_of_high_degree(capsys, tmp_path, sizes, case):
+    # The identities have degree 5, 9 and 9.
+    path = tmp_path / "glue.json"
+    path.write_text(json.dumps(construct_2n(2, sizes).to_json_dict()))
+    code, out, _ = run(capsys, "witness", "--in", str(path))
+    assert code == 0
+    assert out.endswith(f"case {case}: holds\n")
 
 
 def test_witness_pretty_vacuous(capsys, tmp_path):
