@@ -50,12 +50,13 @@ def _check_label(prof: CornerProfile, label) -> None:
     """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k)."""
     if not isinstance(label, BasisLabel):
         raise LadderError(f"not a basis label: {label!r}")
+    # The messages name the bound, not the index, which may be too long for str().
     if label.kind == "Q":
         if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
-            raise LadderError(f"label {label} out of range (h = {prof.h})")
+            raise LadderError(f"Q label index out of range 1..{prof.h + 1} (h = {prof.h})")
     elif label.kind == "P":
         if not (is_int(label.index) and 1 <= label.index <= prof.k):
-            raise LadderError(f"label {label} out of range (k = {prof.k})")
+            raise LadderError(f"P label index out of range 1..{prof.k} (k = {prof.k})")
     else:
         raise LadderError(f"unknown label kind {label.kind!r}")
 
@@ -75,15 +76,15 @@ class DivisorClass:
                 if not is_int(c):
                     raise LadderError(f"coefficient of {label} must be an integer, got {c!r}")
                 vec[label.index - 1 if label.kind == "Q" else prof.h + label.index] += c
-        object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "_vec", tuple(vec))
+        _set_ladder(self, ladder)
+        _set_vec(self, tuple(vec))
 
     @classmethod
     def _make(cls, ladder: Ladder, vec: tuple[int, ...]) -> "DivisorClass":
         """A class from a coordinate tuple already in basis order, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "_vec", vec)
+        _set_ladder(self, ladder)
+        _set_vec(self, vec)
         return self
 
     def __setattr__(self, name, value):
@@ -146,6 +147,11 @@ class DivisorClass:
         return {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
 
 
+# Slot setters past the __setattr__ that keeps a class immutable.
+_set_ladder = DivisorClass.ladder.__set__
+_set_vec = DivisorClass._vec.__set__
+
+
 # ---------------------------------------------------------------------------
 # basis, ideals, canonical class
 
@@ -166,7 +172,7 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
     prof = corners(ladder)
     if isinstance(label, QPrime):
         if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
-            raise LadderError(f"QPrime index {label.index!r} out of range (h = {prof.h})")
+            raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
         col = prof.lower_ext[label.index].col
         return _cell_set((r, col) for r, cols in ladder._rows.items() if col in cols)
     _check_label(prof, label)
@@ -199,7 +205,7 @@ def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
     require_analyzable(ladder)
     prof = corners(ladder)
     if not (is_int(i) and 1 <= i <= prof.h + 1):
-        raise LadderError(f"QPrime index {i!r} out of range (h = {prof.h})")
+        raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
     le = prof.lower_ext
     a_prev, b_i = le[i - 1].row, le[i].col
     coeffs: dict[BasisLabel, int] = {Q(i): -1}

@@ -3,6 +3,7 @@
 Each command handler returns ``(json_doc, pretty_text, exit_code)``, the first
 two as zero-argument callables, so only the requested form is built; ``main``
 prints it once, after the command has succeeded, and maps errors to exit codes.
+The one part built while it is written, ``sdm``'s class list, cannot fail.
 Handlers import ``classgroup``, ``rewrite`` and ``sdm`` themselves, so a run
 loads only the modules its command uses.
 
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from functools import partial
 from itertools import islice
 
@@ -241,7 +243,7 @@ def _cmd_sdm(args):
         ]
         return "\n".join(lines)
 
-    return report.to_json_dict, text, 0
+    return report._json_doc, text, 0
 
 
 def _cmd_compose(args):
@@ -304,6 +306,34 @@ def _print_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _json_pieces(doc):
+    """``json.dumps(doc, sort_keys=True, indent=2)`` in pieces; a top-level list
+    or iterator (``sdm``'s classes) is encoded a batch of items at a time.
+
+    JSON escapes the newlines in strings, so every newline of an encoded value
+    is indentation, which nesting deepens.
+    """
+    enc = json.JSONEncoder(sort_keys=True, indent=2)
+    if not isinstance(doc, dict) or not doc:
+        yield enc.encode(doc)
+        return
+    sep = "{\n"
+    for key in sorted(doc):
+        value = doc[key]
+        yield f"{sep}  {enc.encode(key)}: "
+        sep = ",\n"
+        if not isinstance(value, (list, Iterator)):
+            yield enc.encode(value).replace("\n", "\n  ")
+            continue
+        items, item_sep = iter(value), "[\n"
+        while batch := list(islice(items, 1024)):
+            # "[\n  item,\n  item\n]" without its brackets, two levels deeper
+            yield item_sep + "    " + enc.encode(batch)[4:-2].replace("\n", "\n  ")
+            item_sep = ",\n"
+        yield "[]" if item_sep == "[\n" else "\n  ]"
+    yield "\n}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -316,11 +346,10 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, UsageError) else 1
     try:
         if args.json:
-            # Encode in batches of chunks: a large document is never held as
-            # one string, and an unbuffered stdout is not written per chunk.
-            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(out)
-            while batch := "".join(islice(chunks, 8192)):
-                sys.stdout.write(batch)
+            # A large document is never held as one string, and an unbuffered
+            # stdout is not written per encoder chunk.
+            for piece in _json_pieces(out):
+                sys.stdout.write(piece)
             sys.stdout.write("\n")
         else:
             print(out)

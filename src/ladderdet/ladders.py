@@ -139,10 +139,10 @@ class Ladder:
 
     @classmethod
     def full_matrix(cls, m: int, n: int) -> "Ladder":
-        """The full m x n grid of cells."""
+        """The full m x n grid of cells; its rows share one column set."""
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
-        return cls._from_rows(dict.fromkeys(range(1, m + 1), range(1, n + 1)))
+        return cls._from_rows(dict.fromkeys(range(1, m + 1), frozenset(range(1, n + 1))))
 
     def row_cols(self, r: int) -> frozenset[int]:
         """Columns occupied in row r (empty set if the row is empty)."""

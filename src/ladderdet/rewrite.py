@@ -176,7 +176,7 @@ def _members(gen_sets, d: int, ladder: Ladder) -> set:
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
-        raise LadderError(f"degree bound {d} exceeds the safety cap {MAX_DEGREE_BOUND}")
+        raise LadderError(f"degree bound exceeds the safety cap {MAX_DEGREE_BOUND}")
     cells = ladder.cells
     pending = []
     for gens in map(list, gen_sets):

@@ -7,14 +7,17 @@ their number is 2 to the number of non-Gorenstein factors in the
 coincidental-corner decomposition.  :func:`classify` certifies that from
 the factor images alone, each read once; the classes themselves are
 enumerated only when :attr:`SdmReport.classes` is read.
+
+Given that certificate, a class is a selection, not a sum: its coordinate
+i is that of the image owning i if theta selects the image, else 0.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, compress, product, repeat
 from typing import NamedTuple
 
-from .classgroup import DivisorClass, _embed, _labels, canonical_class, relabel
+from .classgroup import DivisorClass, _embed, _labels, _set_ladder, _set_vec, canonical_class, relabel
 from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
@@ -54,6 +57,7 @@ class SdmReport(NamedTuple):
 
     ``count``, ``theta_vectors`` and ``classes`` are computed on each access;
     the last two are lexicographic in theta and aligned with each other.
+    Both select coordinates from the factor images' disjoint supports.
     """
 
     rank: int
@@ -66,26 +70,51 @@ class SdmReport(NamedTuple):
 
     @property
     def theta_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product(*((0,) if f.gorenstein else (0, 1) for f in self.factors)))
+        return tuple(self._thetas())
+
+    def _thetas(self):
+        return product(*((0,) if f.gorenstein else (0, 1) for f in self.factors))
 
     @property
     def classes(self) -> tuple[DivisorClass, ...]:
-        # Doubling from the last factor keeps theta order: one addition per class.
-        classes = [DivisorClass.zero(self.omega.ladder)]
-        for f in reversed(self.factors):
+        # Column i holds coordinate i of every class: its owner's image[i]
+        # where theta selects that owner, else 0.  In theta order, theta
+        # position t of n alternates in runs of 2**(n-1-t).
+        total = self.count
+        columns = [(0,) * total] * len(self.omega._vec)
+        run = total
+        for f in self.factors:
             if not f.gorenstein:
-                classes += [f.omega_image + c for c in classes]
-        return tuple(classes)
+                run //= 2
+                for i, c in enumerate(f.omega_image._vec):
+                    if c:
+                        columns[i] = chain.from_iterable(repeat([0] * run + [c] * run, total // (2 * run)))
+        # DivisorClass._make, inlined: one Python call per class would double the cost.
+        ladder, new, out = self.omega.ladder, object.__new__, []
+        for vec in zip(*columns):
+            obj = new(DivisorClass)
+            _set_ladder(obj, ladder)
+            _set_vec(obj, vec)
+            out.append(obj)
+        return tuple(out)
 
-    def to_json_dict(self) -> dict:
+    def _json_doc(self) -> dict:
+        """``to_json_dict`` with ``classes`` and ``thetas`` as iterators; a class
+        merges the JSON of the images it selects, each built once."""
+        frags = [f.omega_image.to_json_dict() for f in self.factors if not f.gorenstein]
+        qs, ps = (product(*(((), tuple(fr[kind].items())) for fr in frags)) for kind in ("Q", "P"))
         return {
             "rank": self.rank,
             "omega": self.omega.to_json_dict(),
             "count": self.count,
             "factors": [f.to_json_dict() for f in self.factors],
-            "classes": [c.to_json_dict() for c in self.classes],
-            "thetas": [list(t) for t in self.theta_vectors],
+            "classes": ({"Q": dict(chain(*q)), "P": dict(chain(*p))} for q, p in zip(qs, ps)),
+            "thetas": map(list, self._thetas()),
         }
+
+    def to_json_dict(self) -> dict:
+        doc = self._json_doc()
+        return {**doc, "classes": list(doc["classes"]), "thetas": list(doc["thetas"])}
 
 
 def classify(ladder: Ladder) -> SdmReport:
@@ -110,7 +139,7 @@ def classify(ladder: Ladder) -> SdmReport:
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
-        for i in itertools.compress(range(len(image._vec)), image._vec):
+        for i in compress(range(len(image._vec)), image._vec):
             if owner.setdefault(i, u) != u:
                 raise LadderError(
                     f"internal inconsistency: disjoint-support invariant fails: factor {u}'s canonical image "

@@ -527,3 +527,20 @@ def embed_factor_omega(factorization, u):
     from ladderdet.classgroup import _embed, relabel
 
     return _embed(factorization, relabel(factorization), u)
+
+
+def classes_by_addition(report):
+    """The classes of an ``SdmReport`` as sums of the factor images, in theta order.
+
+    The oracle for ``SdmReport.classes``, which selects coordinates from the
+    disjoint supports instead: this one adds, with the library's
+    ``DivisorClass.__add__`` and its group check, and assumes nothing about
+    the supports.  Doubling from the last factor keeps theta order.
+    """
+    from ladderdet import DivisorClass
+
+    classes = [DivisorClass.zero(report.omega.ladder)]
+    for f in reversed(report.factors):
+        if not f.gorenstein:
+            classes += [f.omega_image + c for c in classes]
+    return tuple(classes)

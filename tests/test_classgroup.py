@@ -184,6 +184,12 @@ def test_qprime_out_of_range(l3):
         qprime_class(l3, 3)
 
 
+def test_huge_qprime_index_is_a_domain_error(l3):
+    # the message names the range: an index of over 4300 digits has no str()
+    with pytest.raises(LadderError, match=re.escape("QPrime index out of range 1..2 (h = 1)")):
+        qprime_class(l3, 10**4300)
+
+
 def test_qprime_reduces_to_minus_q_iff_no_dominating_upper_corner():
     rng = random.Random(31)
     for _ in range(40):
@@ -225,6 +231,11 @@ def test_divisor_class_rejects_bad_labels(l3):
         DivisorClass(l3, {Q(5): 1})
     with pytest.raises(LadderError):
         DivisorClass(l3, {P(2): 1})
+
+
+def test_huge_label_index_is_a_domain_error(l3):
+    with pytest.raises(LadderError, match=re.escape("Q label index out of range 1..2 (h = 1)")):
+        DivisorClass(l3, {Q(10**4300): 1})
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "3", None])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from ladderdet import construct_2n
-from ladderdet.cli import MAX_SDM_CLASSES, main
+from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, main
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
 from helpers import L2_ASCII, L3_ASCII, L3_CELLS, child_env
@@ -195,6 +196,46 @@ def test_failed_command_prints_nothing_to_stdout(capsys, monkeypatch, l3_json):
     code, out, err = run(capsys, "decompose", "--in", l3_json)
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot render a 3x2 grid") and err.count("\n") == 1
+
+
+SDM_SHA256 = {  # (ladder, mode): SHA-256 of `sdm` stdout as written when classes were sums
+    ("L3", "--json"): "c1204f17d08de64bd0ba9a738a090ecb80d68f25e4ffd82b251da13123181b40",
+    ("L3", "--pretty"): "46c4feab537ed16ea2e7ae25574e5bfd34ddf30fc8c62f810b87697b48b0f2c2",
+    ("glue12", "--json"): "33500618183b360b8ea8a52ac19c4df9cc7480f4019b7bc6319acdd2ae3f6c05",
+    ("glue12", "--pretty"): "53cce2bfaabee71c6a7e44a0ecf7df3f897fb2a7b87ced323bd89e6978a8169f",
+}
+
+
+@pytest.mark.parametrize("ladder, mode", SDM_SHA256)
+def test_sdm_output_bytes_are_unchanged(capsys, tmp_path, l3_json, ladder, mode):
+    path = l3_json
+    if ladder == "glue12":  # construct2n --sizes 2x3,3x2,... (6 pairs): 4,096 classes
+        path = tmp_path / "glue12.json"
+        path.write_text(json.dumps(construct_2n(12, [(2, 3), (3, 2)] * 6).to_json_dict()))
+    code, out, err = run(capsys, "sdm", "--in", str(path), mode)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SDM_SHA256[ladder, mode]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda items: {"a": items([])},
+        lambda items: {"b": items([{"Q": {"10": 1, "2": -3}, "P": {}}] * 2500), "a": [[1, 2]], "c": {"x": "y\nz"}},
+        lambda items: {"t": items([[0, 1], [1, 0]]), "e": {}, "n": 3},
+        lambda items: {},
+        lambda items: True,
+        lambda items: [{"k": [1, {"m": []}]}],
+    ],
+    ids=["empty-iterator", "batches", "lists", "empty-doc", "scalar", "list-doc"],
+)
+def test_json_pieces_are_json_dumps(make):
+    # iterators in the document are written as the lists they yield
+    got, want = "".join(_json_pieces(make(iter))), json.dumps(make(list), sort_keys=True, indent=2)
+    # show where they part: a diff of the whole texts takes minutes
+    at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+    near = slice(max(at - 40, 0), at + 40)
+    assert (got[near], len(got)) == (want[near], len(want))
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):

@@ -204,6 +204,14 @@ def test_validate_full_matrix():
     assert report.sidedness == "matrix"
 
 
+def test_full_matrix_rows_share_one_column_set():
+    for m, n in ((1, 1), (3, 2), (40, 7)):
+        ladder = Ladder.full_matrix(m, n)
+        first = ladder.row_cols(1)
+        assert first == frozenset(range(1, n + 1))
+        assert all(ladder.row_cols(r) is first for r in range(1, m + 1))
+
+
 def test_validate_antidiagonal_blocks_not_two_connected():
     # two 2x2 blocks meeting nowhere: closure-valid but separable
     cells = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]

@@ -253,6 +253,12 @@ def test_ideal_monomials_bounds_checked(l3):
         ideal_monomials_bounded({(1, 1)}, 2, l3)
 
 
+def test_huge_degree_bound_is_a_domain_error(l3):
+    # the message names the cap: a bound of over 4300 digits has no str()
+    with pytest.raises(LadderError, match="^degree bound exceeds the safety cap 8$"):
+        ideal_monomials_bounded([(1, 2)], 10**4300, l3)
+
+
 def test_intersect_worked_example(l3):
     q11 = ideal_generators(l3, Q(2))
     p10 = ideal_generators(l3, P(1))

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -25,7 +26,7 @@ from ladderdet import (
     validate,
 )
 
-from helpers import L3_ASCII, enumerate_ladder_cellsets, random_staircase_cells
+from helpers import L3_ASCII, classes_by_addition, enumerate_ladder_cellsets, random_staircase_cells
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -117,10 +118,9 @@ def _analyzable(ladder):
     return report.two_connected and report.sidedness != "other"
 
 
-def test_classify_classes_match_brute_force():
-    # Brute-force counterpart of classify's disjoint-support certificate: the
-    # classes are distinct, each is the sum of its theta's factor images, and
-    # theta runs over {0,1} (0 for Gorenstein factors) in lexicographic order.
+@functools.lru_cache(maxsize=1)
+def _enumerated_and_glued():
+    """The analyzable ladders up to 5x5 and 300 seeded glues of 2-6 corner-free factors."""
     ladders = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
     ladders = [ladder for ladder in ladders if _analyzable(ladder)]
     rng = random.Random(61)
@@ -128,7 +128,14 @@ def test_classify_classes_match_brute_force():
         compose([random_corner_free_factor(rng, 5, 5) for _ in range(rng.randint(2, 6))])
         for _ in range(300)
     ]
-    for ladder in ladders:
+    return ladders
+
+
+def test_classify_classes_match_brute_force():
+    # Brute-force counterpart of classify's disjoint-support certificate: the
+    # classes are distinct, each is the sum of its theta's factor images, and
+    # theta runs over {0,1} (0 for Gorenstein factors) in lexicographic order.
+    for ladder in _enumerated_and_glued():
         report = classify(ladder)
         classes, thetas = report.classes, report.theta_vectors
         assert report.count == 2 ** sum(not f.gorenstein for f in report.factors)
@@ -142,6 +149,28 @@ def test_classify_classes_match_brute_force():
                 for label, c in factor.omega_image.items():
                     expected[label] = expected.get(label, 0) + t * c
             assert dict(cls.items()) == {label: c for label, c in expected.items() if c}
+
+
+def _assert_classes_match_addition(report):
+    classes = report.classes
+    expected = classes_by_addition(report)
+    assert [c._vec for c in classes] == [c._vec for c in expected]
+    assert all(c.ladder is report.omega.ladder for c in classes)
+    doc = report.to_json_dict()
+    assert doc["classes"] == [c.to_json_dict() for c in expected]
+    assert doc["thetas"] == [list(t) for t in report.theta_vectors]
+
+
+def test_classes_match_the_addition_oracle(l2):
+    for ladder in _enumerated_and_glued():
+        _assert_classes_match_addition(classify(ladder))
+    glue = construct_2n(12, [(2, 3), (3, 2)] * 6)
+    _assert_classes_match_addition(classify(glue))
+    # a Gorenstein square block between non-square ones pins a middle theta coordinate
+    report = classify(compose([Ladder.full_matrix(2, 3), l2, Ladder.full_matrix(3, 3), Ladder.full_matrix(4, 2)]))
+    assert [f.gorenstein for f in report.factors] == [False, True, True, False]
+    assert report.count == 4
+    _assert_classes_match_addition(report)
 
 
 def test_classify_2n_40_counts_without_enumerating():
