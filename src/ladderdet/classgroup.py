@@ -48,9 +48,10 @@ def _labels(ladder: Ladder) -> tuple[BasisLabel, ...]:
 
 def _check_label(prof: CornerProfile, label) -> None:
     """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k)."""
+    # The messages name the label's type or bound, not the label or index,
+    # which may be an integer too long for str().
     if not isinstance(label, BasisLabel):
-        raise LadderError(f"not a basis label: {label!r}")
-    # The messages name the bound, not the index, which may be too long for str().
+        raise LadderError(f"not a basis label: got type {type(label).__name__}")
     if label.kind == "Q":
         if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
             raise LadderError(f"Q label index out of range 1..{prof.h + 1} (h = {prof.h})")
@@ -133,18 +134,25 @@ class DivisorClass:
         return f"DivisorClass({self})"
 
     def __str__(self):
-        out = ""
-        for l, c in self.items():
-            term = str(l) if abs(c) == 1 else f"{abs(c)}*{l}"
-            if not out:
-                out = term if c > 0 else f"-{term}"
-            else:
-                out += f" + {term}" if c > 0 else f" - {term}"
-        return out or "0"
+        return _format(_labels(self.ladder), self._vec)
 
     def to_json_dict(self) -> dict:
         items = self.items()
         return {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
+
+
+def _format(labels, vec: tuple[int, ...]) -> str:
+    """``str`` of the class with coordinates vec over the basis labels, or over their names."""
+    out = ""
+    for label, c in zip(labels, vec):
+        if not c:
+            continue
+        term = f"{label}" if abs(c) == 1 else f"{abs(c)}*{label}"
+        if not out:
+            out = term if c > 0 else f"-{term}"
+        else:
+            out += f" + {term}" if c > 0 else f" - {term}"
+    return out or "0"
 
 
 # Slot setters past the __setattr__ that keeps a class immutable.

@@ -239,7 +239,7 @@ def _cmd_sdm(args):
         lines.append("classes:")
         lines += [
             f"  theta={','.join(map(str, theta))}  {cls}"
-            for theta, cls in zip(report.theta_vectors, report.classes)
+            for theta, cls in zip(report._thetas(), report._class_texts())
         ]
         return "\n".join(lines)
 

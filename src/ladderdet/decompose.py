@@ -14,7 +14,7 @@ from .ladders import (
     Cell,
     Ladder,
     LadderError,
-    compose,
+    _glue,
     corners,
     require_analyzable,
     validate,
@@ -54,16 +54,27 @@ def decompose(ladder: Ladder) -> Factorization:
     union, one-cell overlaps, corner-free 2-connected factors, compose
     round trip) are asserted before returning.  Every step reads rows of
     columns and is linear in the number of cells.
-    """
-    require_analyzable(ladder)
-    cc = corners(ladder).coincidental
-    regions = _regions(ladder, cc)
-    _check_regions(ladder, cc, regions)
 
-    factors = tuple(map(Ladder._from_rows, regions))
-    offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
-    _check_factors(ladder, factors, cc)
-    return Factorization(ladder=ladder, factors=factors, coincidental=cc, offsets=offsets)
+    The ladder keeps the factors, corners and offsets once they have passed
+    every check, so a later call on the same object returns them at once; a
+    failure is not kept, and raises again.  What it keeps refers to no
+    ladder but the factors, which are new objects.  Two threads that
+    decompose one ladder at once may both do the work and both store it,
+    but what they store is equal, so the ladder can still be shared freely.
+    """
+    split = ladder._split
+    if split is None:
+        require_analyzable(ladder)
+        cc = corners(ladder).coincidental
+        regions = _regions(ladder, cc)
+        _check_regions(ladder, cc, regions)
+
+        factors = tuple(map(Ladder._from_rows, regions))
+        offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
+        _check_factors(ladder, factors, cc)
+        split = factors, cc, offsets
+        object.__setattr__(ladder, "_split", split)
+    return Factorization(ladder, *split)
 
 
 def _regions(ladder, cc):
@@ -135,5 +146,7 @@ def _check_factors(ladder, factors, cc):
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         if not validate(f).two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
-    if compose(factors) != ladder:
+    # Equal rows are equal ladders, and the ladder's rows are closed, so this is
+    # compose(factors) == ladder without building and hashing a second ladder.
+    if _glue(factors) != ladder._rows:
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

@@ -70,7 +70,8 @@ MAX_RENDER_AREA = 10**6
 
 # How many ladders the corners and validate caches each keep.  They are keyed
 # on ladder equality, so a caller that re-parses an equal ladder still hits.
-CACHE_SIZE = 1024
+# A ladder they keep also keeps the factorization decompose stored on it.
+CACHE_SIZE = 256
 
 
 def is_int(value) -> bool:
@@ -92,9 +93,13 @@ def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
 
 
 class Ladder:
-    """An immutable ladder, normalized to start at (1, 1), held as rows of columns; cells are built on first use."""
+    """An immutable ladder, normalized to start at (1, 1), held as rows of columns.
 
-    __slots__ = ("_cells", "m", "n", "_rows", "_hash")
+    Its cells are built on first use, and ``_split`` holds the verified
+    factorization once :func:`ladderdet.decompose.decompose` has made it.
+    """
+
+    __slots__ = ("_cells", "m", "n", "_rows", "_hash", "_split")
 
     def __new__(cls, cells: Iterable[tuple[int, int]]):
         rows = {}
@@ -126,6 +131,7 @@ class Ladder:
         object.__setattr__(self, "n", max(map(max, rows.values())))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash(frozenset(rows.items())))
+        object.__setattr__(self, "_split", None)
         return self
 
     @property
@@ -469,9 +475,17 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    # Factor u sits below the earlier factors and left of the later ones;
-    # each row is shifted once, to its final position, and the last row of
-    # one factor merges with the first row of the next.
+    return Ladder._from_rows(_glue(factors))
+
+
+def _glue(factors) -> dict[int, frozenset[int]]:
+    """The rows of ``compose(factors)``, which already start at (1, 1).
+
+    Factor u sits below the earlier factors and left of the later ones; each
+    row is shifted once, to its final position, and the last row of one
+    factor merges with the first row of the next.  No shift is negative, and
+    the first factor's rows and the last factor's columns are not shifted.
+    """
     rows = {}
     dr = 0
     dc = sum(f.n - 1 for f in factors)
@@ -481,4 +495,4 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
             cols = frozenset(map(dc.__add__, cols)) if dc else cols
             rows[r + dr] = rows[r + dr] | cols if r + dr in rows else cols
         dr += f.m - 1
-    return Ladder._from_rows(rows)
+    return rows

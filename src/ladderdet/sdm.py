@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import chain, compress, product, repeat
 from typing import NamedTuple
 
-from .classgroup import DivisorClass, _embed, _labels, _set_ladder, _set_vec, canonical_class, relabel
+from .classgroup import DivisorClass, _embed, _format, _labels, _set_ladder, _set_vec, canonical_class, relabel
 from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
@@ -97,6 +97,11 @@ class SdmReport(NamedTuple):
             _set_vec(obj, vec)
             out.append(obj)
         return tuple(out)
+
+    def _class_texts(self):
+        """``str`` of each class in ``classes``, with the labels named once per report."""
+        names = tuple(map(str, _labels(self.omega.ladder)))
+        return (_format(names, c._vec) for c in self.classes)
 
     def _json_doc(self) -> dict:
         """``to_json_dict`` with ``classes`` and ``thetas`` as iterators; a class

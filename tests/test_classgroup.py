@@ -238,6 +238,19 @@ def test_huge_label_index_is_a_domain_error(l3):
         DivisorClass(l3, {Q(10**4300): 1})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda l: DivisorClass(l, {10**4300: 1}), id="class"),
+        pytest.param(lambda l: ideal_generators(l, 10**4300), id="generators"),
+    ],
+)
+def test_huge_integer_as_label_is_a_domain_error(l3, call):
+    # the message names the type: an integer of over 4300 digits has no str()
+    with pytest.raises(LadderError, match="^not a basis label: got type int$"):
+        call(l3)
+
+
 @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "3", None])
 def test_divisor_class_rejects_non_integer_coefficients(l3, value):
     with pytest.raises(LadderError, match=re.escape(f"coefficient of Q1 must be an integer, got {value!r}")):

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import random
@@ -8,6 +9,7 @@ from ladderdet import (
     Cell,
     Ladder,
     LadderError,
+    classify,
     compose,
     corners,
     decompose,
@@ -128,3 +130,47 @@ def test_factorization_json(l3):
     assert doc["offsets"] == [[0, 1], [2, 0]]
     assert [len(f["cells"]) for f in doc["factors"]] == [6, 6]
     json.dumps(doc)  # serializable
+
+
+def test_decompose_keeps_its_factorization_on_the_ladder(l1, l3):
+    for ladder in (l1, l3):
+        first = decompose(ladder)
+        again = decompose(ladder)
+        assert again.factors is first.factors and again == first and again.ladder is ladder
+
+
+def test_classify_after_decompose_checks_the_factors_once(monkeypatch, l1, l2):
+    calls = []
+    check = decompose_module._check_factors
+    monkeypatch.setattr(decompose_module, "_check_factors", lambda *args: calls.append(1) or check(*args))
+    ladder = compose([l1, l2, Ladder.full_matrix(3, 2)])
+    decompose(ladder)
+    assert classify(ladder).count == 4
+    assert len(calls) == 1
+
+
+def test_a_failed_decomposition_is_not_kept(monkeypatch, l3):
+    # the round trip is the last check, made after the factors are built
+    glue = decompose_module._glue
+    monkeypatch.setattr(decompose_module, "_glue", lambda factors: {**glue(factors), 99: frozenset({1})})
+    for _ in range(2):
+        with pytest.raises(LadderError, match="composing the factors does not recover the ladder"):
+            decompose(l3)
+        assert l3._split is None
+    monkeypatch.undo()
+    assert decompose(l3).w == 1
+
+
+def test_kept_factorization_holds_no_reference_to_its_ladder(l1, l3):
+    # a cycle would keep a dropped ladder alive until the cycle collector runs
+    followed = (tuple, dict, frozenset, Ladder, Cell)
+    for ladder in (l1, l3):
+        decompose(ladder)
+        seen, stack = set(), [ladder._split]
+        while stack:
+            obj = stack.pop()
+            assert obj is not ladder
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                stack += [x for x in gc.get_referents(obj) if type(x) in followed]
+        assert len(seen) > len(decompose(ladder).factors)
