@@ -15,8 +15,8 @@ _EXPORTS = {
         compose corners parse_ascii parse_auto parse_json render_ascii
         require_analyzable validate""",
     "decompose": "Factorization decompose",
-    "classgroup": """BasisLabel DivisorClass FactorRole P Q QPrime basis canonical_class
-        ideal_generators qprime_class relabel""",
+    "classgroup": """BasisLabel DivisorClass P Q QPrime basis canonical_class
+        ideal_generators qprime_class""",
     "rewrite": """MAX_DEGREE_BOUND Monomial RewriteSystem WitnessCase WitnessReport
         equal_mod_minors ideal_monomials_bounded intersect_bounded normal_form
         verify_witnesses""",

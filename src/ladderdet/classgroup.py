@@ -14,7 +14,6 @@ from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple
 
-from .decompose import Factorization
 from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, corners, is_int, require_analyzable
 
 
@@ -59,7 +58,7 @@ def _check_label(prof: CornerProfile, label) -> None:
         if not (is_int(label.index) and 1 <= label.index <= prof.k):
             raise LadderError(f"P label index out of range 1..{prof.k} (k = {prof.k})")
     else:
-        raise LadderError(f"unknown label kind {label.kind!r}")
+        raise LadderError(f"unknown label kind: expected 'Q' or 'P', got type {type(label.kind).__name__}")
 
 
 class DivisorClass:
@@ -222,83 +221,3 @@ def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
             coeffs[P(j)] = -1
     return DivisorClass(ladder, coeffs)
 
-
-# ---------------------------------------------------------------------------
-# factor relabeling and embedding
-
-class FactorRole(NamedTuple):
-    """Double-indexed name of a basis class: q_{u,index} or p_{u,index}."""
-
-    factor: int
-    kind: str  # "q" or "p"
-    index: int
-
-    def __str__(self):
-        return f"{self.kind}[{self.factor},{self.index}]"
-
-
-def relabel(factorization: Factorization) -> dict[BasisLabel, FactorRole]:
-    """Name each global basis label by its factor and local role, in basis order.
-
-    The map is a bijection onto the roles of all factors.  A Q keyed to the
-    u-th coincidental corner row belongs to the factor below the cut as
-    q_{u,1}; the P at that corner becomes p_{u,0}.  All other labels keep
-    their position within the factor that owns the corner.
-    """
-    ladder = factorization.ladder
-    prof = corners(ladder)
-    cc = factorization.coincidental
-    cc_of = {cell: u + 1 for u, cell in enumerate(cc)}
-
-    q_row_role: dict[int, FactorRole] = {}
-    upper_cell_role: dict[Cell, FactorRole] = {}
-    for u, (factor, (dr, dc)) in enumerate(zip(factorization.factors, factorization.offsets)):
-        fprof = corners(factor)
-        top_row = 1 if u == 0 else cc[u - 1].row
-        key_rows = [top_row] + [p.row + dr for p in fprof.lower]
-        for i, row in enumerate(key_rows, start=1):
-            if row in q_row_role:
-                raise LadderError("relabeling failure: duplicate row key")
-            q_row_role[row] = FactorRole(u, "q", i)
-        for j, p in enumerate(fprof.upper, start=1):
-            upper_cell_role[Cell(p.row + dr, p.col + dc)] = FactorRole(u, "p", j)
-
-    pairs = []
-    for i in range(1, prof.h + 2):
-        row = prof.lower_ext[i - 1].row
-        role = q_row_role.get(row)
-        if role is None:
-            raise LadderError(f"relabeling failure: no factor owns the row ideal keyed to row {row}")
-        pairs.append((Q(i), role))
-    for j, cell in enumerate(prof.upper, start=1):
-        if cell in cc_of:
-            pairs.append((P(j), FactorRole(cc_of[cell], "p", 0)))
-        else:
-            role = upper_cell_role.get(cell)
-            if role is None:
-                raise LadderError(f"relabeling failure: no factor owns the upper corner {cell}")
-            pairs.append((P(j), role))
-
-    roles = dict(pairs)
-    if len(set(roles.values())) != len(roles):
-        raise LadderError("relabeling is not a bijection")
-    if len(roles) != prof.h + prof.k + 1:
-        raise LadderError("relabeling failure: wrong label count")
-    return roles
-
-
-def _embed(factorization: Factorization, roles: dict[BasisLabel, FactorRole], u: int) -> DivisorClass:
-    """Image of the u-th factor's canonical class inside the composite group.
-
-    ``roles`` is ``relabel(factorization)``, passed in so one map serves
-    every factor.  The factor-local coefficient on q_{u,1} is carried to
-    both q_{u,1} and p_{u,0} for u >= 1; factor 0 has no p-role at the cut.
-    """
-    position = {role: i for i, role in enumerate(roles.values())}
-    local = canonical_class(factorization.factors[u])
-    vec = [0] * len(position)
-    for label, c in local.items():
-        vec[position[FactorRole(u, label.kind.lower(), label.index)]] += c
-    if u >= 1:
-        vec[position[FactorRole(u, "p", 0)]] += local._vec[0]  # the Q(1) coordinate
-    return DivisorClass._make(factorization.ladder, tuple(vec))

@@ -51,9 +51,9 @@ def decompose(ladder: Ladder) -> Factorization:
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
     closed regions between consecutive corners, each a slice of the
     ladder's rows (see ``_regions``); all structural invariants (exact
-    union, one-cell overlaps, corner-free 2-connected factors, compose
-    round trip) are asserted before returning.  Every step reads rows of
-    columns and is linear in the number of cells.
+    union, one-cell overlaps, corner-free 2-connected factors, corner
+    lists, compose round trip) are asserted before returning.  Every step
+    reads rows of columns and is linear in the number of cells.
 
     The ladder keeps the factors, corners and offsets once they have passed
     every check, so a later call on the same object returns them at once; a
@@ -71,7 +71,7 @@ def decompose(ladder: Ladder) -> Factorization:
 
         factors = tuple(map(Ladder._from_rows, regions))
         offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
-        _check_factors(ladder, factors, cc)
+        _check_factors(ladder, factors, cc, offsets)
         split = factors, cc, offsets
         object.__setattr__(ladder, "_split", split)
     return Factorization(ladder, *split)
@@ -135,12 +135,19 @@ def _check_regions(ladder, cc, regions):
         raise LadderError(f"decomposition failure: factors {u} and {v} overlap")
 
 
-def _check_factors(ladder, factors, cc):
+def _check_factors(ladder, factors, cc, offsets):
+    # Each corner list of the ladder is, in row order, factor 0's corners, then
+    # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
+    # classify lays out the class-group labels by factor on this.
     prof = corners(ladder)
-    sum_h = sum(corners(f).h for f in factors)
-    sum_k = sum(corners(f).k for f in factors)
-    if sum_h + len(cc) != prof.h or sum_k + len(cc) != prof.k:
-        raise LadderError("decomposition failure: corner counts do not add up")
+    for kind in ("lower", "upper"):
+        glued = []
+        for u, (f, (dr, dc)) in enumerate(zip(factors, offsets)):
+            if u:
+                glued.append(cc[u - 1])
+            glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
+        if tuple(glued) != getattr(prof, kind):
+            raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
     for u, f in enumerate(factors):
         if corners(f).coincidental:
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")

@@ -1,12 +1,14 @@
 """Gorenstein testing and enumeration of semidualizing module classes.
 
 The class set is the family of 0/1 combinations of the embedded factor
-canonical classes.  The images of the non-Gorenstein factors are nonzero
-with pairwise disjoint supports, so these combinations are all distinct and
-their number is 2 to the number of non-Gorenstein factors in the
-coincidental-corner decomposition.  :func:`classify` certifies that from
-the factor images alone, each read once; the classes themselves are
-enumerated only when :attr:`SdmReport.classes` is read.
+canonical classes.  Each factor owns a contiguous block of the class-group
+labels, and its image is its canonical class laid into that block, so the
+images of the non-Gorenstein factors are nonzero with pairwise disjoint
+supports; these combinations are all distinct and their number is 2 to the
+number of non-Gorenstein factors in the coincidental-corner decomposition.
+:func:`classify` certifies that from the factors' canonical classes alone,
+each compared once with its block of the ladder's; the classes themselves
+are enumerated only when :attr:`SdmReport.classes` is read.
 
 Given that certificate, a class is a selection, not a sum: its coordinate
 i is that of the image owning i if theta selects the image, else 0.
@@ -14,10 +16,10 @@ i is that of the image owning i if theta selects the image, else 0.
 
 from __future__ import annotations
 
-from itertools import chain, compress, product, repeat
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
-from .classgroup import DivisorClass, _embed, _format, _labels, _set_ladder, _set_vec, canonical_class, relabel
+from .classgroup import DivisorClass, _format, _labels, _set_ladder, _set_vec, canonical_class
 from .decompose import decompose
 from .ladders import Ladder, LadderError, compose, corners, require_analyzable
 
@@ -127,34 +129,63 @@ def classify(ladder: Ladder) -> SdmReport:
 
     Theta vectors pin the coordinate of a Gorenstein factor to 0 (its class
     is the zero vector, so allowing 1 there would only duplicate classes).
-    The certificate: each factor image is zero iff its factor is Gorenstein,
-    the images have pairwise disjoint supports, and they sum to the
-    canonical class.
+
+    Each factor's image lives on its own block of labels.  Cut factor u from
+    the ladder at cc[u-1] above it and cc[u] below it (where they exist):
+
+    1. a factor has no lower corner in its top row (no row lies above it)
+       and no upper corner in its bottom row (no row lies below it);
+    2. the corner rows of an analyzable ladder strictly increase, and the
+       cut cc[u-1] is a lower and an upper corner of the ladder in factor
+       u's top row, cc[u] one in its bottom row;
+    3. so factor u's corners lie strictly between those two rows, and each
+       corner list of the ladder is factor 0's corners, then per u >= 1 the
+       cut cc[u-1] and factor u's corners (``decompose`` checks this).  Q(1)
+       is keyed to row 1 and Q(i+1) to the i-th lower corner, so factor u
+       owns a contiguous run of h_u + 1 Q labels (its top row, then its
+       lower corners) and one of k_u P labels, plus the cut's P for u >= 1;
+       the runs follow one another and partition the labels;
+    4. so the images, each supported on its factor's runs, have disjoint
+       supports by construction and need no runtime check.
+
+    The image of factor u's canonical class (lambda_u, delta_u) is lambda_u
+    on its Q run and delta_u on its P run, with lambda_u's first entry
+    carried onto the cut's P for u >= 1.  The certificate: each image is
+    zero iff its factor is Gorenstein, the canonical class agrees with each
+    image on that image's runs, and the runs end at the last labels, so by
+    3 the canonical class is the sum of the images.
     """
     factorization = decompose(ladder)
     omega = canonical_class(ladder)
-    roles = relabel(factorization)
+    vec = omega._vec
+    rank = len(vec)
+    q_end = corners(ladder).h + 1
+    q, p = 0, q_end  # where factor u's Q and P runs start
 
     reports = []
-    owner = {}
     for u, factor in enumerate(factorization.factors):
+        local = canonical_class(factor)._vec
+        h_u = corners(factor).h
+        q_run = local[: h_u + 1]
+        p_run = local[:1] + local[h_u + 1 :] if u else local[h_u + 1 :]
+        if vec[q : q + len(q_run)] != q_run or vec[p : p + len(p_run)] != p_run:
+            raise LadderError(
+                f"internal inconsistency: factor {u}'s canonical class is not the ladder's on its labels"
+            )
+        coords = [0] * rank
+        coords[q : q + len(q_run)] = q_run
+        coords[p : p + len(p_run)] = p_run
+        image = DivisorClass._make(ladder, tuple(coords))
+        q, p = q + len(q_run), p + len(p_run)
         gor = is_gorenstein(factor)
-        image = _embed(factorization, roles, u)
         if gor != image.is_zero:
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
-        for i in compress(range(len(image._vec)), image._vec):
-            if owner.setdefault(i, u) != u:
-                raise LadderError(
-                    f"internal inconsistency: disjoint-support invariant fails: factor {u}'s canonical image "
-                    f"shares {_labels(ladder)[i]} with factor {owner[i]}'s"
-                )
         reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, image))
-
-    if sum((r.omega_image for r in reports), DivisorClass.zero(ladder)) != omega:
-        raise LadderError("internal inconsistency: factor images do not sum to the canonical class")
-    return SdmReport(rank=len(roles), omega=omega, factors=tuple(reports))
+    if (q, p) != (q_end, rank):
+        raise LadderError("internal inconsistency: the factors' labels do not cover the class group")
+    return SdmReport(rank=rank, omega=omega, factors=tuple(reports))
 
 
 def construct_2n(n: int, sizes) -> Ladder:

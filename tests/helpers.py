@@ -9,6 +9,7 @@ import functools
 import itertools
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 L1_ASCII = ".##\n###\n###\n##.\n##."
 L2_ASCII = ".####\n.####\n.###.\n###..\n###.."
@@ -518,15 +519,92 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def embed_factor_omega(factorization, u):
-    """The library's image of factor u's canonical class in the composite group, as ``classify`` builds it.
+# ---------------------------------------------------------------------------
+# the factor-embedding oracle
+#
+# Every global basis label is named by the factor that owns it and its role
+# there, through dicts from rows and corner cells to roles, with no use of
+# the contiguous label blocks ``classify`` lays the images out in.
 
-    A shorthand over the library, not an oracle: tests pin its values by hand
-    and check that the images sum to the canonical class.
+class FactorRole(NamedTuple):
+    """Double-indexed name of a basis class: q_{u,index} or p_{u,index}."""
+
+    factor: int
+    kind: str  # "q" or "p"
+    index: int
+
+    def __str__(self):
+        return f"{self.kind}[{self.factor},{self.index}]"
+
+
+def relabel(factorization):
+    """Name each global basis label by its factor and local role, in basis order.
+
+    The map is a bijection onto the roles of all factors.  A Q keyed to the
+    u-th coincidental corner row belongs to the factor below the cut as
+    q_{u,1}; the P at that corner becomes p_{u,0}.  All other labels keep
+    their position within the factor that owns the corner.
     """
-    from ladderdet.classgroup import _embed, relabel
+    from ladderdet import Cell, LadderError, P, Q, corners
 
-    return _embed(factorization, relabel(factorization), u)
+    ladder = factorization.ladder
+    prof = corners(ladder)
+    cc = factorization.coincidental
+    cc_of = {cell: u + 1 for u, cell in enumerate(cc)}
+
+    q_row_role = {}
+    upper_cell_role = {}
+    for u, (factor, (dr, dc)) in enumerate(zip(factorization.factors, factorization.offsets)):
+        fprof = corners(factor)
+        top_row = 1 if u == 0 else cc[u - 1].row
+        key_rows = [top_row] + [p.row + dr for p in fprof.lower]
+        for i, row in enumerate(key_rows, start=1):
+            if row in q_row_role:
+                raise LadderError("relabeling failure: duplicate row key")
+            q_row_role[row] = FactorRole(u, "q", i)
+        for j, p in enumerate(fprof.upper, start=1):
+            upper_cell_role[Cell(p.row + dr, p.col + dc)] = FactorRole(u, "p", j)
+
+    pairs = []
+    for i in range(1, prof.h + 2):
+        row = prof.lower_ext[i - 1].row
+        role = q_row_role.get(row)
+        if role is None:
+            raise LadderError(f"relabeling failure: no factor owns the row ideal keyed to row {row}")
+        pairs.append((Q(i), role))
+    for j, cell in enumerate(prof.upper, start=1):
+        if cell in cc_of:
+            pairs.append((P(j), FactorRole(cc_of[cell], "p", 0)))
+        else:
+            role = upper_cell_role.get(cell)
+            if role is None:
+                raise LadderError(f"relabeling failure: no factor owns the upper corner {cell}")
+            pairs.append((P(j), role))
+
+    roles = dict(pairs)
+    if len(set(roles.values())) != len(roles):
+        raise LadderError("relabeling is not a bijection")
+    if len(roles) != prof.h + prof.k + 1:
+        raise LadderError("relabeling failure: wrong label count")
+    return roles
+
+
+def embed_factor_omega(factorization, u):
+    """Image of the u-th factor's canonical class inside the composite group, via ``relabel``.
+
+    The oracle for ``classify``'s factor images, which lay each factor's
+    canonical class into a contiguous block of labels instead.  The
+    factor-local coefficient on q_{u,1} is carried to both q_{u,1} and
+    p_{u,0} for u >= 1; factor 0 has no p-role at the cut.
+    """
+    from ladderdet import DivisorClass, Q, canonical_class
+
+    label_of = {role: label for label, role in relabel(factorization).items()}
+    local = dict(canonical_class(factorization.factors[u]).items())
+    coeffs = {label_of[FactorRole(u, label.kind.lower(), label.index)]: c for label, c in local.items()}
+    if u >= 1 and Q(1) in local:
+        coeffs[label_of[FactorRole(u, "p", 0)]] = local[Q(1)]
+    return DivisorClass(factorization.ladder, coeffs)
 
 
 def classes_by_addition(report):

@@ -4,9 +4,9 @@ import re
 import pytest
 
 from ladderdet import (
+    BasisLabel,
     Cell,
     DivisorClass,
-    FactorRole,
     Ladder,
     LadderError,
     P,
@@ -23,12 +23,12 @@ from ladderdet import (
     intersect_bounded,
     is_gorenstein,
     qprime_class,
-    relabel,
     require_analyzable,
     validate,
 )
 
 from helpers import (
+    FactorRole,
     embed_factor_omega,
     enumerate_ladder_cellsets,
     hibi_coordinates,
@@ -37,6 +37,7 @@ from helpers import (
     naive_corners,
     random_staircase_cells,
     random_two_connected_staircase,
+    relabel,
 )
 
 
@@ -249,6 +250,12 @@ def test_huge_integer_as_label_is_a_domain_error(l3, call):
     # the message names the type: an integer of over 4300 digits has no str()
     with pytest.raises(LadderError, match="^not a basis label: got type int$"):
         call(l3)
+
+
+def test_huge_integer_as_label_kind_is_a_domain_error(l3):
+    # the message names the kind's type: an integer of over 4300 digits has no str()
+    with pytest.raises(LadderError, match="^unknown label kind: expected 'Q' or 'P', got type int$"):
+        DivisorClass(l3, {BasisLabel(10**4300, 1): 1})
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "3", None])

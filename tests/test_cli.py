@@ -7,11 +7,11 @@ import time
 
 import pytest
 
-from ladderdet import construct_2n
+from ladderdet import compose, construct_2n, parse_ascii
 from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, main
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
-from helpers import L2_ASCII, L3_ASCII, L3_CELLS, child_env
+from helpers import L1_ASCII, L2_ASCII, L3_ASCII, L3_CELLS, child_env
 
 
 @pytest.fixture
@@ -203,6 +203,8 @@ SDM_SHA256 = {  # (ladder, mode): SHA-256 of `sdm` stdout as written when classe
     ("L3", "--pretty"): "46c4feab537ed16ea2e7ae25574e5bfd34ddf30fc8c62f810b87697b48b0f2c2",
     ("glue12", "--json"): "33500618183b360b8ea8a52ac19c4df9cc7480f4019b7bc6319acdd2ae3f6c05",
     ("glue12", "--pretty"): "53cce2bfaabee71c6a7e44a0ecf7df3f897fb2a7b87ced323bd89e6978a8169f",
+    ("L1L2L3", "--json"): "572da64576400f42578bbac6f3623945e559a08c58c2ba8223e4678e512f54b4",
+    ("L1L2L3", "--pretty"): "01ce3e000c52dc88b785d0d5ce57d8a0b4a9ddfec75820e2148cb1bc4f17c2fa",
 }
 
 
@@ -212,6 +214,9 @@ def test_sdm_output_bytes_are_unchanged(capsys, tmp_path, l3_json, ladder, mode)
     if ladder == "glue12":  # construct2n --sizes 2x3,3x2,... (6 pairs): 4,096 classes
         path = tmp_path / "glue12.json"
         path.write_text(json.dumps(construct_2n(12, [(2, 3), (3, 2)] * 6).to_json_dict()))
+    if ladder == "L1L2L3":  # compose: a two-sided factor, a Gorenstein one and two 3x2 blocks
+        path = tmp_path / "l1l2l3.json"
+        path.write_text(json.dumps(compose([parse_ascii(text) for text in (L1_ASCII, L2_ASCII, L3_ASCII)]).to_json_dict()))
     code, out, err = run(capsys, "sdm", "--in", str(path), mode)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SDM_SHA256[ladder, mode]

@@ -124,6 +124,26 @@ def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
         decompose(compose([l1, l2, Ladder.full_matrix(3, 2)]))
 
 
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        # the corner counts still add up: only the list sees the moved corner
+        pytest.param("lower", lambda cells: tuple(Cell(r, c + 1) for r, c in cells), id="lower-moved"),
+        pytest.param("upper", lambda cells: cells[1:], id="upper-dropped"),
+    ],
+)
+def test_decompose_rejects_factor_corners_off_the_ladders(monkeypatch, l1, l3, kind, fault):
+    corners_of = decompose_module.corners
+
+    def faulty(ladder):
+        prof = corners_of(ladder)
+        return prof._replace(**{kind: fault(getattr(prof, kind))}) if ladder == l1 else prof
+
+    monkeypatch.setattr(decompose_module, "corners", faulty)
+    with pytest.raises(LadderError, match=f"^decomposition failure: the factors' {kind} corners are not the ladder's$"):
+        decompose(compose([l1, l3]))
+
+
 def test_factorization_json(l3):
     doc = decompose(l3).to_json_dict()
     assert doc["coincidental"] == [[3, 2]]

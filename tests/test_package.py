@@ -13,13 +13,13 @@ from helpers import child_env
 def test_public_surface_is_pinned():
     # a removed helper cannot come back, nor a new name appear, unnoticed
     assert ladderdet.__all__ == [
-        "BasisLabel", "Cell", "CornerProfile", "DivisorClass", "FactorReport", "FactorRole",
+        "BasisLabel", "Cell", "CornerProfile", "DivisorClass", "FactorReport",
         "Factorization", "Ladder", "LadderError", "MAX_DEGREE_BOUND", "Monomial", "P", "Q",
         "QPrime", "RewriteSystem", "SdmReport", "ValidationReport", "WitnessCase", "WitnessReport",
         "antitranspose", "basis", "canonical_class", "classify", "compose", "construct_2n",
         "corners", "decompose", "equal_mod_minors", "ideal_generators", "ideal_monomials_bounded",
         "intersect_bounded", "is_gorenstein", "normal_form", "parse_ascii", "parse_auto",
-        "parse_json", "qprime_class", "relabel", "render_ascii", "require_analyzable", "validate",
+        "parse_json", "qprime_class", "render_ascii", "require_analyzable", "validate",
         "verify_witnesses",
     ]
 

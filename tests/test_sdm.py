@@ -26,7 +26,13 @@ from ladderdet import (
     validate,
 )
 
-from helpers import L3_ASCII, classes_by_addition, enumerate_ladder_cellsets, random_staircase_cells
+from helpers import (
+    L3_ASCII,
+    classes_by_addition,
+    embed_factor_omega,
+    enumerate_ladder_cellsets,
+    random_staircase_cells,
+)
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -181,16 +187,42 @@ def test_classify_2n_40_counts_without_enumerating():
     assert time.process_time() - start < 1.0
 
 
-def test_classify_rejects_overlapping_factor_images(monkeypatch, l3):
-    embed = sdm_module._embed
+def test_classify_rejects_a_factor_class_off_its_labels(monkeypatch, l1, l3):
+    # factor 2's canonical class, one Q coefficient off, no longer matches its
+    # slice of the ladder's: the check names the factor
+    ladder = compose([l1, l3])
+    factor = decompose(ladder).factors[2]
+    canonical = sdm_module.canonical_class
 
-    def overlapping(factorization, roles, u):
-        image = embed(factorization, roles, u)
-        return image + embed(factorization, roles, 0) if u == 1 else image
+    def off(l):
+        cls = canonical(l)
+        return cls + DivisorClass(l, {Q(1): 1}) if l is factor else cls
 
-    monkeypatch.setattr(sdm_module, "_embed", overlapping)
-    with pytest.raises(LadderError, match="disjoint-support invariant fails: factor 1's"):
-        classify(l3)
+    monkeypatch.setattr(sdm_module, "canonical_class", off)
+    with pytest.raises(LadderError, match="^internal inconsistency: factor 2's canonical class is not the ladder's"):
+        classify(ladder)
+
+
+def test_classify_rejects_labels_the_factors_do_not_cover(monkeypatch):
+    # one Q label more than the factors' runs reach: every run still matches
+    ladder = Ladder.full_matrix(2, 3)
+    corners_of = sdm_module.corners
+
+    def extra(l):
+        prof = corners_of(l)
+        return prof._replace(lower=prof.lower + (prof.lower_ext[-1],)) if l is ladder else prof
+
+    monkeypatch.setattr(sdm_module, "corners", extra)
+    with pytest.raises(LadderError, match="^internal inconsistency: the factors' labels do not cover the class group$"):
+        classify(ladder)
+
+
+def test_factor_images_match_the_relabeling_oracle():
+    glue = construct_2n(12, [(2, 3), (3, 2)] * 6)
+    for ladder in [*_enumerated_and_glued(), glue]:
+        factorization = decompose(ladder)
+        for u, f in enumerate(classify(ladder).factors):
+            assert f.omega_image == embed_factor_omega(factorization, u)
 
 
 def test_classify_rejects_non_two_connected():
