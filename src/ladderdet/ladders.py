@@ -65,8 +65,12 @@ class LadderError(ValueError):
 
 
 # The most grid positions (m * n) render_ascii draws; a valid two-cell ladder
-# can span any extent, and its grid is allocated in full.
+# can span a huge extent, and its grid is allocated in full.
 MAX_RENDER_AREA = 10**6
+
+# The most digits of m or n: Python prints no longer int, so no wider ladder's cells.
+MAX_EXTENT_DIGITS = 4300
+_MAX_EXTENT = 10**MAX_EXTENT_DIGITS
 
 # How many ladders the corners and validate caches each keep.  They are keyed
 # on ladder equality, so a caller that re-parses an equal ladder still hits.
@@ -124,11 +128,14 @@ class Ladder:
             r + dr: frozenset(c + dc for c in cols) if dc else frozenset(cols)
             for r, cols in rows.items()
         }
+        m, n = max(rows), max(map(max, rows.values()))
+        if max(m, n) >= _MAX_EXTENT:  # ints of unequal sizes compare in O(1)
+            raise LadderError(f"ladder extent exceeds the cap of {MAX_EXTENT_DIGITS} digits")
         _check_closure(rows)
         self = object.__new__(cls)
         object.__setattr__(self, "_cells", None)
-        object.__setattr__(self, "m", max(rows))
-        object.__setattr__(self, "n", max(map(max, rows.values())))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash(frozenset(rows.items())))
         object.__setattr__(self, "_split", None)
@@ -276,8 +283,7 @@ def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
     """
     if ladder.m * ladder.n > MAX_RENDER_AREA:
         raise LadderError(
-            f"cannot render a {ladder.m}x{ladder.n} grid: its {ladder.m * ladder.n} positions "
-            f"exceed the cap of {MAX_RENDER_AREA}"
+            f"cannot render a {ladder.m}x{ladder.n} grid: its positions exceed the cap of {MAX_RENDER_AREA}"
         )
     grid = [["." for _ in range(ladder.n)] for _ in range(ladder.m)]
     for p in ladder.cells:
@@ -350,8 +356,6 @@ def corners(ladder: Ladder) -> CornerProfile:
 # validation
 
 class ValidationReport(NamedTuple):
-    is_ladder: bool
-    normalized: bool
     every_cell_in_minor: bool
     two_connected: bool
     path_connected: bool
@@ -359,9 +363,10 @@ class ValidationReport(NamedTuple):
     messages: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
+        # Every Ladder is closed and starts at (1, 1); see validate.
         return {
-            "is_ladder": self.is_ladder,
-            "normalized": self.normalized,
+            "is_ladder": True,
+            "normalized": True,
             "every_cell_in_minor": self.every_cell_in_minor,
             "two_connected": self.two_connected,
             "path_connected": self.path_connected,
@@ -434,8 +439,6 @@ def validate(ladder: Ladder) -> ValidationReport:
         sidedness = "one-sided"
 
     return ValidationReport(
-        is_ladder=True,
-        normalized=True,
         every_cell_in_minor=every_cell_in_minor,
         two_connected=two_connected,
         path_connected=path_connected,
@@ -475,24 +478,28 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    return Ladder._from_rows(_glue(factors))
+    return Ladder._from_rows(_glue(factors)[0])
 
 
-def _glue(factors) -> dict[int, frozenset[int]]:
-    """The rows of ``compose(factors)``, which already start at (1, 1).
+def _glue(factors) -> tuple[dict[int, frozenset[int]], tuple[tuple[int, int], ...]]:
+    """The rows of ``compose(factors)``, which already start at (1, 1), and
+    the offset (dr_u, dc_u) at which each factor u is placed.
 
-    Factor u sits below the earlier factors and left of the later ones; each
-    row is shifted once, to its final position, and the last row of one
-    factor merges with the first row of the next.  No shift is negative, and
-    the first factor's rows and the last factor's columns are not shifted.
+    Factor u sits below the earlier factors and left of the later ones: dr_u
+    sums m_v - 1 over the earlier factors and dc_u sums n_v - 1 over the
+    later ones, so that factor u's (m_u, 1) lands on the next one's (1, n).
+    Each row is shifted once, to its final position, and the last row of one
+    factor merges with the first row of the next.  No shift is negative.
     """
     rows = {}
+    offsets = []
     dr = 0
     dc = sum(f.n - 1 for f in factors)
     for f in factors:
         dc -= f.n - 1
+        offsets.append((dr, dc))
         for r, cols in f._rows.items():
             cols = frozenset(map(dc.__add__, cols)) if dc else cols
             rows[r + dr] = rows[r + dr] | cols if r + dr in rows else cols
         dr += f.m - 1
-    return rows
+    return rows, tuple(offsets)

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -15,6 +16,7 @@ from ladderdet import (
     antitranspose,
     basis,
     canonical_class,
+    classify,
     compose,
     corners,
     decompose,
@@ -90,6 +92,7 @@ def test_ideal_generators_l3(l3):
     assert ideal_generators(l3, QPrime(2)) == {Cell(3, 1), Cell(4, 1), Cell(5, 1)}
 
 
+@functools.lru_cache(maxsize=1)  # two tests walk the same cases
 def _hibi_cases():
     small = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)]
     rng = random.Random(37)
@@ -130,6 +133,28 @@ def test_classes_match_the_hibi_oracle():
         for i, coord in enumerate(coords, start=1):
             assert DivisorClass(ladder, zip(labels, coord)) == qprime_class(ladder, i), (ladder, i)
         assert DivisorClass(ladder, zip(labels, omega)) == canonical_class(ladder), ladder
+
+
+def test_factor_images_are_facet_sums():
+    """Factor u's image of the canonical class is the sum of the facets of Y whose generators lie
+    in factor u's cells, placed at its offset.  This rule is tested here, not proved.  Facets that
+    span a cut lie in no factor, so by the rule and sum(images) = omega their classes sum to zero."""
+    cases = [ladder for ladder in _hibi_cases() if decompose(ladder).w]
+    assert len(cases) > 200
+    for ladder in cases:
+        f = decompose(ladder)
+        cells = set(ladder.cells)
+        labels = basis(ladder)
+        facets = hibi_facets(cells)
+        regions = [{(r + dr, c + dc) for r, c in factor.cells} for factor, (dr, dc) in zip(f.factors, f.offsets)]
+        sums = hibi_coordinates(
+            cells,
+            [[gens for gens in facets if gens <= region] for region in regions],
+            [ideal_generators(ladder, label) for label in labels],
+        )
+        images = [factor.omega_image for factor in classify(ladder).factors]
+        for u, coord in enumerate(sums):
+            assert DivisorClass(ladder, zip(labels, coord)) == embed_factor_omega(f, u) == images[u], (ladder, u)
 
 
 def test_ideal_generators_out_of_range(l3):

@@ -190,6 +190,27 @@ def test_render_over_extent_cap_is_domain_error(capsys, tmp_path, argv):
     assert err.startswith("error: cannot render a 100000x100000 grid") and err.count("\n") == 1
 
 
+BIG = "9" * 4300  # the longest integer Python prints
+
+
+@pytest.mark.parametrize(
+    "cells, argv",
+    [
+        # m and n of 4300 digits each: the grid's area would have 8600
+        pytest.param(f"[[1, {BIG}], [{BIG}, 1]]", ["render"], id="render-area"),
+        # normalization gives n of 4301 digits, which no output could print
+        pytest.param(f"[[1, -{BIG}], [1, {BIG}]]", ["antitranspose", "--json"], id="antitranspose-extent"),
+        pytest.param(f"[[1, -{BIG}], [1, {BIG}]]", ["compose", "--json"], id="compose-extent"),
+    ],
+)
+def test_huge_extent_is_domain_error(capsys, tmp_path, cells, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"cells": {cells}}}')
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_failed_command_prints_nothing_to_stdout(capsys, monkeypatch, l3_json):
     # L3's 3x2 factors fail to render only after the decomposition succeeded
     monkeypatch.setattr("ladderdet.ladders.MAX_RENDER_AREA", 5)

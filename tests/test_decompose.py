@@ -108,8 +108,8 @@ def test_factor_invariants_randomized():
 
 def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
     # one cell of the last region also placed in the first, in a row of its
-    # own there: the union and the adjacent overlaps stay right, only the
-    # size count sees the extra overlap
+    # own there: the union stays right, but factor 0 grows a row and a lower
+    # corner that the ladder does not have there
     regions = decompose_module._regions
 
     def overlapping(ladder, cc):
@@ -120,7 +120,31 @@ def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
         return out
 
     monkeypatch.setattr(decompose_module, "_regions", overlapping)
-    with pytest.raises(LadderError, match="decomposition failure: factors 0 and 2 overlap$"):
+    with pytest.raises(LadderError, match="^decomposition failure: the factors' lower corners are not the ladder's$"):
+        decompose(compose([l1, l2, Ladder.full_matrix(3, 2)]))
+
+
+def test_decompose_takes_the_offsets_from_the_glue(monkeypatch, l3):
+    # L3's two regions are equal factors: listed in the wrong order they give
+    # the same factors, and the offsets still say where each is glued
+    regions = decompose_module._regions
+    monkeypatch.setattr(decompose_module, "_regions", lambda ladder, cc: regions(ladder, cc)[::-1])
+    f = decompose(l3)
+    assert f.factors == (Ladder.full_matrix(3, 2),) * 2
+    assert f.offsets == ((0, 1), (2, 0))
+
+
+def test_decompose_rejects_merged_regions(monkeypatch, l1, l2):
+    # the last two regions as one: the union is exact and the first cut is
+    # right, but the last cut has no factor below it
+    regions = decompose_module._regions
+
+    def merged(ladder, cc):
+        *out, a, b = regions(ladder, cc)
+        return [*out, {r: a.get(r, frozenset()) | b.get(r, frozenset()) for r in a.keys() | b.keys()}]
+
+    monkeypatch.setattr(decompose_module, "_regions", merged)
+    with pytest.raises(LadderError, match="^decomposition failure: factor 1 has a coincidental corner$"):
         decompose(compose([l1, l2, Ladder.full_matrix(3, 2)]))
 
 
@@ -172,7 +196,12 @@ def test_classify_after_decompose_checks_the_factors_once(monkeypatch, l1, l2):
 def test_a_failed_decomposition_is_not_kept(monkeypatch, l3):
     # the round trip is the last check, made after the factors are built
     glue = decompose_module._glue
-    monkeypatch.setattr(decompose_module, "_glue", lambda factors: {**glue(factors), 99: frozenset({1})})
+
+    def off_by_a_row(factors):
+        rows, offsets = glue(factors)
+        return {**rows, 99: frozenset({1})}, offsets
+
+    monkeypatch.setattr(decompose_module, "_glue", off_by_a_row)
     for _ in range(2):
         with pytest.raises(LadderError, match="composing the factors does not recover the ladder"):
             decompose(l3)

@@ -188,12 +188,23 @@ def test_ladder_requires_integer_cells():
         Ladder([])
 
 
+def test_extent_of_over_4300_digits_is_rejected():
+    # 4300 digits is the longest integer Python prints
+    wide = Ladder([(1, 1), (1, 10**4300 - 1)])
+    assert len(str(wide.n)) == 4300
+    with pytest.raises(LadderError, match="^ladder extent exceeds the cap of 4300 digits$"):
+        Ladder([(1, -(10**4300 - 1)), (1, 10**4300 - 1)])
+    with pytest.raises(LadderError, match="4300 digits"):
+        Ladder([(10**4300, 1)] + [(1, 1)])
+
+
 # ---------------------------------------------------------------------------
 # validation
 
 def test_validate_l3(l3):
     report = validate(l3)
-    assert report.is_ladder and report.normalized
+    doc = report.to_json_dict()
+    assert doc["is_ladder"] is True and doc["normalized"] is True
     assert report.every_cell_in_minor and report.two_connected and report.path_connected
     assert report.sidedness == "two-sided"
 
