@@ -49,13 +49,35 @@ at a time, and it steps from row r to row r + 1 in a column of both.
 Conversely, interval rows on consecutive indices whose neighbours share a
 column are connected.  So no union-find over the runs of each row is
 needed: on a ladder a row with a gap already disconnects it.
+
+Closed forms.  So the closure check, one pass over the pairs of consecutive
+occupied rows, also gives the corners and the report from set sizes, row
+ends and two membership tests per corner; ``Ladder._from_rows`` keeps
+both.  Let lo_i = min C_i and hi_i = max C_i.
+For rows r_i < r_{i+1} the axiom says that C_{i+1} - C_i lies below lo_i
+and C_i - C_{i+1} above hi_{i+1}.
+
+- Shared columns.  So C_i - C_{i+1} is exactly the columns of C_i above
+  hi_{i+1}, and |K_i| = |C_i| - |C_i - C_{i+1}|.
+- Where blocks meet.  In row r_i, K_{i-1} is the columns >= lo_{i-1} and K_i
+  those <= hi_{i+1}.  If lo_{i-1} <= hi_{i+1} they cover C_i and meet in
+  |K_{i-1}| + |K_i| - |C_i| columns; otherwise they are disjoint.  With
+  b_i = |K_i| for a block and 0 otherwise, |Y| - 2 sum b_i + sum meets
+  cells lie in no block.
+- Runs.  Row r_i spans hi_i - lo_i + 1 >= |C_i| columns, so every row is a
+  run exactly when the spans sum to |Y|; two adjacent runs share a column
+  exactly when |K_i| > 0.
+- Corners.  If (r, c) is a lower corner, c - 1 lies in C_r - C_{r-1}, so
+  below lo_{r-1}, and c in C_{r-1}: so c = lo_{r-1}.  Row r thus has a lower
+  corner only at c = lo_{r-1} with row r-1 occupied, and one there exactly
+  when c and c-1 lie in C_r.  Upper corners mirror this with c = hi_{r+1}
+  and c + 1.  A row holds at most one corner of each kind.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from functools import lru_cache
 from itertools import compress, count, repeat
 from typing import Iterable, NamedTuple
 
@@ -71,11 +93,6 @@ MAX_RENDER_AREA = 10**6
 # The most digits of m or n: Python prints no longer int, so no wider ladder's cells.
 MAX_EXTENT_DIGITS = 4300
 _MAX_EXTENT = 10**MAX_EXTENT_DIGITS
-
-# How many ladders the corners and validate caches each keep.  They are keyed
-# on ladder equality, so a caller that re-parses an equal ladder still hits.
-# A ladder they keep also keeps the factorization decompose stored on it.
-CACHE_SIZE = 256
 
 
 def is_int(value) -> bool:
@@ -99,11 +116,13 @@ def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
 class Ladder:
     """An immutable ladder, normalized to start at (1, 1), held as rows of columns.
 
-    Its cells are built on first use, and ``_split`` holds the verified
-    factorization once :func:`ladderdet.decompose.decompose` has made it.
+    Its corners and validation report are found while it is built, and
+    ``_split`` holds the verified factorization once
+    :func:`ladderdet.decompose.decompose` has made it; its cells are built
+    on first use.  Each lives as long as the ladder, and no longer.
     """
 
-    __slots__ = ("_cells", "m", "n", "_rows", "_hash", "_split")
+    __slots__ = ("_cells", "m", "n", "_rows", "_hash", "_corners", "_report", "_split")
 
     def __new__(cls, cells: Iterable[tuple[int, int]]):
         rows = {}
@@ -122,22 +141,27 @@ class Ladder:
         """A ladder from its integer rows and their integer columns, checked as the cells are."""
         if not rows:
             raise LadderError("a ladder needs at least one cell")
-        dr = 1 - min(rows)
-        dc = 1 - min(map(min, rows.values()))
-        rows = {
-            r + dr: frozenset(c + dc for c in cols) if dc else frozenset(cols)
-            for r, cols in rows.items()
-        }
-        m, n = max(rows), max(map(max, rows.values()))
+        order = sorted(rows)
+        cols = [rows[r] for r in order]
+        los, his = list(map(min, cols)), list(map(max, cols))
+        dr, dc = 1 - order[0], 1 - min(los)
+        order = [r + dr for r in order]
+        cols = [frozenset(map(dc.__add__, cs)) if dc else frozenset(cs) for cs in cols]
+        if dc:
+            los, his = [lo + dc for lo in los], [hi + dc for hi in his]
+        m, n = order[-1], max(his)
         if max(m, n) >= _MAX_EXTENT:  # ints of unequal sizes compare in O(1)
             raise LadderError(f"ladder extent exceeds the cap of {MAX_EXTENT_DIGITS} digits")
-        _check_closure(rows)
+        prof, report = _survey(order, cols, los, his, m, n)
+        rows = dict(zip(order, cols))
         self = object.__new__(cls)
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash(frozenset(rows.items())))
+        object.__setattr__(self, "_corners", prof)
+        object.__setattr__(self, "_report", report)
         object.__setattr__(self, "_split", None)
         return self
 
@@ -186,34 +210,6 @@ class Ladder:
 
     def __repr__(self):
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
-
-
-def _check_closure(rows: dict[int, frozenset[int]]) -> None:
-    """Verify the rectangle-closure axiom, naming one violating pair on failure.
-
-    For rows r1 < r2 with column sets C1, C2 the axiom is equivalent to:
-    every q in C2 with q >= min(C1) lies in C1, and every j in C1 with
-    j <= max(C2) lies in C2.  By the lemma in the module docstring, the
-    axiom holds for all pairs of rows once it holds for every pair of
-    consecutive occupied rows, so only those are tested: O(|Y|) in all.
-    The named pair is a genuine violation in consecutive occupied rows.
-    """
-    order = sorted(rows)
-    for r1, r2 in zip(order, order[1:]):
-        c1, c2 = rows[r1], rows[r2]
-        lo, hi = min(c1), max(c2)
-        bad_q = [q for q in c2 - c1 if q >= lo]
-        if bad_q:
-            j, q = lo, min(bad_q)
-        else:
-            bad_j = [j for j in c1 - c2 if j <= hi]
-            if not bad_j:
-                continue
-            j, q = min(bad_j), hi
-        raise LadderError(
-            f"closure violation: cells ({r1},{j}) and ({r2},{q}) "
-            f"require ({r1},{q}) and ({r2},{j})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +278,9 @@ def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
     Refuses ladders whose m x n extent exceeds ``MAX_RENDER_AREA``.
     """
     if ladder.m * ladder.n > MAX_RENDER_AREA:
-        raise LadderError(
-            f"cannot render a {ladder.m}x{ladder.n} grid: its positions exceed the cap of {MAX_RENDER_AREA}"
-        )
+        # A side of over 12 digits is named by its length, so the message stays one short line.
+        m, n = (str(x) if x < 10**12 else f"<{len(str(x))}-digit>" for x in (ladder.m, ladder.n))
+        raise LadderError(f"cannot render a {m}x{n} grid: its positions exceed the cap of {MAX_RENDER_AREA}")
     grid = [["." for _ in range(ladder.n)] for _ in range(ladder.m)]
     for p in ladder.cells:
         grid[p.row - 1][p.col - 1] = "#"
@@ -330,26 +326,13 @@ class CornerProfile(NamedTuple):
         return tuple(sorted(both))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def corners(ladder: Ladder) -> CornerProfile:
-    """All lower and upper inside corners, each row tested against its neighbours.
+    """All lower and upper inside corners, found when the ladder was built.
 
     (r, c) is a lower corner when (r-1, c) and (r, c-1) are cells and
-    (r-1, c-1) is not, so c - 1 is a column of row r missing from row r-1;
-    upper corners mirror this with row r+1.  Only the columns a row does not
-    share with a neighbour are scanned.
+    (r-1, c-1) is not; upper corners mirror this with row r+1.
     """
-    rows = ladder._rows
-    none = frozenset()
-    lower = []
-    upper = []
-    for r in sorted(rows):
-        cols = rows[r]
-        above = rows.get(r - 1, none)
-        below = rows.get(r + 1, none)
-        lower += [Cell(r, c) for c in sorted({c + 1 for c in cols - above} & cols & above)]
-        upper += [Cell(r, c) for c in sorted({c - 1 for c in cols - below} & cols & below)]
-    return CornerProfile(ladder.m, ladder.n, tuple(lower), tuple(upper))
+    return ladder._corners
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +358,8 @@ class ValidationReport(NamedTuple):
         }
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def validate(ladder: Ladder) -> ValidationReport:
-    """Diagnostic checks on a structurally valid ladder.
+    """Diagnostic checks on a structurally valid ladder, made when it was built.
 
     Two-connectedness is tested operationally: every cell must belong to some
     full 2-minor and the hypergraph whose hyperedges are the full 2-minors
@@ -389,36 +371,56 @@ def validate(ladder: Ladder) -> ValidationReport:
 
     - ``normalized`` is true: ``Ladder._from_rows`` shifts every ladder to
       start at (1, 1).
-    - Inside-corner rows increase strictly: closure on rows r-1 < r forces a
-      lower corner (r, c) to have c = min C_{r-1}, so a row holds at most one
-      lower corner, and upper corners mirror this with c = max C_{r+1}.
+    - Inside-corner rows increase strictly: a row holds at most one corner
+      of each kind, as the module docstring's closed forms show.
     - A path-connected ladder with h = k = 0 is a full matrix: its rows are
       overlapping intervals, closure lets row r start and end no further
       right than row r-1, and an earlier start of row r would give a lower
       corner, an earlier end an upper one.
     """
-    rows = ladder._rows
-    order = sorted(rows)
-    none = frozenset()
-    blocks = []
-    for r1, r2 in zip(order, order[1:]):
-        common = rows[r1] & rows[r2]
-        blocks.append(common if len(common) >= 2 else none)
-    # Row order[i] lies in blocks i-1 and i, which meet in meets[i].
-    padded = [none, *blocks, none]
-    meets = [a & b for a, b in zip(padded, padded[1:])]
-    loose = sum(
-        len(rows[r]) - len(a) - len(b) + len(both)
-        for r, a, b, both in zip(order, padded, padded[1:], meets)
-    )
+    return ladder._report
+
+
+def _survey(order, cols, los, his, m, n) -> tuple[CornerProfile, ValidationReport]:
+    """Check closure on consecutive occupied rows, and find the corners and the
+    report in the same pass by the module docstring's closed forms.
+
+    ``cols`` are the columns of rows ``order``, with ends ``los`` and ``his``.
+    By the module docstring's lemma this checks the axiom on all pairs of
+    rows, in O(|Y|); a failure names a violating pair of consecutive rows.
+    """
+    sizes = list(map(len, cols))
+    total = sum(sizes)
+    shared, lower, upper = [], [], []
+    loose, meets = total, 0  # the cells in no block, and the rows where two blocks meet
+    b0 = lo0 = 0  # b and lo of the pair before
+    for r1, r2, c1, c2, lo, hi, size in zip(order, order[1:], cols, cols[1:], los, his[1:], sizes):
+        gone, new = c1 - c2, c2 - c1
+        if new and max(new) >= lo:
+            j, q = lo, min(q for q in new if q >= lo)
+        elif gone and min(gone) <= hi:
+            j, q = min(gone), hi
+        else:
+            k = size - len(gone)
+            shared.append(k)
+            b = k if k >= 2 else 0
+            meet = b0 + b - size if b0 and b and lo0 <= hi else 0  # in row r1
+            loose += meet - 2 * b
+            meets += meet > 0
+            b0, lo0 = b, lo
+            if r2 == r1 + 1:
+                if lo in c2 and lo - 1 in c2:
+                    lower.append(Cell(r2, lo))
+                if hi in c1 and hi + 1 in c1:
+                    upper.append(Cell(r1, hi))
+            continue
+        raise LadderError(
+            f"closure violation: cells ({r1},{j}) and ({r2},{q}) "
+            f"require ({r1},{q}) and ({r2},{j})"
+        )
     every_cell_in_minor = not loose
-    two_connected = every_cell_in_minor and all(blocks) and all(meets[1:-1])
-    spans = [(min(rows[r]), max(rows[r])) for r in order]
-    path_connected = (
-        len(order) == ladder.m
-        and all(hi - lo + 1 == len(rows[r]) for r, (lo, hi) in zip(order, spans))
-        and all(lo <= b and a <= hi for (lo, hi), (a, b) in zip(spans, spans[1:]))
-    )
+    two_connected = every_cell_in_minor and min(shared, default=0) >= 2 and meets == len(shared) - 1
+    path_connected = len(order) == m and sum(his) - sum(los) + len(order) == total and all(shared)
 
     messages = []
     if not every_cell_in_minor:
@@ -428,23 +430,17 @@ def validate(ladder: Ladder) -> ValidationReport:
     if not path_connected:
         messages.append("cell set is not path-connected")
 
-    prof = corners(ladder)
     if not path_connected:
         sidedness = "other"
-    elif ladder.is_full_matrix:
+    elif total == m * n:
         sidedness = "matrix"
-    elif prof.h > 0 and prof.k > 0:
+    elif lower and upper:
         sidedness = "two-sided"
     else:
         sidedness = "one-sided"
 
-    return ValidationReport(
-        every_cell_in_minor=every_cell_in_minor,
-        two_connected=two_connected,
-        path_connected=path_connected,
-        sidedness=sidedness,
-        messages=tuple(messages),
-    )
+    prof = CornerProfile(m, n, tuple(lower), tuple(upper))
+    return prof, ValidationReport(every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
 
 
 def require_analyzable(ladder: Ladder) -> ValidationReport:

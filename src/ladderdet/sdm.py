@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .classgroup import DivisorClass, _format, _labels, _set_ladder, _set_vec, canonical_class
 from .decompose import decompose
-from .ladders import Ladder, LadderError, compose, corners, require_analyzable
+from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, compose, corners, require_analyzable
 
 # The most cells construct_2n builds, summed over its blocks (sum of m_u * n_u);
 # every block is a full matrix, so a short --sizes list can ask for any number.
@@ -211,7 +211,7 @@ def construct_2n(n: int, sizes) -> Ladder:
             )
     total = sum(m_u * n_u for m_u, n_u in sizes)
     if total > MAX_CONSTRUCT_CELLS:
-        raise LadderError(
-            f"blocks of {total} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}"
-        )
+        # Python prints no int of over 4300 digits, and two long sides can multiply to one.
+        many = total if total < 10**MAX_EXTENT_DIGITS else f"at least 10**{MAX_EXTENT_DIGITS}"
+        raise LadderError(f"blocks of {many} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}")
     return compose(Ladder.full_matrix(m_u, n_u) for m_u, n_u in sizes)

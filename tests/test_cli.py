@@ -208,7 +208,7 @@ def test_huge_extent_is_domain_error(capsys, tmp_path, cells, argv):
     path.write_text(f'{{"cells": {cells}}}')
     code, out, err = run(capsys, *argv, "--in", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:200]
 
 
 def test_failed_command_prints_nothing_to_stdout(capsys, monkeypatch, l3_json):
@@ -332,6 +332,13 @@ def test_construct2n_over_cell_cap_is_domain_error(capsys):
     assert time.process_time() - start < 1.0
     assert (code, out) == (1, "")
     assert err == f"error: blocks of {100000 * 99999} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}\n"
+
+
+def test_construct2n_unprintable_total_is_domain_error(capsys):
+    # 2 x (10**4300 - 1) cells: a total of 4301 digits, which Python will not print
+    code, out, err = run(capsys, "construct2n", "--sizes", f"2x{BIG}")
+    assert (code, out) == (1, "")
+    assert err == f"error: blocks of at least 10**4300 cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}\n"
 
 
 def test_nf_command(capsys, l3_json):

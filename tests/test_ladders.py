@@ -1,14 +1,15 @@
+import gc
 import itertools
 import json
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderdet import ladders as ladders_module
 from ladderdet import (
     Cell,
     Ladder,
@@ -22,6 +23,7 @@ from ladderdet import (
     render_ascii,
     validate,
 )
+from ladderdet.sdm import classify
 
 from helpers import (
     L2_ASCII,
@@ -300,7 +302,6 @@ def test_corners_against_naive_scan():
     rng = random.Random(61)
     staircases = [Ladder(random_staircase_cells(rng, 20, 20)) for _ in range(300)]
     glues = staircase_glues(random.Random(67), 100)
-    corners.cache_clear()
     for ladder in drawn + small + staircases + glues:
         prof = corners(ladder)
         lower, upper = naive_corners(ladder.cells)
@@ -516,16 +517,23 @@ def test_compose_matches_reshifting_oracle():
         assert set(compose(factors).cells) == expected
 
 
-def test_caches_are_bounded():
-    bound = ladders_module.CACHE_SIZE
-    rng = random.Random(59)
-    fresh = set()
-    while len(fresh) < bound + 100:
-        ladder = Ladder(random_staircase_cells(rng, 10, 10))
-        if ladder not in fresh:
-            fresh.add(ladder)
-            validate(ladder)
-            corners(ladder)
-    assert validate.cache_info().maxsize == bound
-    assert validate.cache_info().currsize <= bound
-    assert corners.cache_info().currsize <= bound
+def test_dropped_ladders_free_their_memory():
+    # What a ladder computes (corners, report, factors) lives on it and goes
+    # with it: nothing is kept for a ladder the caller has dropped.
+    texts = ["\n".join(["#" * (101 + i)] * 100) for i in range(10)]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            ladder = parse_ascii(text)
+            assert validate(ladder).sidedness == "matrix"
+            assert corners(ladder).h == 0 and classify(ladder).count == 2
+            one = tracemalloc.get_traced_memory()[0] - before
+            del ladder
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert one > 500_000  # a 100 x 110 ladder's rows, with every result on it
+    assert kept < one / 4, (kept, one)

@@ -301,8 +301,6 @@ def test_classify_builds_no_cell_set():
         "." * (max(1, 21 - i) - 1) + "#" * (min(30, 41 - i) - max(1, 21 - i) + 1) for i in range(30)
     )
     for text in (L3_ASCII, staircase):
-        validate.cache_clear()
-        corners.cache_clear()
         ladder = parse_ascii(text)
         assert classify(ladder).count >= 1
         factors = decompose(ladder).factors
