@@ -10,7 +10,7 @@ sums and differences are element-wise.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 from operator import add, sub
 from typing import NamedTuple
 
@@ -177,17 +177,20 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
     """
     require_analyzable(ladder)
     prof = corners(ladder)
+    _, los, his, _ = ladder._spans  # analyzable: rows 1..m, each the whole of its span
     if isinstance(label, QPrime):
         if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
             raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
         col = prof.lower_ext[label.index].col
-        return _cell_set((r, col) for r, cols in ladder._rows.items() if col in cols)
+        return _cell_set((r, col) for r, lo, hi in zip(count(1), los, his) if lo <= col <= hi)
     _check_label(prof, label)
     if label.kind == "Q":
         row = prof.lower_ext[label.index - 1].row
-        return _cell_set(zip(repeat(row), ladder.row_cols(row)))
+        return _cell_set(zip(repeat(row), range(los[row - 1], his[row - 1] + 1)))
     c, d = prof.upper[label.index - 1]
-    return _cell_set((r, col) for r, cols in ladder._rows.items() if r <= c for col in cols if col <= d)
+    return _cell_set(
+        (r, col) for r, lo, hi in zip(range(1, c + 1), los, his) for col in range(lo, (hi if hi < d else d) + 1)
+    )
 
 
 def canonical_class(ladder: Ladder) -> DivisorClass:
@@ -195,15 +198,19 @@ def canonical_class(ladder: Ladder) -> DivisorClass:
 
     lambda_i = a_i + b_i - a_{i-1} - b_{i-1} over the sentinel-extended lower
     corners; delta_j = a_{i_j} + b_{i_j} - c_j - d_j where i_j is the least i
-    with a_i > c_j.
+    with a_i > c_j.  The upper corners' rows c_j increase, so i_j never
+    decreases, and one merge pass finds them all: O(h + k).
     """
     require_analyzable(ladder)
     prof = corners(ladder)
     le = prof.lower_ext
-    vec = [le[i].row + le[i].col - le[i - 1].row - le[i - 1].col for i in range(1, prof.h + 2)]
+    sums = [a + b for a, b in le]
+    vec = list(map(sub, sums[1:], sums))
+    i_j = 1
     for c, d in prof.upper:
-        i_j = next(i for i in range(1, prof.h + 2) if le[i].row > c)
-        vec.append(le[i_j].row + le[i_j].col - c - d)
+        while le[i_j][0] <= c:
+            i_j += 1
+        vec.append(sums[i_j] - c - d)
     return DivisorClass._make(ladder, tuple(vec))
 
 

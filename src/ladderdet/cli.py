@@ -227,8 +227,9 @@ def _cmd_sdm(args):
 
     report = classify(_load_ladder(args))
     if report.count > MAX_SDM_CLASSES:
+        # The count is a power of 2, and may have too many digits to print.
         raise LadderError(
-            f"{report.count} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}"
+            f"2**{report.count.bit_length() - 1} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}"
         )
 
     def text():

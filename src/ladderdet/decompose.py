@@ -54,7 +54,8 @@ def decompose(ladder: Ladder) -> Factorization:
     and gives the offsets, and ``_check_factors`` asks that Y's corner lists
     be the factors' lists, translated, with cc[u] between factors u and
     u + 1; that every factor be 2-connected with no coincidental corner; and
-    that the glued rows be Y's.  Each step is linear in the number of cells.
+    that the glued spans be Y's.  Each step is linear in the number of rows
+    and columns.
 
     These checks imply the rest.  Let F_u be factor u (m_u x n_u) placed at
     (dr_u, dc_u), and J_u the cell where the glue puts F_u's (m_u, 1) on
@@ -94,37 +95,38 @@ def decompose(ladder: Ladder) -> Factorization:
     if split is None:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
-        factors = tuple(map(Ladder._from_rows, _regions(ladder, cc)))
-        rows, offsets = _glue(factors)
-        _check_factors(ladder, factors, cc, rows, offsets)
+        factors = tuple(Ladder._from_spans(*region) for region in _regions(ladder, cc))
+        spans, offsets = _glue(factors)
+        _check_factors(ladder, factors, cc, spans, offsets)
         split = factors, cc, offsets
         object.__setattr__(ladder, "_split", split)
     return Factorization(ladder, *split)
 
 
 def _regions(ladder, cc):
-    """The closed regions between consecutive corners, each as its rows of columns.
+    """The closed regions between consecutive corners, each as its rows, their
+    first columns and their last columns.
 
     Region u is the row slice of rows cc[u-1].row..cc[u].row, cut to the
     columns cc[u].col..cc[u-1].col, running to the ladder's edge where u is
-    the first or last region.  A row that falls inside the column range is
-    shared, not copied; rows left empty by the cut are dropped.
+    the first or last region.  The ladder is analyzable, so its rows are
+    1..m and each is the whole of its span.  Row ends never increase down
+    the rows, and the top row holds the right edge of the cut and the bottom
+    row its left edge, so the cut leaves no row of the slice empty.
     """
+    _, los, his, _ = ladder._spans
     cuts = [Cell(1, ladder.n), *cc, Cell(ladder.m, 1)]
-    regions = []
-    for (top, hi), (bottom, lo) in zip(cuts, cuts[1:]):
-        region = {}
-        for r in range(top, bottom + 1):
-            cols = ladder.row_cols(r)
-            if cols and not (lo <= min(cols) and max(cols) <= hi):
-                cols = frozenset(c for c in cols if lo <= c <= hi)
-            if cols:
-                region[r] = cols
-        regions.append(region)
-    return regions
+    return [
+        (
+            list(range(top, bottom + 1)),
+            [max(c, lo) for c in los[top - 1 : bottom]],
+            [min(c, hi) for c in his[top - 1 : bottom]],
+        )
+        for (top, hi), (bottom, lo) in zip(cuts, cuts[1:])
+    ]
 
 
-def _check_factors(ladder, factors, cc, rows, offsets):
+def _check_factors(ladder, factors, cc, spans, offsets):
     # Each corner list of the ladder is, in row order, factor 0's corners, then
     # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
     # classify lays out the class-group labels by factor on this.  A cut with
@@ -135,7 +137,7 @@ def _check_factors(ladder, factors, cc, rows, offsets):
         for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):
             if cut:
                 glued.append(cut)
-            glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
+            glued += [(r + dr, c + dc) for r, c in getattr(corners(f), kind)]  # a Cell equals its tuple
         if tuple(glued) != getattr(prof, kind):
             raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
     for u, f in enumerate(factors):
@@ -143,7 +145,7 @@ def _check_factors(ladder, factors, cc, rows, offsets):
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         if not validate(f).two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
-    # Equal rows are equal ladders, and the ladder's rows are closed, so this is
-    # compose(factors) == ladder without building and hashing a second ladder.
-    if rows != ladder._rows:
+    # Equal spans and columns are equal ladders, and the ladder is closed, so this
+    # is compose(factors) == ladder without building and hashing a second ladder.
+    if tuple(map(tuple, spans)) != tuple(map(tuple, ladder._spans)):
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

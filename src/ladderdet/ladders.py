@@ -6,7 +6,8 @@ cells (i, q) and (p, j) must lie in it too.  Rows grow downward, columns grow
 rightward, and all indices are 1-based.
 
 Every structural pass here looks at consecutive occupied rows only, which
-makes it linear in the number of cells.  That rests on one lemma.  Let
+makes it linear in the number of rows once they are held as spans ("Spans"
+below); only parsing reads every cell.  That rests on one lemma.  Let
 r1 < r2 < r3 be occupied rows with column sets C1, C2, C3, and let the
 pairs (r1, r2) and (r2, r3) satisfy the closure axiom.  Then so does
 (r1, r3).  Proof: take a in C1 and c in C3 with a <= c, and any b in C2.
@@ -50,35 +51,52 @@ Conversely, interval rows on consecutive indices whose neighbours share a
 column are connected.  So no union-find over the runs of each row is
 needed: on a ladder a row with a gap already disconnects it.
 
-Closed forms.  So the closure check, one pass over the pairs of consecutive
-occupied rows, also gives the corners and the report from set sizes, row
-ends and two membership tests per corner; ``Ladder._from_rows`` keeps
-both.  Let lo_i = min C_i and hi_i = max C_i.
-For rows r_i < r_{i+1} the axiom says that C_{i+1} - C_i lies below lo_i
-and C_i - C_{i+1} above hi_{i+1}.
+Spans.  Let S be the set of occupied columns, lo_i = min C_i and
+hi_i = max C_i.  By the proof above a column of S missing from row r_i
+lies outside lo_i..hi_i, so C_i = S & [lo_i, hi_i]: a ladder is its
+occupied rows, their spans (lo_i, hi_i) and S, and ``Ladder`` holds it so.
+A set of cells whose rows are not all of this form is not closed.
 
-- Shared columns.  So C_i - C_{i+1} is exactly the columns of C_i above
-  hi_{i+1}, and |K_i| = |C_i| - |C_i - C_{i+1}|.
+Closed forms.  So the closure check, one pass over the pairs of consecutive
+occupied rows, also gives the corners and the report from the spans and
+the positions p(c) of their ends in S, for |S & [a, b]| = p(b) - p(a) + 1
+when a <= b lie in S; ``Ladder._from_spans`` keeps both.
+
+- Closure.  For rows r_i < r_{i+1} the axiom says that C_{i+1} - C_i lies
+  below lo_i and C_i - C_{i+1} above hi_{i+1}.  If hi_{i+1} > hi_i, then
+  hi_{i+1} lies in C_{i+1} - C_i, not below lo_i; if lo_i < lo_{i+1} and
+  lo_i <= hi_{i+1}, then lo_i lies in C_i - C_{i+1}, not above hi_{i+1}.
+  Otherwise C_{i+1} - C_i = S & [lo_{i+1}, lo_i) and C_i - C_{i+1} =
+  S & (hi_{i+1}, hi_i], or C_{i+1} lies wholly below lo_i, and the axiom
+  holds.  So on a ladder lo_i and hi_i never increase down the rows, and
+  the rows that hold a column c are a stretch of consecutive occupied
+  rows: those from the first with lo_i <= c to the last with hi_i >= c.
+- Shared columns.  So K_i = S & [lo_i, hi_{i+1}], and
+  |K_i| = p(hi_{i+1}) - p(lo_i) + 1 if lo_i <= hi_{i+1}, else 0.
 - Where blocks meet.  In row r_i, K_{i-1} is the columns >= lo_{i-1} and K_i
   those <= hi_{i+1}.  If lo_{i-1} <= hi_{i+1} they cover C_i and meet in
   |K_{i-1}| + |K_i| - |C_i| columns; otherwise they are disjoint.  With
   b_i = |K_i| for a block and 0 otherwise, |Y| - 2 sum b_i + sum meets
   cells lie in no block.
-- Runs.  Row r_i spans hi_i - lo_i + 1 >= |C_i| columns, so every row is a
-  run exactly when the spans sum to |Y|; two adjacent runs share a column
-  exactly when |K_i| > 0.
+- Runs.  If S is all of 1..n every row is a run; conversely runs on
+  consecutive rows, each sharing a column with the next, cover one run of
+  columns, which holds 1 and n.  So Y is path-connected exactly when its
+  rows are 1..m, S is 1..n and every |K_i| > 0.
 - Corners.  If (r, c) is a lower corner, c - 1 lies in C_r - C_{r-1}, so
   below lo_{r-1}, and c in C_{r-1}: so c = lo_{r-1}.  Row r thus has a lower
   corner only at c = lo_{r-1} with row r-1 occupied, and one there exactly
-  when c and c-1 lie in C_r.  Upper corners mirror this with c = hi_{r+1}
-  and c + 1.  A row holds at most one corner of each kind.
+  when lo_r < c <= hi_r and the column before c in S is c - 1.  Upper
+  corners mirror this with c = hi_{r+1} and the column after it.  A row
+  holds at most one corner of each kind.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from itertools import compress, count, repeat
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import chain, compress, count, repeat
 from typing import Iterable, NamedTuple
 
 
@@ -100,6 +118,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _brief(x: int) -> str:
+    """x in full, or by its number of digits when it has over 12, so that a message stays one short line."""
+    if -(10**12) < x < 10**12:
+        return str(x)
+    return f"<{len(str(abs(x)))}-digit>" if abs(x) < _MAX_EXTENT else f"<over-{MAX_EXTENT_DIGITS}-digit>"
+
+
 class Cell(NamedTuple):
     row: int
     col: int
@@ -114,18 +139,23 @@ def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
 
 
 class Ladder:
-    """An immutable ladder, normalized to start at (1, 1), held as rows of columns.
+    """An immutable ladder, normalized to start at (1, 1), held as row spans over its occupied columns.
 
-    Its corners and validation report are found while it is built, and
-    ``_split`` holds the verified factorization once
-    :func:`ladderdet.decompose.decompose` has made it; its cells are built
-    on first use.  Each lives as long as the ladder, and no longer.
+    ``_spans`` holds the occupied rows in order, the first and the last
+    column of each, and the occupied columns S in order; each row is the
+    columns of S in its span (module docstring, "Spans").  A list 1..k is
+    held as ``range(1, k + 1)``, so a ladder with no empty row or column
+    costs O(rows), and any ladder O(rows + |S|).  Its corners and
+    validation report are found while it is built, and ``_split`` holds the
+    verified factorization once :func:`ladderdet.decompose.decompose` has
+    made it; its cells are built on first use.  Each lives as long as the
+    ladder, and no longer.
     """
 
-    __slots__ = ("_cells", "m", "n", "_rows", "_hash", "_corners", "_report", "_split")
+    __slots__ = ("m", "n", "_spans", "_size", "_hash", "_corners", "_report", "_split", "_cells")
 
     def __new__(cls, cells: Iterable[tuple[int, int]]):
-        rows = {}
+        rows = defaultdict(set)
         for rc in cells:
             try:
                 r, c = rc
@@ -133,42 +163,75 @@ class Ladder:
                 raise LadderError(f"bad cell {rc!r}: expected a (row, col) pair") from None
             if not (type(r) is int is type(c) or is_int(r) and is_int(c)):
                 raise LadderError(f"cell indices must be integers, got {rc!r}")
-            rows.setdefault(r, set()).add(c)
-        return cls._from_rows(rows)
+            rows[r].add(c)
+        return cls._from_sets(rows)
 
     @classmethod
-    def _from_rows(cls, rows: dict[int, Iterable[int]]) -> "Ladder":
-        """A ladder from its integer rows and their integer columns, checked as the cells are."""
+    def _from_sets(cls, rows: dict[int, set[int]]) -> "Ladder":
+        """A ladder from its integer rows and their integer columns, checked as the cells are.
+
+        Rows that are not the occupied columns in their spans are not closed
+        (module docstring, "Spans"): some pair of consecutive rows breaks
+        the axiom, and the first one is named.
+        """
         if not rows:
             raise LadderError("a ladder needs at least one cell")
         order = sorted(rows)
-        cols = [rows[r] for r in order]
-        los, his = list(map(min, cols)), list(map(max, cols))
-        dr, dc = 1 - order[0], 1 - min(los)
-        order = [r + dr for r in order]
-        cols = [frozenset(map(dc.__add__, cs)) if dc else frozenset(cs) for cs in cols]
-        if dc:
-            los, his = [lo + dc for lo in los], [hi + dc for hi in his]
-        m, n = order[-1], max(his)
-        if max(m, n) >= _MAX_EXTENT:  # ints of unequal sizes compare in O(1)
-            raise LadderError(f"ladder extent exceeds the cap of {MAX_EXTENT_DIGITS} digits")
-        prof, report = _survey(order, cols, los, his, m, n)
-        rows = dict(zip(order, cols))
+        sets = [rows[r] for r in order]
+        los, his = list(map(min, sets)), list(map(max, sets))
+        size = sum(map(len, sets))
+        if size == sum(his) - sum(los) + len(sets):  # every row is the whole of its span
+            return cls._from_spans(order, los, his)
+        cols = sorted(set().union(*sets))
+        pos = dict(zip(cols, count())).__getitem__
+        if size == sum(map(pos, his)) - sum(map(pos, los)) + len(sets):
+            return cls._from_spans(order, los, his, cols)
+        dr, dc = 1 - order[0], 1 - cols[0]
+        _check_extent(order[-1] + dr, cols[-1] + dc)
+        pairs = zip(order, order[1:], sets, sets[1:])
+        raise next(filter(None, (_closure_error(r1 + dr, r2 + dr, c1, c2, dc) for r1, r2, c1, c2 in pairs)))
+
+    @classmethod
+    def _from_spans(cls, rows, los, his, cols=None) -> "Ladder":
+        """A ladder from its occupied rows in order, their first and last
+        columns, and its occupied columns in order, each row being the columns
+        of ``cols`` in its span; without ``cols``, every row is the whole of
+        its span.  It is shifted to start at (1, 1) and checked as the cells are.
+        """
+        dr, dc = 1 - rows[0], 1 - (min(los) if cols is None else cols[0])
+        m, n = rows[-1] + dr, (max(his) if cols is None else cols[-1]) + dc
+        _check_extent(m, n)
+        spans = [
+            range(1, m + 1) if len(rows) == m else tuple(map(dr.__add__, rows)),
+            tuple(map(dc.__add__, los)),
+            tuple(map(dc.__add__, his)),
+            range(1, n + 1) if cols is None or len(cols) == n else tuple(map(dc.__add__, cols)),
+        ]
+        prof, report, size = _survey(*spans, m, n)
+        if cols is None and not report.path_connected:
+            # The survey read whole rows as spans over 1..n, which the rows of a
+            # path-connected ladder cover; other rows may leave columns empty.
+            held = set(chain.from_iterable(map(range, spans[1], map((1).__add__, spans[2]))))
+            spans[3] = spans[3] if len(held) == n else tuple(sorted(held))
+        spans = tuple(spans)
         self = object.__new__(cls)
-        object.__setattr__(self, "_cells", None)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", hash(frozenset(rows.items())))
-        object.__setattr__(self, "_corners", prof)
-        object.__setattr__(self, "_report", report)
-        object.__setattr__(self, "_split", None)
+        for put, value in zip(_PUT, (m, n, spans, size, hash(spans), prof, report, None, None)):
+            put(self, value)
         return self
+
+    def _pairs(self):
+        """The (row, col) pair of every cell, in order."""
+        rows, los, his, cols = self._spans
+        if type(cols) is range:  # S is 1..n, so each row is the whole of its span
+            runs = map(range, los, map((1).__add__, his))
+        else:
+            runs = [cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for lo, hi in zip(los, his)]
+        return chain.from_iterable(map(zip, map(repeat, rows), runs))
 
     @property
     def cells(self) -> frozenset[Cell]:
         if self._cells is None:
-            object.__setattr__(self, "_cells", _cell_set((r, c) for r, cols in self._rows.items() for c in cols))
+            object.__setattr__(self, "_cells", _cell_set(self._pairs()))
         return self._cells
 
     def __setattr__(self, name, value):
@@ -176,14 +239,18 @@ class Ladder:
 
     @classmethod
     def full_matrix(cls, m: int, n: int) -> "Ladder":
-        """The full m x n grid of cells; its rows share one column set."""
+        """The full m x n grid of cells."""
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
-        return cls._from_rows(dict.fromkeys(range(1, m + 1), frozenset(range(1, n + 1))))
+        return cls._from_spans(range(1, m + 1), (1,) * m, (n,) * m, range(1, n + 1))
 
     def row_cols(self, r: int) -> frozenset[int]:
-        """Columns occupied in row r (empty set if the row is empty)."""
-        return self._rows.get(r, frozenset())
+        """Columns occupied in row r (empty set if the row is empty), built on each call."""
+        rows, los, his, cols = self._spans
+        i = r - 1 if type(rows) is range else bisect_left(rows, r)
+        if not (0 <= i < len(rows) and rows[i] == r):
+            return frozenset()
+        return frozenset(cols[bisect_left(cols, los[i]) : bisect_right(cols, his[i])])
 
     @property
     def is_full_matrix(self) -> bool:
@@ -194,16 +261,21 @@ class Ladder:
 
     def __contains__(self, cell) -> bool:
         r, c = cell
-        return c in self._rows.get(r, ())
+        rows, los, his, cols = self._spans
+        try:
+            i = r - 1 if type(rows) is range else bisect_left(rows, r)
+            return 0 <= i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and c in cols
+        except TypeError:  # floats, strings and the rest compare as in the cell set
+            return (r, c) in self.cells
 
     def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
+        return self._size
 
     def __iter__(self):
-        return iter(sorted(self.cells))
+        return map(tuple.__new__, repeat(Cell), self._pairs())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ladder) and self._rows == other._rows
+        return isinstance(other, Ladder) and self._spans == other._spans
 
     def __hash__(self) -> int:
         return self._hash
@@ -212,11 +284,27 @@ class Ladder:
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
 
 
+# Slot setters past the __setattr__ that keeps a ladder immutable, in slot order.
+_PUT = tuple(getattr(Ladder, name).__set__ for name in Ladder.__slots__)
+
+
+def _check_extent(m: int, n: int) -> None:
+    if max(m, n) >= _MAX_EXTENT:  # ints of unequal sizes compare in O(1)
+        raise LadderError(f"ladder extent exceeds the cap of {MAX_EXTENT_DIGITS} digits")
+
+
 # ---------------------------------------------------------------------------
 # parsing / rendering
 
+_GRID = frozenset("#. \t")  # the characters of an ASCII grid
+
+
 def parse_json(text: str) -> Ladder:
-    """Parse a ladder from ``{"cells": [[row, col], ...]}``."""
+    """Parse a ladder from ``{"cells": [[row, col], ...]}``.
+
+    Each entry is checked in one pass, in order; a repeated cell is added
+    once, and warned of.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
@@ -226,18 +314,17 @@ def parse_json(text: str) -> Ladder:
     raw = doc["cells"]
     if not isinstance(raw, list):
         raise LadderError('"cells" must be a list of [row, col] pairs')
-    cells = []
+    rows = defaultdict(set)
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise LadderError(f"bad cell entry {entry!r}: expected [row, col]")
-        cells.append((entry[0], entry[1]))
-    try:
-        duplicates = len(set(cells)) != len(cells)
-    except TypeError:  # an unhashable index, which Ladder rejects
-        duplicates = False
-    if duplicates:
+        r, c = entry
+        if type(r) is not int or type(c) is not int:  # JSON gives no int subclass but bool
+            raise LadderError(f"cell indices must be integers, got {(r, c)!r}")
+        rows[r].add(c)
+    if sum(map(len, rows.values())) != len(raw):
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)
-    return Ladder(cells)
+    return Ladder._from_sets(rows)
 
 
 def parse_ascii(text: str) -> Ladder:
@@ -245,23 +332,30 @@ def parse_ascii(text: str) -> Ladder:
 
     Spaces and tabs count as absent cells; trailing whitespace and blank
     lines at the top or bottom are ignored.  Blank lines between occupied
-    rows are rejected.
+    rows are rejected.  Each row's span is read from the ends of its line;
+    only a grid with a gap inside a row is read cell by cell.
     """
     lines = [line.rstrip() for line in text.split("\n")]
     occupied = [i for i, line in enumerate(lines) if "#" in line]
     if not occupied:
         raise LadderError("empty grid: no '#' cells found")
     first, last = occupied[0], occupied[-1]
-    rows = {}
-    for i in range(first, last + 1):
-        line = lines[i]
+    lines = lines[first : last + 1]
+    los, his, whole = [], [], True
+    for i, line in enumerate(lines, start=first + 1):
         if "#" not in line:
-            raise LadderError(f"blank row {i + 1} between occupied rows")
-        if set(line) - set("#. \t"):
+            raise LadderError(f"blank row {i} between occupied rows")
+        if not _GRID.issuperset(line):
             j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "#. \t")
-            raise LadderError(f"unexpected character {ch!r} at row {i + 1}, column {j + 1}")
-        rows[i - first + 1] = frozenset(compress(count(1), map("#".__eq__, line)))
-    return Ladder._from_rows(rows)
+            raise LadderError(f"unexpected character {ch!r} at row {i}, column {j + 1}")
+        lo, hi = line.index("#") + 1, line.rindex("#") + 1
+        whole = whole and line.count("#") == hi - lo + 1
+        los.append(lo)
+        his.append(hi)
+    rows = range(1, len(lines) + 1)
+    if whole:
+        return Ladder._from_spans(rows, los, his)
+    return Ladder._from_sets({r: set(compress(count(1), map("#".__eq__, line))) for r, line in zip(rows, lines)})
 
 
 def parse_auto(text: str) -> Ladder:
@@ -278,12 +372,11 @@ def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
     Refuses ladders whose m x n extent exceeds ``MAX_RENDER_AREA``.
     """
     if ladder.m * ladder.n > MAX_RENDER_AREA:
-        # A side of over 12 digits is named by its length, so the message stays one short line.
-        m, n = (str(x) if x < 10**12 else f"<{len(str(x))}-digit>" for x in (ladder.m, ladder.n))
+        m, n = _brief(ladder.m), _brief(ladder.n)
         raise LadderError(f"cannot render a {m}x{n} grid: its positions exceed the cap of {MAX_RENDER_AREA}")
     grid = [["." for _ in range(ladder.n)] for _ in range(ladder.m)]
-    for p in ladder.cells:
-        grid[p.row - 1][p.col - 1] = "#"
+    for r, c in ladder:
+        grid[r - 1][c - 1] = "#"
     if annotate:
         prof = corners(ladder)
         lower, upper = set(prof.lower), set(prof.upper)
@@ -318,7 +411,7 @@ class CornerProfile(NamedTuple):
 
     @property
     def lower_ext(self) -> tuple[Cell, ...]:
-        return (Cell(1, self.n),) + self.lower + (Cell(self.m, 1),)
+        return (tuple.__new__(Cell, (1, self.n)), *self.lower, tuple.__new__(Cell, (self.m, 1)))
 
     @property
     def coincidental(self) -> tuple[Cell, ...]:
@@ -369,7 +462,7 @@ def validate(ladder: Ladder) -> ValidationReport:
 
     Three checks are constant on a ladder, so none is made:
 
-    - ``normalized`` is true: ``Ladder._from_rows`` shifts every ladder to
+    - ``normalized`` is true: ``Ladder._from_spans`` shifts every ladder to
       start at (1, 1).
     - Inside-corner rows increase strictly: a row holds at most one corner
       of each kind, as the module docstring's closed forms show.
@@ -381,46 +474,44 @@ def validate(ladder: Ladder) -> ValidationReport:
     return ladder._report
 
 
-def _survey(order, cols, los, his, m, n) -> tuple[CornerProfile, ValidationReport]:
-    """Check closure on consecutive occupied rows, and find the corners and the
-    report in the same pass by the module docstring's closed forms.
+def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport, int]:
+    """Check closure on consecutive occupied rows, and find the corners, the
+    report and the number of cells in the same pass by the module docstring's
+    closed forms.
 
-    ``cols`` are the columns of rows ``order``, with ends ``los`` and ``his``.
+    Row ``rows[i]`` is the columns of ``cols`` from ``los[i]`` to ``his[i]``.
     By the module docstring's lemma this checks the axiom on all pairs of
-    rows, in O(|Y|); a failure names a violating pair of consecutive rows.
+    rows, in O(rows) once the ends' positions in ``cols``, counted from 1,
+    are found; a failure names a violating pair of consecutive rows.
     """
-    sizes = list(map(len, cols))
-    total = sum(sizes)
+    if type(cols) is range:  # cols is 1..n, so each column is its own position
+        ls, hs = los, his
+    else:
+        pos = dict(zip(cols, count(1))).__getitem__
+        ls, hs = list(map(pos, los)), list(map(pos, his))
+    total = sum(hs) - sum(ls) + len(rows)
     shared, lower, upper = [], [], []
     loose, meets = total, 0  # the cells in no block, and the rows where two blocks meet
-    b0 = lo0 = 0  # b and lo of the pair before
-    for r1, r2, c1, c2, lo, hi, size in zip(order, order[1:], cols, cols[1:], los, his[1:], sizes):
-        gone, new = c1 - c2, c2 - c1
-        if new and max(new) >= lo:
-            j, q = lo, min(q for q in new if q >= lo)
-        elif gone and min(gone) <= hi:
-            j, q = min(gone), hi
-        else:
-            k = size - len(gone)
-            shared.append(k)
-            b = k if k >= 2 else 0
-            meet = b0 + b - size if b0 and b and lo0 <= hi else 0  # in row r1
-            loose += meet - 2 * b
-            meets += meet > 0
-            b0, lo0 = b, lo
-            if r2 == r1 + 1:
-                if lo in c2 and lo - 1 in c2:
-                    lower.append(Cell(r2, lo))
-                if hi in c1 and hi + 1 in c1:
-                    upper.append(Cell(r1, hi))
-            continue
-        raise LadderError(
-            f"closure violation: cells ({r1},{j}) and ({r2},{q}) "
-            f"require ({r1},{q}) and ({r2},{j})"
-        )
+    b0 = l0 = 0  # b and lo of the pair before
+    make = tuple.__new__  # builds a named tuple without a Python-level call
+    for r1, r2, l1, h1, l2, h2 in zip(rows, rows[1:], ls, hs, ls[1:], hs[1:]):
+        if h2 > h1 or l1 < l2 and l1 <= h2:
+            raise _closure_error(r1, r2, set(cols[l1 - 1 : h1]), set(cols[l2 - 1 : h2]))
+        k = h2 - l1 + 1 if h2 >= l1 else 0
+        shared.append(k)
+        b = k if k >= 2 else 0
+        meet = b0 + b - (h1 - l1 + 1) if b0 and b and l0 <= h2 else 0  # in row r1
+        loose += meet - 2 * b
+        meets += meet > 0
+        b0, l0 = b, l1
+        if r2 == r1 + 1:
+            if l2 < l1 <= h2 and cols[l1 - 2] == cols[l1 - 1] - 1:
+                lower.append(make(Cell, (r2, cols[l1 - 1])))
+            if l1 <= h2 < h1 and cols[h2] == cols[h2 - 1] + 1:
+                upper.append(make(Cell, (r1, cols[h2 - 1])))
     every_cell_in_minor = not loose
     two_connected = every_cell_in_minor and min(shared, default=0) >= 2 and meets == len(shared) - 1
-    path_connected = len(order) == m and sum(his) - sum(los) + len(order) == total and all(shared)
+    path_connected = len(rows) == m and len(cols) == n and all(shared)
 
     messages = []
     if not every_cell_in_minor:
@@ -439,8 +530,23 @@ def _survey(order, cols, los, his, m, n) -> tuple[CornerProfile, ValidationRepor
     else:
         sidedness = "one-sided"
 
-    prof = CornerProfile(m, n, tuple(lower), tuple(upper))
-    return prof, ValidationReport(every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
+    report = (every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
+    return make(CornerProfile, (m, n, tuple(lower), tuple(upper))), make(ValidationReport, report), total
+
+
+def _closure_error(r1, r2, c1, c2, dc=0):
+    """The closure violation of rows r1 < r2 with column sets c1 and c2, its
+    columns shifted by dc, or None if the two rows satisfy the axiom."""
+    lo, hi = min(c1), max(c2)
+    gone, new = c1 - c2, c2 - c1
+    if new and max(new) >= lo:
+        j, q = lo, min(q for q in new if q >= lo)
+    elif gone and min(gone) <= hi:
+        j, q = min(gone), hi
+    else:
+        return None
+    i, p, j, q = map(_brief, (r1, r2, j + dc, q + dc))
+    return LadderError(f"closure violation: cells ({i},{j}) and ({p},{q}) require ({i},{q}) and ({p},{j})")
 
 
 def require_analyzable(ladder: Ladder) -> ValidationReport:
@@ -457,9 +563,25 @@ def require_analyzable(ladder: Ladder) -> ValidationReport:
 # antitranspose and sharp composition
 
 def antitranspose(ladder: Ladder) -> Ladder:
-    """Reflect along the antidiagonal: cell (i, j) maps to (n+1-j, m+1-i)."""
+    """Reflect along the antidiagonal: cell (i, j) maps to (n+1-j, m+1-i).
+
+    Column c of the ladder becomes row n+1-c.  Its cells are the occupied
+    rows of the stretch that holds c (module docstring, "Closed forms"),
+    whose ends one pass down the rows finds for every column in turn.
+    """
     m, n = ladder.m, ladder.n
-    return Ladder(Cell(n + 1 - p.col, m + 1 - p.row) for p in ladder.cells)
+    rows, los, his, cols = ladder._spans
+    new_rows, new_los, new_his = [], [], []
+    top = bottom = 0
+    for c in reversed(cols):
+        while los[top] > c:
+            top += 1
+        while bottom + 1 < len(rows) and his[bottom + 1] >= c:
+            bottom += 1
+        new_rows.append(n + 1 - c)
+        new_los.append(m + 1 - rows[bottom])
+        new_his.append(m + 1 - rows[top])
+    return Ladder._from_spans(new_rows, new_los, new_his, [m + 1 - r for r in reversed(rows)])
 
 
 def compose(factors: Iterable[Ladder]) -> Ladder:
@@ -474,28 +596,36 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    return Ladder._from_rows(_glue(factors)[0])
+    return Ladder._from_spans(*_glue(factors)[0])
 
 
-def _glue(factors) -> tuple[dict[int, frozenset[int]], tuple[tuple[int, int], ...]]:
-    """The rows of ``compose(factors)``, which already start at (1, 1), and
-    the offset (dr_u, dc_u) at which each factor u is placed.
+def _glue(factors):
+    """The rows, first columns, last columns and occupied columns of
+    ``compose(factors)``, which already starts at (1, 1), as lists, and the
+    offset (dr_u, dc_u) at which each factor u is placed.
 
     Factor u sits below the earlier factors and left of the later ones: dr_u
     sums m_v - 1 over the earlier factors and dc_u sums n_v - 1 over the
     later ones, so that factor u's (m_u, 1) lands on the next one's (1, n).
-    Each row is shifted once, to its final position, and the last row of one
-    factor merges with the first row of the next.  No shift is negative.
+    Each span is shifted once, to its final position; the last row of one
+    factor, which ends in that cell, runs on into the first row of the next,
+    which starts left of it.  No shift is negative.
     """
-    rows = {}
-    offsets = []
+    rows, los, his, offsets = [], [], [], []
     dr = 0
     dc = sum(f.n - 1 for f in factors)
     for f in factors:
+        f_rows, f_los, f_his, _ = f._spans
         dc -= f.n - 1
         offsets.append((dr, dc))
-        for r, cols in f._rows.items():
-            cols = frozenset(map(dc.__add__, cols)) if dc else cols
-            rows[r + dr] = rows[r + dr] | cols if r + dr in rows else cols
+        skip = 1 if rows else 0
+        if skip:
+            los[-1] = f_los[0] + dc
+        rows += map(dr.__add__, f_rows[skip:])
+        los += map(dc.__add__, f_los[skip:])
+        his += map(dc.__add__, f_his[skip:])
         dr += f.m - 1
-    return rows, tuple(offsets)
+    cols = [1]  # each factor's first column is the last of the factor to its left
+    for f, (_, dc) in zip(reversed(factors), reversed(offsets)):
+        cols += map(dc.__add__, f._spans[3][1:])
+    return (rows, los, his, cols), tuple(offsets)

@@ -125,7 +125,7 @@ def RewriteSystem(ladder: Ladder) -> Ladder:
 
 def _content(mono: Monomial, ladder: Ladder):
     """Row runs ascending and column runs descending, as (index, count) pairs."""
-    bad = [c for c in mono.support if c.col not in ladder.row_cols(c.row)]
+    bad = [c for c in mono.support if c not in ladder]
     if bad:
         raise LadderError(f"monomial uses cells outside the ladder: {bad}")
     rows, cols = Counter(), Counter()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .classgroup import DivisorClass, _format, _labels, _set_ladder, _set_vec, canonical_class
 from .decompose import decompose
-from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, compose, corners, require_analyzable
+from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, _brief, compose, corners, require_analyzable
 
 # The most cells construct_2n builds, summed over its blocks (sum of m_u * n_u);
 # every block is a full matrix, so a short --sizes list can ask for any number.
@@ -202,11 +202,12 @@ def construct_2n(n: int, sizes) -> Ladder:
     if len(sizes) != n:
         raise LadderError(f"expected {n} block sizes, got {len(sizes)}")
     for m_u, n_u in sizes:
-        if m_u < 2 or n_u < 2:
-            raise LadderError(f"block {m_u}x{n_u} too small: both sides must exceed 1")
-        if m_u == n_u:
+        if m_u < 2 or n_u < 2 or m_u == n_u:
+            block = f"{_brief(m_u)}x{_brief(n_u)}"
+            if m_u < 2 or n_u < 2:
+                raise LadderError(f"block {block} too small: both sides must exceed 1")
             raise LadderError(
-                f"square block {m_u}x{n_u} rejected: a square matrix is Gorenstein (m = n), "
+                f"square block {block} rejected: a square matrix is Gorenstein (m = n), "
                 "so it contributes no factor of 2"
             )
     total = sum(m_u * n_u for m_u, n_u in sizes)

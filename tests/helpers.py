@@ -105,6 +105,50 @@ def two_connected_by_partitions(cells):
     return True
 
 
+class CellSetLadder:
+    """A ladder held as its plain set of cells, shifted to start at (1, 1).
+
+    The reference for the library's row spans over the occupied columns:
+    size, membership and rows read the set itself.
+    """
+
+    def __init__(self, cells):
+        dr = 1 - min(r for r, _ in cells)
+        dc = 1 - min(c for _, c in cells)
+        self.cells = frozenset((r + dr, c + dc) for r, c in cells)
+        self.m = max(r for r, _ in self.cells)
+        self.n = max(c for _, c in self.cells)
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __contains__(self, cell):
+        return tuple(cell) in self.cells
+
+    def row_cols(self, r):
+        return frozenset(c for row, c in self.cells if row == r)
+
+    def ascii(self):
+        cols = range(1, self.n + 1)
+        return "\n".join("".join("#" if (r, c) in self.cells else "." for c in cols) for r in range(1, self.m + 1))
+
+
+# Closed cell sets whose occupied columns have gaps, or whose occupied rows
+# have empty rows between them: spreading a ladder's rows or columns apart
+# keeps the closure axiom.
+GAPPED_CELLSETS = [
+    {(1, 1), (1, 3), (2, 1), (2, 3)},
+    {(1, 1), (1, 3), (3, 1), (3, 3)},
+    {(1, 2), (1, 4), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)},
+    {(1, 3), (1, 5), (2, 1), (2, 3), (2, 5), (3, 1), (3, 3)},
+    {(1, 4), (1, 5), (2, 4), (2, 5), (4, 1), (4, 2), (5, 1), (5, 2)},
+    {(1, 7)},
+    {(2, 9), (5, 1)},
+    {(1, 1), (1, 2), (1, 6), (3, 1), (3, 2), (3, 6), (4, 1), (4, 2), (7, 1)},
+    {(2 * r - 1, 3 * c - 2) for r in range(1, 5) for c in range(1, 7 - r)},
+]
+
+
 def enumerate_ladder_cellsets(max_m, max_n):
     """Every normalized closure-valid cell set with m <= max_m, n <= max_n.
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_sdm_over_class_cap_is_domain_error(capsys, tmp_path):
         code, out, err = run(capsys, "sdm", "--in", str(path), mode)
         assert time.process_time() - start < 5.0
         assert (code, out) == (1, "")
-        assert err == f"error: {2**17} semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}\n"
+        assert err == f"error: 2**17 semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}\n"
 
 
 def test_gorenstein_pretty(capsys, l2_txt, l3_json):
@@ -209,6 +210,43 @@ def test_huge_extent_is_domain_error(capsys, tmp_path, cells, argv):
     code, out, err = run(capsys, *argv, "--in", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:200]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["validate"],
+            "closure violation: cells (1,1) and (2,<4300-digit>) require (1,<4300-digit>) and (2,1)",
+            id="closure",
+        ),
+        pytest.param(
+            ["construct2n", "--sizes", f"1x{BIG}"], "block 1x<4300-digit> too small: both sides must exceed 1",
+            id="small-block",
+        ),
+        pytest.param(
+            ["construct2n", "--sizes", f"{BIG}x{BIG}"],
+            "square block <4300-digit>x<4300-digit> rejected: a square matrix is Gorenstein (m = n), "
+            "so it contributes no factor of 2",
+            id="square-block",
+        ),
+    ],
+)
+def test_long_index_is_named_by_its_length(capsys, tmp_path, argv, message):
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"cells": [[1, 1], [2, {BIG}]]}}')
+    inputs = ["--in", str(path)] if argv[0] == "validate" else []
+    assert run(capsys, *argv, *inputs) == (1, "", f"error: {message}\n")
+
+
+def test_sdm_cap_names_a_long_count_by_its_exponent(capsys, monkeypatch, l3_json):
+    # a count of 2**14300 has over 4300 digits; no ladder classify can build in
+    # memory has that many classes, so a stub report stands in
+    monkeypatch.setattr("ladderdet.sdm.classify", lambda ladder: SimpleNamespace(count=2**14300))
+    for mode in ("--json", "--pretty"):
+        assert run(capsys, "sdm", "--in", l3_json, mode) == (
+            1, "", f"error: 2**14300 semidualizing classes exceed the output cap of {MAX_SDM_CLASSES}\n"
+        )
 
 
 def test_failed_command_prints_nothing_to_stdout(capsys, monkeypatch, l3_json):

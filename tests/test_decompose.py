@@ -114,9 +114,10 @@ def test_decompose_rejects_non_adjacent_overlap(monkeypatch, l1, l2):
 
     def overlapping(ladder, cc):
         out = regions(ladder, cc)
-        row = max(out[2])
-        assert row > cc[-1].row and row not in out[0]
-        out[0][row] = frozenset({min(out[2][row])})
+        rows, los, his = out[0]
+        row, col = out[2][0][-1], out[2][1][-1]
+        assert row > cc[-1].row and row not in rows
+        out[0] = (rows + [row], los + [col], his + [col])
         return out
 
     monkeypatch.setattr(decompose_module, "_regions", overlapping)
@@ -140,8 +141,10 @@ def test_decompose_rejects_merged_regions(monkeypatch, l1, l2):
     regions = decompose_module._regions
 
     def merged(ladder, cc):
-        *out, a, b = regions(ladder, cc)
-        return [*out, {r: a.get(r, frozenset()) | b.get(r, frozenset()) for r in a.keys() | b.keys()}]
+        # the two regions share their cut row, where their spans meet in the corner
+        *out, (rows_a, los_a, his_a), (rows_b, los_b, his_b) = regions(ladder, cc)
+        assert rows_a[-1] == rows_b[0] and his_b[0] == los_a[-1]
+        return [*out, (rows_a + rows_b[1:], los_a[:-1] + los_b, his_a + his_b[1:])]
 
     monkeypatch.setattr(decompose_module, "_regions", merged)
     with pytest.raises(LadderError, match="^decomposition failure: factor 1 has a coincidental corner$"):
@@ -198,8 +201,8 @@ def test_a_failed_decomposition_is_not_kept(monkeypatch, l3):
     glue = decompose_module._glue
 
     def off_by_a_row(factors):
-        rows, offsets = glue(factors)
-        return {**rows, 99: frozenset({1})}, offsets
+        (rows, los, his, cols), offsets = glue(factors)
+        return ([*rows, 99], [*los, 1], [*his, 1], cols), offsets
 
     monkeypatch.setattr(decompose_module, "_glue", off_by_a_row)
     for _ in range(2):

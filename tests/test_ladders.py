@@ -17,18 +17,21 @@ from ladderdet import (
     antitranspose,
     compose,
     corners,
+    decompose,
     parse_ascii,
     parse_auto,
     parse_json,
     render_ascii,
     validate,
 )
-from ladderdet.sdm import classify
+from ladderdet.sdm import classify, construct_2n
 
 from helpers import (
+    GAPPED_CELLSETS,
     L2_ASCII,
     L3_ASCII,
     L3_CELLS,
+    CellSetLadder,
     closure_holds,
     compose_oracle,
     enumerate_ladder_cellsets,
@@ -217,12 +220,57 @@ def test_validate_full_matrix():
     assert report.sidedness == "matrix"
 
 
-def test_full_matrix_rows_share_one_column_set():
-    for m, n in ((1, 1), (3, 2), (40, 7)):
-        ladder = Ladder.full_matrix(m, n)
-        first = ladder.row_cols(1)
-        assert first == frozenset(range(1, n + 1))
-        assert all(ladder.row_cols(r) is first for r in range(1, m + 1))
+def test_span_built_ladders_hold_no_row_set(l1, l3):
+    # a ladder is its row spans and its occupied columns: built from spans it
+    # holds no set, list or dict, and a row's columns are made when asked for
+    glue = compose([l1, l3, Ladder.full_matrix(3, 2)])
+    built = [
+        *(Ladder.full_matrix(m, n) for m, n in ((1, 1), (3, 2), (40, 7))),
+        glue,
+        construct_2n(3, [(2, 3), (3, 2), (2, 3)]),
+        *decompose(glue).factors,
+    ]
+    for ladder in built:
+        if ladder.is_full_matrix:
+            assert all(ladder.row_cols(r) == frozenset(range(1, ladder.n + 1)) for r in range(1, ladder.m + 1))
+        stack, seen = [ladder], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                assert not isinstance(obj, (set, frozenset, list, dict)), (ladder, obj)
+                if isinstance(obj, (Ladder, tuple)):
+                    stack += gc.get_referents(obj)
+        assert ladder._cells is None and len(seen) > 10
+
+
+def test_spans_match_the_cell_set_oracle():
+    # every ladder of at most 4 x 5, and closed sets with empty rows or columns
+    cellsets = [*enumerate_ladder_cellsets(4, 5), *GAPPED_CELLSETS]
+    rng = random.Random(59)
+    distinct = set()
+    for cells in cellsets:
+        oracle = CellSetLadder(cells)
+        ladder = Ladder(cells)
+        assert len(ladder) == len(oracle) and ladder.cells == oracle.cells
+        assert list(ladder) == sorted(oracle.cells)
+        for r in range(oracle.m + 2):
+            assert ladder.row_cols(r) == oracle.row_cols(r)
+            assert all(((r, c) in ladder) == ((r, c) in oracle) for c in range(oracle.n + 2))
+        r, c = min(oracle.cells)
+        assert (float(r), c) in ladder and ("1", c) not in ladder
+        assert ((r, True) in ladder) == ((r, 1) in oracle)
+        shuffled = list(cells)
+        rng.shuffle(shuffled)
+        rebuilt = [Ladder((r + 2, c + 5) for r, c in shuffled), parse_json(json.dumps({"cells": shuffled}))]
+        if len({r for r, _ in oracle.cells}) == oracle.m:  # a grid has no blank row between occupied ones
+            rebuilt.append(parse_ascii(oracle.ascii()))
+        if validate(ladder).two_connected and validate(ladder).sidedness != "other":
+            rebuilt.append(compose(decompose(ladder).factors))
+        for other in rebuilt:
+            assert other == ladder and hash(other) == hash(ladder) and other.cells == oracle.cells
+        distinct.add(ladder)
+    assert len(distinct) == len({CellSetLadder(cells).cells for cells in cellsets})
 
 
 def test_validate_antidiagonal_blocks_not_two_connected():
@@ -517,9 +565,26 @@ def test_compose_matches_reshifting_oracle():
         assert set(compose(factors).cells) == expected
 
 
+def test_a_large_matrix_costs_its_rows_not_its_cells():
+    # a 1000 x 1001 matrix has over 10**6 cells; its spans take O(rows)
+    text = "\n".join(["#" * 1001] * 1000)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        ladder = parse_ascii(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ladder == Ladder.full_matrix(1000, 1001) and held < 1_000_000, held
+    start = time.process_time()
+    assert classify(Ladder.full_matrix(1000, 1001)).count == 2
+    assert time.process_time() - start < 0.1
+
+
 def test_dropped_ladders_free_their_memory():
-    # What a ladder computes (corners, report, factors) lives on it and goes
-    # with it: nothing is kept for a ladder the caller has dropped.
+    # What a ladder computes (corners, report, factors, cells) lives on it and
+    # goes with it: nothing is kept for a ladder the caller has dropped.
     texts = ["\n".join(["#" * (101 + i)] * 100) for i in range(10)]
     tracemalloc.start()
     try:
@@ -529,11 +594,12 @@ def test_dropped_ladders_free_their_memory():
             ladder = parse_ascii(text)
             assert validate(ladder).sidedness == "matrix"
             assert corners(ladder).h == 0 and classify(ladder).count == 2
+            assert len(ladder.cells) == len(ladder)
             one = tracemalloc.get_traced_memory()[0] - before
             del ladder
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert one > 500_000  # a 100 x 110 ladder's rows, with every result on it
+    assert one > 500_000  # a 100 x 110 ladder's cell set, with every result on it
     assert kept < one / 4, (kept, one)
