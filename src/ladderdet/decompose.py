@@ -14,6 +14,7 @@ from .ladders import (
     Cell,
     Ladder,
     LadderError,
+    _columns,
     _glue,
     corners,
     require_analyzable,
@@ -95,7 +96,8 @@ def decompose(ladder: Ladder) -> Factorization:
     if split is None:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
-        factors = tuple(Ladder._from_spans(*region) for region in _regions(ladder, cc))
+        regions = _regions(ladder, cc)
+        factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
         spans, offsets = _glue(factors)
         _check_factors(ladder, factors, cc, spans, offsets)
         split = factors, cc, offsets
@@ -137,7 +139,7 @@ def _check_factors(ladder, factors, cc, spans, offsets):
         for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):
             if cut:
                 glued.append(cut)
-            glued += [(r + dr, c + dc) for r, c in getattr(corners(f), kind)]  # a Cell equals its tuple
+            glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
         if tuple(glued) != getattr(prof, kind):
             raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
     for u, f in enumerate(factors):

@@ -181,7 +181,7 @@ class Ladder:
         los, his = list(map(min, sets)), list(map(max, sets))
         size = sum(map(len, sets))
         if size == sum(his) - sum(los) + len(sets):  # every row is the whole of its span
-            return cls._from_spans(order, los, his)
+            return cls._from_spans(order, los, his, _columns(los, his))
         cols = sorted(set().union(*sets))
         pos = dict(zip(cols, count())).__getitem__
         if size == sum(map(pos, his)) - sum(map(pos, los)) + len(sets):
@@ -192,40 +192,38 @@ class Ladder:
         raise next(filter(None, (_closure_error(r1 + dr, r2 + dr, c1, c2, dc) for r1, r2, c1, c2 in pairs)))
 
     @classmethod
-    def _from_spans(cls, rows, los, his, cols=None) -> "Ladder":
+    def _from_spans(cls, rows, los, his, cols) -> "Ladder":
         """A ladder from its occupied rows in order, their first and last
         columns, and its occupied columns in order, each row being the columns
-        of ``cols`` in its span; without ``cols``, every row is the whole of
-        its span.  It is shifted to start at (1, 1) and checked as the cells are.
+        of ``cols`` in its span.  It is shifted to start at (1, 1) and checked
+        as the cells are.
         """
-        dr, dc = 1 - rows[0], 1 - (min(los) if cols is None else cols[0])
-        m, n = rows[-1] + dr, (max(his) if cols is None else cols[-1]) + dc
+        dr, dc = 1 - rows[0], 1 - cols[0]
+        m, n = rows[-1] + dr, cols[-1] + dc
         _check_extent(m, n)
-        spans = [
+        spans = (
             range(1, m + 1) if len(rows) == m else tuple(map(dr.__add__, rows)),
             tuple(map(dc.__add__, los)),
             tuple(map(dc.__add__, his)),
-            range(1, n + 1) if cols is None or len(cols) == n else tuple(map(dc.__add__, cols)),
-        ]
+            range(1, n + 1) if len(cols) == n else tuple(map(dc.__add__, cols)),
+        )
         prof, report, size = _survey(*spans, m, n)
-        if cols is None and not report.path_connected:
-            # The survey read whole rows as spans over 1..n, which the rows of a
-            # path-connected ladder cover; other rows may leave columns empty.
-            held = set(chain.from_iterable(map(range, spans[1], map((1).__add__, spans[2]))))
-            spans[3] = spans[3] if len(held) == n else tuple(sorted(held))
-        spans = tuple(spans)
         self = object.__new__(cls)
-        for put, value in zip(_PUT, (m, n, spans, size, hash(spans), prof, report, None, None)):
-            put(self, value)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_hash", hash(spans))
+        object.__setattr__(self, "_corners", prof)
+        object.__setattr__(self, "_report", report)
+        object.__setattr__(self, "_split", None)
+        object.__setattr__(self, "_cells", None)
         return self
 
     def _pairs(self):
         """The (row, col) pair of every cell, in order."""
         rows, los, his, cols = self._spans
-        if type(cols) is range:  # S is 1..n, so each row is the whole of its span
-            runs = map(range, los, map((1).__add__, his))
-        else:
-            runs = [cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for lo, hi in zip(los, his)]
+        runs = (cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for lo, hi in zip(los, his))
         return chain.from_iterable(map(zip, map(repeat, rows), runs))
 
     @property
@@ -247,8 +245,8 @@ class Ladder:
     def row_cols(self, r: int) -> frozenset[int]:
         """Columns occupied in row r (empty set if the row is empty), built on each call."""
         rows, los, his, cols = self._spans
-        i = r - 1 if type(rows) is range else bisect_left(rows, r)
-        if not (0 <= i < len(rows) and rows[i] == r):
+        i = bisect_left(rows, r)
+        if not (i < len(rows) and rows[i] == r):
             return frozenset()
         return frozenset(cols[bisect_left(cols, los[i]) : bisect_right(cols, his[i])])
 
@@ -263,8 +261,8 @@ class Ladder:
         r, c = cell
         rows, los, his, cols = self._spans
         try:
-            i = r - 1 if type(rows) is range else bisect_left(rows, r)
-            return 0 <= i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and c in cols
+            i = bisect_left(rows, r)
+            return i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and cols[bisect_left(cols, c)] == c
         except TypeError:  # floats, strings and the rest compare as in the cell set
             return (r, c) in self.cells
 
@@ -284,8 +282,17 @@ class Ladder:
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
 
 
-# Slot setters past the __setattr__ that keeps a ladder immutable, in slot order.
-_PUT = tuple(getattr(Ladder, name).__set__ for name in Ladder.__slots__)
+def _columns(los, his):
+    """The columns that lie in some span lo..hi, in order: a range when they are one run."""
+    runs = []
+    for lo, hi in sorted(zip(los, his)):
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    if len(runs) == 1:
+        return range(runs[0][0], runs[0][1] + 1)
+    return list(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs))
 
 
 def _check_extent(m: int, n: int) -> None:
@@ -354,7 +361,7 @@ def parse_ascii(text: str) -> Ladder:
         his.append(hi)
     rows = range(1, len(lines) + 1)
     if whole:
-        return Ladder._from_spans(rows, los, his)
+        return Ladder._from_spans(rows, los, his, _columns(los, his))
     return Ladder._from_sets({r: set(compress(count(1), map("#".__eq__, line))) for r, line in zip(rows, lines)})
 
 
@@ -411,7 +418,7 @@ class CornerProfile(NamedTuple):
 
     @property
     def lower_ext(self) -> tuple[Cell, ...]:
-        return (tuple.__new__(Cell, (1, self.n)), *self.lower, tuple.__new__(Cell, (self.m, 1)))
+        return (Cell(1, self.n), *self.lower, Cell(self.m, 1))
 
     @property
     def coincidental(self) -> tuple[Cell, ...]:
@@ -493,7 +500,6 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
     shared, lower, upper = [], [], []
     loose, meets = total, 0  # the cells in no block, and the rows where two blocks meet
     b0 = l0 = 0  # b and lo of the pair before
-    make = tuple.__new__  # builds a named tuple without a Python-level call
     for r1, r2, l1, h1, l2, h2 in zip(rows, rows[1:], ls, hs, ls[1:], hs[1:]):
         if h2 > h1 or l1 < l2 and l1 <= h2:
             raise _closure_error(r1, r2, set(cols[l1 - 1 : h1]), set(cols[l2 - 1 : h2]))
@@ -506,9 +512,9 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
         b0, l0 = b, l1
         if r2 == r1 + 1:
             if l2 < l1 <= h2 and cols[l1 - 2] == cols[l1 - 1] - 1:
-                lower.append(make(Cell, (r2, cols[l1 - 1])))
+                lower.append(Cell(r2, cols[l1 - 1]))
             if l1 <= h2 < h1 and cols[h2] == cols[h2 - 1] + 1:
-                upper.append(make(Cell, (r1, cols[h2 - 1])))
+                upper.append(Cell(r1, cols[h2 - 1]))
     every_cell_in_minor = not loose
     two_connected = every_cell_in_minor and min(shared, default=0) >= 2 and meets == len(shared) - 1
     path_connected = len(rows) == m and len(cols) == n and all(shared)
@@ -530,8 +536,8 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
     else:
         sidedness = "one-sided"
 
-    report = (every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
-    return make(CornerProfile, (m, n, tuple(lower), tuple(upper))), make(ValidationReport, report), total
+    report = ValidationReport(every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
+    return CornerProfile(m, n, tuple(lower), tuple(upper)), report, total
 
 
 def _closure_error(r1, r2, c1, c2, dc=0):

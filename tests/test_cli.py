@@ -212,6 +212,26 @@ def test_huge_extent_is_domain_error(capsys, tmp_path, cells, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:200]
 
 
+HUGE_TWO_CELLS = {  # command: (exit code, exact JSON stdout)
+    "validate": (1, '{\n  "every_cell_in_minor": false,\n  "is_ladder": true,\n  "messages": [\n'
+                    '    "2 cell(s) belong to no full 2-minor",\n    "cell set is not path-connected"\n  ],\n'
+                    '  "normalized": true,\n  "path_connected": false,\n  "sidedness": "other",\n'
+                    '  "two_connected": false\n}\n'),
+    "corners": (0, '{\n  "coincidental": [],\n  "lower": [],\n  "upper": []\n}\n'),
+}
+
+
+@pytest.mark.parametrize("col", [BIG, str(10**19)], ids=["4300-digit", "over-ssize_t"])
+@pytest.mark.parametrize("command", sorted(HUGE_TWO_CELLS))
+def test_whole_rows_on_consecutive_rows_with_a_huge_column(capsys, tmp_path, command, col):
+    # each row is the whole of its one-cell span, and the rows are consecutive,
+    # but the occupied columns 1 and col leave every column between them empty
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"cells": [[1, {col}], [2, 1]]}}')
+    code, out = HUGE_TWO_CELLS[command]
+    assert run(capsys, command, "--json", "--in", str(path)) == (code, out, "")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
