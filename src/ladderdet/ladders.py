@@ -93,6 +93,7 @@ when a <= b lie in S; ``Ladder._from_spans`` keeps both.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -237,9 +238,12 @@ class Ladder:
 
     @classmethod
     def full_matrix(cls, m: int, n: int) -> "Ladder":
-        """The full m x n grid of cells."""
+        """The full m x n grid of cells, at most ``sys.maxsize`` of them: ``len`` counts no more."""
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
+        if m * n > sys.maxsize:
+            m, n = _brief(m), _brief(n)
+            raise LadderError(f"cannot build a full {m}x{n} matrix: its cells exceed the cap of {sys.maxsize}")
         return cls._from_spans(range(1, m + 1), (1,) * m, (n,) * m, range(1, n + 1))
 
     def row_cols(self, r: int) -> frozenset[int]:

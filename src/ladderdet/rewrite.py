@@ -22,11 +22,46 @@ quotient is a semigroup ring, where (G) is spanned by the multiples of G: m lies
 in (G) iff m - g (m's content less g's row and column) is realizable for a g in
 G.  A common member m is not minimal iff m - x is realizable and common for a
 cell x (if m = u*t' with t' common and deg u > 0, take x in u: (u/x)*t' is common).
+
+An additive generator set has a closed-form intersection with any other.
+Call G additive when its indicator on the cells is f(row) + g(col) for
+integer functions f and g.  The height-1 primes are: Q(i) (row a_{i-1}) and
+QPrime(i) (column b_i) plainly, and P(j) = [row <= c] + [col <= d] - 1 for
+the upper corner (c, d), since an analyzable ladder has no cell below and
+right of it.  A rewrite keeps the multisets of rows and of columns, so the
+number v_G(m) of G-cells is one number for every realization of m.  Let G1
+be additive and m a common member of (G1) and (G2).  Some realization of m
+has a cell y of G2, and, as v_G1(m) >= 1, a cell x of G1.  If y lies in G1
+or x in G2, that cell lies in G1 & G2 and divides m; otherwise x*y divides
+m.  So when one of the two sets is additive, every minimal generator of
+(G1) & (G2) has degree <= 2: the cells of G1 & G2, and nf(x*y) for x in
+G1 - G2 and y in G2 - G1 unless a cell of G1 & G2 divides x*y.  The content
+of x*y has at most two realizations, x*y and the pair with its columns
+swapped, so that test reads two cells.
+
+One pass down the rows finds f and g, or shows there are none.  A row's
+last column fixes f(row) as [x in G] - g(col) if an earlier row holds it,
+and f(row) = 0 otherwise; then f(row) fixes g on each column met for the
+first time, and every cell is checked.  So a pass that ends gives f and g.
+It fails only if G is not additive.  The rows that hold a column are
+consecutive, and row ends never move right down the rows (``ladders``
+docstring, "Closed forms").  So the columns of row r_i that earlier rows
+hold are K, those it shares with row r_{i-1}, and if K is not empty it holds
+the row's last column.  If K is empty, no later row shares a column with an
+earlier one, and adding t to f and -t to g from row r_i on keeps any
+solution, so f(r_i) = 0 loses nothing.  Otherwise [x in G] - g(col) must be
+one number on K, which fixes f(r_i) and then g on the rest of the row.  The
+same step shows that G is additive iff every full 2-minor keeps the
+G-count: any two columns of K span a full minor on rows r_{i-1} and r_i, and
+by those minors [x in G] - g(col) is one number on K.  Two sets of which
+neither is additive take the bounded search; their intersection can have
+minimal generators of degree 3.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Iterable, NamedTuple
 
@@ -66,6 +101,13 @@ class Monomial:
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]]) -> "Monomial":
         return cls((cell, 1) for cell in cells)
+
+    @classmethod
+    def _squarefree(cls, cells) -> "Monomial":
+        """The product of distinct cells with integer indices, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_exps", tuple((tuple.__new__(Cell, c), 1) for c in sorted(cells)))
+        return self
 
     @classmethod
     def from_json_dict(cls, doc) -> "Monomial":
@@ -169,27 +211,32 @@ def _quotients(rows, cols, among, cells):
             yield rest
 
 
-def _members(gen_sets, d: int, ladder: Ladder) -> set:
-    """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
+def _checked(gen_sets, d: int, ladder: Ladder) -> list[list[Cell]]:
+    """Each generator set as a sorted list of cells, after the checks every ideal operation makes, in order."""
     if not is_int(d):
         raise LadderError(f"degree bound must be an integer, got {d!r}")
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
         raise LadderError(f"degree bound exceeds the safety cap {MAX_DEGREE_BOUND}")
-    cells = ladder.cells
-    pending = []
+    checked = []
     for gens in map(list, gen_sets):
         bad = [g for g in gens if not (isinstance(g, (tuple, list)) and len(g) == 2 and all(map(is_int, g)))]
         if bad:
             raise LadderError(f"generators must be (row, col) pairs of integers: {bad}")
         gens = sorted(Cell(*g) for g in gens)
-        bad = [g for g in gens if g not in cells]
+        bad = [g for g in gens if g not in ladder]
         if bad:
             raise LadderError(f"generators outside the ladder: {bad}")
-        pending.append(gens)
+        checked.append(gens)
+    return checked
+
+
+def _members(gen_sets, d: int, ladder: Ladder) -> set:
+    """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
+    cells = ladder.cells
     above = {x: [(r, c) for r, c in cells if r >= x.row and c <= x.col] for x in cells} if d > 1 else {}
-    stack = [((r,), (c,), tuple(pending)) for r, c in cells]
+    stack = [((r,), (c,), tuple(gen_sets)) for r, c in cells]
     out = set()
     while stack:
         rows, cols, pending = stack.pop()
@@ -203,16 +250,64 @@ def _members(gen_sets, d: int, ladder: Ladder) -> set:
 
 def ideal_monomials_bounded(gens, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Normal forms of all degree <= d monomials in the ideal generated by gens."""
-    return frozenset(Monomial.from_cells(zip(*content)) for content in _members([gens], d, ladder))
+    members = _members(_checked([gens], d, ladder), d, ladder)
+    return frozenset(Monomial.from_cells(zip(*content)) for content in members)
 
 
 def intersect_bounded(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monomial]:
-    """Minimal members of the degree <= d intersection of two monomial-generated ideals."""
-    common = _members([gens1, gens2], d, ladder)
+    """Minimal members of the degree <= d intersection of two monomial-generated ideals.
+
+    When one of the generator sets is additive (module docstring), as those
+    of the height-1 primes Q, P and QPrime are, every minimal member has
+    degree at most 2 and the closed form gives them in O(|gens1| * |gens2|)
+    after a pass over the ladder's cells; other pairs of sets take the
+    search over the normal monomials of degree <= d.
+    """
+    gen_sets = _checked([gens1, gens2], d, ladder)
+    if any(_additive(gens, ladder) for gens in gen_sets):
+        return _intersect_additive(*gen_sets, d, ladder)
+    return _intersect_search(gen_sets, d, ladder)
+
+
+def _intersect_search(gen_sets, d: int, ladder: Ladder) -> frozenset[Monomial]:
+    """Minimal common members of degree <= d of the ideals of the two sets, by the search; any sets of cells."""
+    common = _members(gen_sets, d, ladder)
     return frozenset(
         Monomial.from_cells(zip(*content)) for content in common
         if not any(t in common for t in _quotients(*content, ladder.cells, ladder.cells))
     )
+
+
+def _additive(gens, ladder: Ladder):
+    """Maps f and g with [x in gens] = f(row) + g(col) on every cell x, found in
+    one pass down the rows (module docstring), or None if gens is not additive."""
+    by_row = {}
+    for r, c in gens:
+        by_row.setdefault(r, set()).add(c)
+    rows, los, his, cols = ladder._spans
+    f, g = {}, {}
+    for r, lo, hi in zip(rows, los, his):
+        mine = by_row.get(r, ())
+        f[r] = fr = (hi in mine) - g[hi] if hi in g else 0
+        for c in cols[bisect_left(cols, lo) : bisect_right(cols, hi)]:
+            x = (c in mine) - fr
+            if g.setdefault(c, x) != x:
+                return None
+    return f, g
+
+
+def _intersect_additive(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monomial]:
+    """The minimal generators of (gens1) & (gens2), one set additive, by the module docstring's closed form."""
+    s1, s2 = set(gens1), set(gens2)
+    both = s1 & s2
+    pairs = set()
+    if d > 1:
+        cells = ladder.cells
+        for (i, j), (p, q) in itertools.product(s1 - s2, s2 - s1):
+            # The content's other realization, if its two cells lie in the ladder, is (i, q)*(p, j).
+            if not ((i, q) in both and (p, j) in cells or (p, j) in both and (i, q) in cells):
+                pairs.add(((min(i, p), max(j, q)), (max(i, p), min(j, q))))
+    return frozenset(map(Monomial._squarefree, [*((x,) for x in both), *pairs]))
 
 
 # ---------------------------------------------------------------------------

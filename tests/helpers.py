@@ -555,6 +555,20 @@ def intersect_oracle(cells, gens1, gens2, d):
     return common - multiples
 
 
+def additive_by_minors(cells, gens):
+    """Whether every full 2-minor of cells keeps the number of its cells in gens on either diagonal.
+
+    The oracle for the library's additivity pass: a set whose count every
+    2-minor rewrite keeps.
+    """
+    g = set(map(tuple, gens))
+    for minor in full_minors(cells):
+        (i, j), (p, q) = min(minor), max(minor)
+        if ((i, j) in g) + ((p, q) in g) != ((i, q) in g) + ((p, j) in g):
+            return False
+    return True
+
+
 def child_env():
     """The environment in which a child process imports the same ladderdet as the suite."""
     import ladderdet  # for its location only; nothing above uses the library

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -201,6 +202,18 @@ def test_extent_of_over_4300_digits_is_rejected():
         Ladder([(1, -(10**4300 - 1)), (1, 10**4300 - 1)])
     with pytest.raises(LadderError, match="4300 digits"):
         Ladder([(10**4300, 1)] + [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "m, n, sides",
+    [(10**30, 2, "<31-digit>x2"), (2, 10**30, "2x<31-digit>"), (2, 2**62, "2x<19-digit>")],
+)
+def test_full_matrix_beyond_a_countable_length_is_rejected(m, n, sides):
+    # a ladder's len() counts its cells, and len() counts at most sys.maxsize
+    message = f"cannot build a full {sides} matrix: its cells exceed the cap of {sys.maxsize}"
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        Ladder.full_matrix(m, n)
+    assert len(Ladder.full_matrix(1, sys.maxsize)) == sys.maxsize
 
 
 # ---------------------------------------------------------------------------

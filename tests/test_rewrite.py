@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -14,6 +15,7 @@ from ladderdet import (
     Q,
     basis,
     compose,
+    corners,
     equal_mod_minors,
     ideal_generators,
     ideal_monomials_bounded,
@@ -23,8 +25,12 @@ from ladderdet import (
     require_analyzable,
     verify_witnesses,
 )
+from ladderdet import rewrite
+from ladderdet.classgroup import QPrime
 
 from helpers import (
+    GAPPED_CELLSETS,
+    additive_by_minors,
     certify_confluence,
     enumerate_ladder_cellsets,
     full_minors,
@@ -337,6 +343,123 @@ def test_intersect_at_the_degree_cap(l3):
     result = intersect_bounded(q11, p10, 8, l3)
     assert time.process_time() - start < 5.0
     assert result == {mono((3, 1)), mono((3, 2))}
+
+
+# ---------------------------------------------------------------------------
+# closed-form intersections of additive generator sets
+
+@functools.lru_cache(maxsize=2)
+def _analyzable(max_m, max_n):
+    ladders = []
+    for cells in enumerate_ladder_cellsets(max_m, max_n):
+        ladder = Ladder(cells)
+        try:
+            require_analyzable(ladder)
+        except LadderError:
+            continue
+        ladders.append(ladder)
+    return tuple(ladders)
+
+
+def _label_gens(ladder):
+    """The generator sets of every Q, P and QPrime label of an analyzable ladder."""
+    labels = [*basis(ladder), *(QPrime(i) for i in range(1, corners(ladder).h + 2))]
+    return [ideal_generators(ladder, label) for label in labels]
+
+
+def _random_additive(rng, ladder):
+    """A random additive set: the cells in rows R or columns C where no cell is in both,
+    or the cells in rows R and columns C where every cell is in one."""
+    while True:
+        rows = {r for r in range(1, ladder.m + 1) if rng.random() < 0.4}
+        cols = {c for c in range(1, ladder.n + 1) if rng.random() < 0.4}
+        if rng.random() < 0.5:
+            if not any(r in rows and c in cols for r, c in ladder):
+                return {x for x in ladder if x.row in rows or x.col in cols}
+        elif all(r in rows or c in cols for r, c in ladder):
+            return {x for x in ladder if x.row in rows and x.col in cols}
+
+
+def test_non_additive_sets_take_the_search():
+    # two singletons, neither additive, whose intersection has a minimal generator of degree 3
+    ladder = parse_ascii(".###\n####\n####\n#...")
+    first, second = {(2, 2)}, {(3, 3)}
+    assert rewrite._additive(first, ladder) is None and rewrite._additive(second, ladder) is None
+    expected = {mono((1, 3), (2, 2), (3, 1)), mono((2, 3), (3, 2))}
+    assert intersect_bounded(first, second, 3, ladder) == expected
+    assert _monos(intersect_oracle(ladder.cells, first, second, 3)) == expected
+    assert intersect_bounded(first, second, 2, ladder) == {mono((2, 3), (3, 2))}
+
+
+def test_closed_form_matches_the_search_on_label_pairs():
+    rng = random.Random(83)
+    square = [ladder for ladder in _analyzable(5, 5) if (ladder.m, ladder.n) == (5, 5)]
+    cases = 0
+    for ladder in _analyzable(4, 4) + tuple(rng.sample(square, 10)):
+        gens = _label_gens(ladder)
+        for first, second in itertools.combinations_with_replacement(gens, 2):
+            for d in (1, 2, 3):
+                expected = rewrite._intersect_search([first, second], d, ladder)
+                assert intersect_bounded(first, second, d, ladder) == expected, (sorted(ladder), first, second, d)
+                cases += 1
+    assert cases > 2500
+
+
+def test_closed_form_matches_the_search_on_random_additive_sets():
+    # one additive set is enough for the closed form; the other may be any set
+    rng = random.Random(89)
+    mixed = 0
+    for cells in rng.sample(enumerate_ladder_cellsets(4, 4), 80) + GAPPED_CELLSETS:
+        ladder = Ladder(cells)
+        first = _random_additive(rng, ladder)
+        for second in (_random_additive(rng, ladder), set(rng.sample(sorted(ladder), min(3, len(ladder))))):
+            mixed += rewrite._additive(second, ladder) is None
+            expected = rewrite._intersect_search([first, second], 3, ladder)
+            assert intersect_bounded(first, second, 3, ladder) == expected, (cells, first, second)
+            assert intersect_bounded(second, first, 3, ladder) == expected, (cells, first, second)
+            assert _monos(intersect_oracle(ladder.cells, first, second, 3)) == expected
+    assert mixed > 40
+
+
+def test_additivity_pass_matches_the_minor_oracle():
+    # exact on every ladder: the pass fails only on sets that some full minor's count refutes
+    rng = random.Random(97)
+    found = 0
+    for cells in enumerate_ladder_cellsets(4, 4) + GAPPED_CELLSETS:
+        ladder = Ladder(cells)
+        for gens in (set(rng.sample(sorted(ladder), rng.randint(0, len(ladder)))), _random_additive(rng, ladder)):
+            certificate = rewrite._additive(gens, ladder)
+            assert (certificate is not None) == additive_by_minors(ladder.cells, gens), (cells, gens)
+            if certificate:
+                f, g = certificate
+                assert all(f[r] + g[c] == ((r, c) in gens) for r, c in ladder)
+                found += 1
+    assert found > 1500
+
+
+def test_label_generators_are_additive():
+    for ladder in _analyzable(5, 5):
+        for gens in _label_gens(ladder):
+            assert rewrite._additive(gens, ladder), (sorted(ladder), gens)
+    for ladder in _analyzable(4, 4):
+        assert all(additive_by_minors(ladder.cells, gens) for gens in _label_gens(ladder))
+
+
+def test_label_intersections_need_no_degree_bound():
+    # a 20x21 two-sided staircase with 3 lower and 4 upper corners
+    los = [7, 7, 5, 5, 3, 3] + [1] * 14
+    his = [21] * 12 + [18, 18, 15, 15, 12, 12, 9, 9]
+    ladder = Ladder((r, c) for r, lo, hi in zip(range(1, 21), los, his) for c in range(lo, hi + 1))
+    assert (ladder.m, ladder.n, corners(ladder).h, corners(ladder).k) == (20, 21, 3, 4)
+    gens = _label_gens(ladder)
+    cell = {(10, 5)}  # not additive: the minor on rows 9, 10 and columns 5, 6 changes its count
+    assert rewrite._additive(cell, ladder) is None
+    pairs = [*itertools.combinations_with_replacement(gens, 2), *((g, cell) for g in gens), *((cell, g) for g in gens)]
+    start = time.process_time()
+    low = [intersect_bounded(first, second, 2, ladder) for first, second in pairs]
+    assert time.process_time() - start < 1.0  # the search takes about 0.2 s a pair here at d = 2
+    assert [intersect_bounded(first, second, 8, ladder) for first, second in pairs] == low
+    assert time.process_time() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
