@@ -142,16 +142,23 @@ class DivisorClass:
 
 def _format(labels, vec: tuple[int, ...]) -> str:
     """``str`` of the class with coordinates vec over the basis labels, or over their names."""
-    out = ""
-    for label, c in zip(labels, vec):
-        if not c:
-            continue
-        term = f"{label}" if abs(c) == 1 else f"{abs(c)}*{label}"
-        if not out:
-            out = term if c > 0 else f"-{term}"
-        else:
-            out += f" + {term}" if c > 0 else f" - {term}"
-    return out or "0"
+    return _lead(_terms(labels, vec))
+
+
+def _terms(labels, vec) -> str:
+    """The nonzero coordinates as " + c*label" and " - c*label" terms, c left out when it is 1."""
+    return "".join(
+        (" + " if c > 0 else " - ") + (f"{label}" if abs(c) == 1 else f"{abs(c)}*{label}")
+        for label, c in zip(labels, vec)
+        if c
+    )
+
+
+def _lead(terms: str) -> str:
+    """A class's text from its ``_terms``: a first " + " is dropped and a first " - " made "-"; none is "0"."""
+    if not terms:
+        return "0"
+    return terms[3:] if terms[1] == "+" else "-" + terms[3:]
 
 
 # Slot setters past the __setattr__ that keeps a class immutable.

@@ -233,16 +233,14 @@ def _cmd_sdm(args):
         )
 
     def text():
-        lines = [f"rank: {report.rank}", f"omega: {report.omega}", f"count: {report.count}", "factors:"]
+        omega, images, classes = report._texts()
+        lines = [f"rank: {report.rank}", f"omega: {omega}", f"count: {report.count}", "factors:"]
         lines += [
-            f"  {u}: {f.m}x{f.n}  gorenstein={str(f.gorenstein).lower()}  omega_image={f.omega_image}"
-            for u, f in enumerate(report.factors)
+            f"  {u}: {f.m}x{f.n}  gorenstein={str(f.gorenstein).lower()}  omega_image={image}"
+            for u, (f, image) in enumerate(zip(report.factors, images))
         ]
         lines.append("classes:")
-        lines += [
-            f"  theta={','.join(map(str, theta))}  {cls}"
-            for theta, cls in zip(report._thetas(), report._class_texts())
-        ]
+        lines += [f"  theta={','.join(map(str, theta))}  {cls}" for theta, cls in zip(report._thetas(), classes)]
         return "\n".join(lines)
 
     return report._json_doc, text, 0

@@ -98,7 +98,7 @@ def decompose(ladder: Ladder) -> Factorization:
         cc = corners(ladder).coincidental
         regions = _regions(ladder, cc)
         factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
-        spans, offsets = _glue(factors)
+        spans, offsets = _glue([f._spans for f in factors])
         _check_factors(ladder, factors, cc, spans, offsets)
         split = factors, cc, offsets
         object.__setattr__(ladder, "_split", split)

@@ -244,7 +244,7 @@ class Ladder:
         if m * n > sys.maxsize:
             m, n = _brief(m), _brief(n)
             raise LadderError(f"cannot build a full {m}x{n} matrix: its cells exceed the cap of {sys.maxsize}")
-        return cls._from_spans(range(1, m + 1), (1,) * m, (n,) * m, range(1, n + 1))
+        return cls._from_spans(*_matrix_spans(m, n))
 
     def row_cols(self, r: int) -> frozenset[int]:
         """Columns occupied in row r (empty set if the row is empty), built on each call."""
@@ -284,6 +284,11 @@ class Ladder:
 
     def __repr__(self):
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
+
+
+def _matrix_spans(m: int, n: int):
+    """The ``_spans`` of the full m x n matrix."""
+    return range(1, m + 1), (1,) * m, (n,) * m, range(1, n + 1)
 
 
 def _columns(los, his):
@@ -606,27 +611,28 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    return Ladder._from_spans(*_glue(factors)[0])
+    return Ladder._from_spans(*_glue([f._spans for f in factors])[0])
 
 
-def _glue(factors):
-    """The rows, first columns, last columns and occupied columns of
-    ``compose(factors)``, which already starts at (1, 1), as lists, and the
-    offset (dr_u, dc_u) at which each factor u is placed.
+def _glue(spans):
+    """The rows, first columns, last columns and occupied columns of the
+    composition of the ladders with these ``_spans``, which already starts at
+    (1, 1), as lists, and the offset (dr_u, dc_u) at which each factor u is
+    placed.
 
-    Factor u sits below the earlier factors and left of the later ones: dr_u
-    sums m_v - 1 over the earlier factors and dc_u sums n_v - 1 over the
-    later ones, so that factor u's (m_u, 1) lands on the next one's (1, n).
-    Each span is shifted once, to its final position; the last row of one
-    factor, which ends in that cell, runs on into the first row of the next,
-    which starts left of it.  No shift is negative.
+    Each factor is normalized, so its last row is m_u and its last column
+    n_u.  Factor u sits below the earlier factors and left of the later
+    ones: dr_u sums m_v - 1 over the earlier factors and dc_u sums n_v - 1
+    over the later ones, so that factor u's (m_u, 1) lands on the next one's
+    (1, n).  Each span is shifted once, to its final position; the last row
+    of one factor, which ends in that cell, runs on into the first row of
+    the next, which starts left of it.  No shift is negative.
     """
     rows, los, his, offsets = [], [], [], []
     dr = 0
-    dc = sum(f.n - 1 for f in factors)
-    for f in factors:
-        f_rows, f_los, f_his, _ = f._spans
-        dc -= f.n - 1
+    dc = sum(f_cols[-1] - 1 for _, _, _, f_cols in spans)
+    for f_rows, f_los, f_his, f_cols in spans:
+        dc -= f_cols[-1] - 1
         offsets.append((dr, dc))
         skip = 1 if rows else 0
         if skip:
@@ -634,8 +640,8 @@ def _glue(factors):
         rows += map(dr.__add__, f_rows[skip:])
         los += map(dc.__add__, f_los[skip:])
         his += map(dc.__add__, f_his[skip:])
-        dr += f.m - 1
+        dr += f_rows[-1] - 1
     cols = [1]  # each factor's first column is the last of the factor to its left
-    for f, (_, dc) in zip(reversed(factors), reversed(offsets)):
-        cols += map(dc.__add__, f._spans[3][1:])
+    for (_, _, _, f_cols), (_, dc) in zip(reversed(spans), reversed(offsets)):
+        cols += map(dc.__add__, f_cols[1:])
     return (rows, los, his, cols), tuple(offsets)

@@ -105,8 +105,14 @@ class Monomial:
     @classmethod
     def _squarefree(cls, cells) -> "Monomial":
         """The product of distinct cells with integer indices, unchecked."""
+        return cls._sorted((tuple.__new__(Cell, c), 1) for c in cells)
+
+    @classmethod
+    def _sorted(cls, exps) -> "Monomial":
+        """The monomial with these (cell, exponent) pairs: cells of integer
+        indices, each once, and positive exponents, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_exps", tuple((tuple.__new__(Cell, c), 1) for c in sorted(cells)))
+        object.__setattr__(self, "_exps", tuple(sorted(exps)))
         return self
 
     @classmethod
@@ -178,7 +184,11 @@ def _content(mono: Monomial, ladder: Ladder):
 
 
 def normal_form(mono: Monomial, ladder: Ladder) -> Monomial:
-    """The unique normal form: ascending rows zipped with descending columns."""
+    """The unique normal form: ascending rows zipped with descending columns.
+
+    The rows and columns are a checked monomial's, and each (row, column)
+    pair is met once with a positive count, so the result needs no check.
+    """
     rows, cols = _content(mono, ladder)
     exps = []
     cols = iter(cols)
@@ -188,10 +198,10 @@ def normal_form(mono: Monomial, ladder: Ladder) -> Monomial:
             if not left:
                 col, left = next(cols)
             k = min(need, left)
-            exps.append(((row, col), k))
+            exps.append((tuple.__new__(Cell, (row, col)), k))
             need -= k
             left -= k
-    return Monomial(exps)
+    return Monomial._sorted(exps)
 
 
 def equal_mod_minors(m1: Monomial, m2: Monomial, ladder: Ladder) -> bool:

@@ -7,8 +7,9 @@ images of the non-Gorenstein factors are nonzero with pairwise disjoint
 supports; these combinations are all distinct and their number is 2 to the
 number of non-Gorenstein factors in the coincidental-corner decomposition.
 :func:`classify` certifies that from the factors' canonical classes alone,
-each compared once with its block of the ladder's; the classes themselves
-are enumerated only when :attr:`SdmReport.classes` is read.
+each compared once with its block of the ladder's, and keeps each image as
+its two runs of coefficients, so a report costs O(rank); the classes
+themselves are enumerated only when :attr:`SdmReport.classes` is read.
 
 Given that certificate, a class is a selection, not a sum: its coordinate
 i is that of the image owning i if theta selects the image, else 0.
@@ -16,16 +17,19 @@ i is that of the image owning i if theta selects the image, else 0.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from collections import deque
+from itertools import chain, cycle, islice, product, repeat
 from typing import NamedTuple
 
-from .classgroup import DivisorClass, _format, _labels, _set_ladder, _set_vec, canonical_class
+from .classgroup import DivisorClass, _format, _labels, _lead, _set_ladder, _set_vec, _terms, canonical_class
 from .decompose import decompose
-from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, _brief, compose, corners, require_analyzable
+from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, _brief, _glue, _matrix_spans, corners, require_analyzable
 
 # The most cells construct_2n builds, summed over its blocks (sum of m_u * n_u);
 # every block is a full matrix, so a short --sizes list can ask for any number.
 MAX_CONSTRUCT_CELLS = 10**6
+
+_consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
 
 def is_gorenstein(ladder: Ladder) -> bool:
@@ -39,18 +43,43 @@ def is_gorenstein(ladder: Ladder) -> bool:
 
 
 class FactorReport(NamedTuple):
+    """A factor (m x n), its Gorenstein test, and the image of its canonical class.
+
+    The image lies in the class group of ``ladder``, the ladder classified,
+    and is zero off two runs of its labels: ``q`` and ``p`` each give the
+    position of a run's first label in basis order and the run's
+    coefficients (``classify``).  ``omega_image`` builds the dense class on
+    each read; the report and its JSON cost only the runs.
+    """
+
     m: int
     n: int
     gorenstein: bool
     epsilon: int
-    omega_image: DivisorClass
+    ladder: Ladder
+    q: tuple[int, tuple[int, ...]]
+    p: tuple[int, tuple[int, ...]]
+
+    @property
+    def omega_image(self) -> DivisorClass:
+        prof = corners(self.ladder)
+        vec = [0] * (prof.h + prof.k + 1)
+        for start, run in (self.q, self.p):
+            vec[start : start + len(run)] = run
+        return DivisorClass._make(self.ladder, tuple(vec))
 
     def to_json_dict(self) -> dict:
+        # Q(i) sits at position i - 1 and P(j) at h + j.
+        (q0, q), (p0, p) = self.q, self.p
+        h = corners(self.ladder).h
         return {
             "m": self.m,
             "n": self.n,
             "gorenstein": self.gorenstein,
-            "omega_image": self.omega_image.to_json_dict(),
+            "omega_image": {
+                "Q": {str(i): c for i, c in enumerate(q, q0 + 1) if c},
+                "P": {str(j): c for j, c in enumerate(p, p0 - h) if c},
+            },
         }
 
 
@@ -77,44 +106,58 @@ class SdmReport(NamedTuple):
     def _thetas(self):
         return product(*((0,) if f.gorenstein else (0, 1) for f in self.factors))
 
-    @property
-    def classes(self) -> tuple[DivisorClass, ...]:
-        # Column i holds coordinate i of every class: its owner's image[i]
+    def _vectors(self):
+        """The coordinate tuple of each class, in theta order."""
+        # Column i holds coordinate i of every class: its owner's coefficient c
         # where theta selects that owner, else 0.  In theta order, theta
-        # position t of n alternates in runs of 2**(n-1-t).
+        # position t of n alternates in runs of 2**(n-1-t), so an owned column
+        # cycles through that many 0s and as many c's; every other is 0.
         total = self.count
-        columns = [(0,) * total] * len(self.omega._vec)
+        columns = [repeat(0)] * self.rank
         run = total
         for f in self.factors:
             if not f.gorenstein:
                 run //= 2
-                for i, c in enumerate(f.omega_image._vec):
-                    if c:
-                        columns[i] = chain.from_iterable(repeat([0] * run + [c] * run, total // (2 * run)))
-        # DivisorClass._make, inlined: one Python call per class would double the cost.
-        ladder, new, out = self.omega.ladder, object.__new__, []
-        for vec in zip(*columns):
-            obj = new(DivisorClass)
-            _set_ladder(obj, ladder)
-            _set_vec(obj, vec)
-            out.append(obj)
-        return tuple(out)
+                for start, coeffs in (f.q, f.p):
+                    for i, c in enumerate(coeffs, start):
+                        if c:
+                            columns[i] = cycle(chain(repeat(0, run), repeat(c, run)))
+        return islice(zip(*columns), total)
 
-    def _class_texts(self):
-        """``str`` of each class in ``classes``, with the labels named once per report."""
+    @property
+    def classes(self) -> tuple[DivisorClass, ...]:
+        # DivisorClass._make, as three loops in C: a Python call, or a Python
+        # loop step, per class would double the cost.
+        out = tuple(map(object.__new__, repeat(DivisorClass, self.count)))
+        _consume(map(_set_ladder, out, repeat(self.omega.ladder)))
+        _consume(map(_set_vec, out, self._vectors()))
+        return out
+
+    def _texts(self):
+        """``str`` of omega, of each factor's image, and, as an iterator, of each
+        class in ``classes``.  The label names are built once; a class joins the
+        terms of the images it selects, each written once from its runs."""
         names = tuple(map(str, _labels(self.omega.ladder)))
-        return (_format(names, c._vec) for c in self.classes)
+        terms = [[_terms(names[s : s + len(run)], run) for s, run in (f.q, f.p)] for f in self.factors]
+        picks = [t for f, t in zip(self.factors, terms) if not f.gorenstein]
+        qs, ps = (product(*(("", t[kind]) for t in picks)) for kind in (0, 1))
+        return (
+            _format(names, self.omega._vec),
+            [_lead(q + p) for q, p in terms],
+            (_lead("".join(q) + "".join(p)) for q, p in zip(qs, ps)),
+        )
 
     def _json_doc(self) -> dict:
         """``to_json_dict`` with ``classes`` and ``thetas`` as iterators; a class
-        merges the JSON of the images it selects, each built once."""
-        frags = [f.omega_image.to_json_dict() for f in self.factors if not f.gorenstein]
+        merges the JSON of the images it selects, each built once from its runs."""
+        factors = [f.to_json_dict() for f in self.factors]
+        frags = [d["omega_image"] for f, d in zip(self.factors, factors) if not f.gorenstein]
         qs, ps = (product(*(((), tuple(fr[kind].items())) for fr in frags)) for kind in ("Q", "P"))
         return {
             "rank": self.rank,
             "omega": self.omega.to_json_dict(),
             "count": self.count,
-            "factors": [f.to_json_dict() for f in self.factors],
+            "factors": factors,
             "classes": ({"Q": dict(chain(*q)), "P": dict(chain(*p))} for q, p in zip(qs, ps)),
             "thetas": map(list, self._thetas()),
         }
@@ -150,10 +193,12 @@ def classify(ladder: Ladder) -> SdmReport:
 
     The image of factor u's canonical class (lambda_u, delta_u) is lambda_u
     on its Q run and delta_u on its P run, with lambda_u's first entry
-    carried onto the cut's P for u >= 1.  The certificate: each image is
-    zero iff its factor is Gorenstein, the canonical class agrees with each
-    image on that image's runs, and the runs end at the last labels, so by
-    3 the canonical class is the sum of the images.
+    carried onto the cut's P for u >= 1; the report keeps the two runs, not
+    a dense class.  The certificate: each image is zero iff its factor is
+    Gorenstein, the canonical class agrees with each image on that image's
+    runs, and the runs end at the last labels, so by 3 the canonical class
+    is the sum of the images.  Each factor costs O(its rows and labels), so
+    the report costs O(rows + rank).
     """
     factorization = decompose(ladder)
     omega = canonical_class(ladder)
@@ -172,17 +217,13 @@ def classify(ladder: Ladder) -> SdmReport:
             raise LadderError(
                 f"internal inconsistency: factor {u}'s canonical class is not the ladder's on its labels"
             )
-        coords = [0] * rank
-        coords[q : q + len(q_run)] = q_run
-        coords[p : p + len(p_run)] = p_run
-        image = DivisorClass._make(ladder, tuple(coords))
-        q, p = q + len(q_run), p + len(p_run)
         gor = is_gorenstein(factor)
-        if gor != image.is_zero:
+        if gor != (not any(q_run) and not any(p_run)):
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
-        reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, image))
+        reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, ladder, (q, q_run), (p, p_run)))
+        q, p = q + len(q_run), p + len(p_run)
     if (q, p) != (q_end, rank):
         raise LadderError("internal inconsistency: the factors' labels do not cover the class group")
     return SdmReport(rank=rank, omega=omega, factors=tuple(reports))
@@ -194,7 +235,8 @@ def construct_2n(n: int, sizes) -> Ladder:
     Each block must be m x n with m, n > 1 and m != n; a square block would
     be Gorenstein (trivial canonical class) and contribute no factor of 2.
     The blocks may hold at most ``MAX_CONSTRUCT_CELLS`` cells in all; that is
-    checked before any block is built.
+    checked before anything is built.  The blocks' spans are glued as
+    ``compose`` glues ladders, and only the glue is built as a ladder.
     """
     sizes = list(sizes)
     if n < 1:
@@ -215,4 +257,4 @@ def construct_2n(n: int, sizes) -> Ladder:
         # Python prints no int of over 4300 digits, and two long sides can multiply to one.
         many = total if total < 10**MAX_EXTENT_DIGITS else f"at least 10**{MAX_EXTENT_DIGITS}"
         raise LadderError(f"blocks of {many} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}")
-    return compose(Ladder.full_matrix(m_u, n_u) for m_u, n_u in sizes)
+    return Ladder._from_spans(*_glue([_matrix_spans(m_u, n_u) for m_u, n_u in sizes])[0])

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ladderdet import compose, construct_2n, parse_ascii
+from ladderdet import Ladder, compose, construct_2n, parse_ascii
 from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, main
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
@@ -284,21 +285,70 @@ SDM_SHA256 = {  # (ladder, mode): SHA-256 of `sdm` stdout as written when classe
     ("glue12", "--pretty"): "53cce2bfaabee71c6a7e44a0ecf7df3f897fb2a7b87ced323bd89e6978a8169f",
     ("L1L2L3", "--json"): "572da64576400f42578bbac6f3623945e559a08c58c2ba8223e4678e512f54b4",
     ("L1L2L3", "--pretty"): "01ce3e000c52dc88b785d0d5ce57d8a0b4a9ddfec75820e2148cb1bc4f17c2fa",
+    # written when each factor image was a dense class
+    ("glue300", "--json"): "f367cd849bb830a978ac92af9da2cdd4cfcfd9e707211e878879501ecd3c2e3e",
+    ("glue300", "--pretty"): "182c0c26a3ea78a54482da6299f146992f0d08df8c6681d20171d168d1fa02a6",
+    ("band200", "--json"): "d0fb23ddd0183188ee7a775579eb3a4c31588cc4e6d45e353ec81e35082f3b68",
+    ("band200", "--pretty"): "dfed8bf9cc63ee4735b77c103e6c43649fd7c27a8111c248e0eee1e8c3e64f60",
+}
+
+
+def glue300():
+    """290 blocks of 2x2 and 3x3 with 10 non-square blocks among them: rank 599, 1,024 classes."""
+    rng = random.Random(300)
+    sizes = [rng.choice([(2, 2), (3, 3)]) for _ in range(290)]
+    for shape in rng.sample([(2, 3), (3, 2), (2, 4), (4, 3), (3, 4), (4, 2)] * 2, 10):
+        sizes.insert(rng.randrange(len(sizes) + 1), shape)
+    return compose(Ladder.full_matrix(m, n) for m, n in sizes)
+
+
+def band(m):
+    """m rows, each starting one column left of the row above: one factor with m - 3 corners of each kind."""
+    lines = ("." * max(0, m - r - 2) + "#" * (min(m, m - r + 3) - max(1, m - r - 1) + 1) for r in range(1, m + 1))
+    return parse_ascii("\n".join(lines))
+
+
+SDM_LADDERS = {
+    # construct2n --sizes 2x3,3x2,... (6 pairs): 4,096 classes
+    "glue12": lambda: construct_2n(12, [(2, 3), (3, 2)] * 6),
+    # compose: a two-sided factor, a Gorenstein one and two 3x2 blocks
+    "L1L2L3": lambda: compose([parse_ascii(text) for text in (L1_ASCII, L2_ASCII, L3_ASCII)]),
+    "glue300": glue300,
+    "band200": lambda: band(200),
 }
 
 
 @pytest.mark.parametrize("ladder, mode", SDM_SHA256)
 def test_sdm_output_bytes_are_unchanged(capsys, tmp_path, l3_json, ladder, mode):
     path = l3_json
-    if ladder == "glue12":  # construct2n --sizes 2x3,3x2,... (6 pairs): 4,096 classes
-        path = tmp_path / "glue12.json"
-        path.write_text(json.dumps(construct_2n(12, [(2, 3), (3, 2)] * 6).to_json_dict()))
-    if ladder == "L1L2L3":  # compose: a two-sided factor, a Gorenstein one and two 3x2 blocks
-        path = tmp_path / "l1l2l3.json"
-        path.write_text(json.dumps(compose([parse_ascii(text) for text in (L1_ASCII, L2_ASCII, L3_ASCII)]).to_json_dict()))
+    if ladder in SDM_LADDERS:
+        path = tmp_path / f"{ladder}.json"
+        path.write_text(json.dumps(SDM_LADDERS[ladder]().to_json_dict()))
     code, out, err = run(capsys, "sdm", "--in", str(path), mode)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SDM_SHA256[ladder, mode]
+
+
+@pytest.mark.parametrize("mode", ["--json", "--pretty"])
+def test_sdm_names_the_labels_once(capsys, monkeypatch, tmp_path, mode):
+    # 300 factor images and 1,024 classes: names per image or per class would be hundreds of calls
+    import ladderdet.classgroup
+    import ladderdet.sdm
+
+    calls = []
+    labels = ladderdet.classgroup._labels
+
+    def counted(ladder):
+        calls.append(ladder)
+        return labels(ladder)
+
+    for module in (ladderdet.classgroup, ladderdet.sdm):
+        monkeypatch.setattr(module, "_labels", counted)
+    path = tmp_path / "glue300.json"
+    path.write_text(json.dumps(glue300().to_json_dict()))
+    code, out, err = run(capsys, "sdm", "--in", str(path), mode)
+    assert (code, err) == (0, "")
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(

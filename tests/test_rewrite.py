@@ -157,6 +157,19 @@ def test_normal_form_matches_rewriting_oracle():
         assert outcomes == {normal_form(Monomial.from_cells(ms), Ladder(cells))}
 
 
+def test_normal_form_is_what_the_checked_constructor_builds():
+    # normal_form skips Monomial's checks; its result must be the one they give
+    rng = random.Random(101)
+    for _ in range(300):
+        ladder = Ladder(random_staircase_cells(rng, 7, 7))
+        cells = sorted(ladder)
+        exps = [(rng.choice(cells), rng.choice([1, 2, 3, 10**20])) for _ in range(rng.randint(0, 8))]
+        nf = normal_form(Monomial(exps), ladder)
+        checked = Monomial(list(nf.items()))
+        assert nf == checked and hash(nf) == hash(checked)
+        assert nf._exps == checked._exps and all(type(cell) is Cell for cell in nf.support)
+
+
 def test_normal_form_huge_exponent():
     ladder = Ladder.full_matrix(3, 3)
     m = Monomial({Cell(1, 1): 10**12, Cell(2, 2): 1})

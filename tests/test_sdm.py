@@ -1,6 +1,7 @@
 import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -223,6 +224,48 @@ def test_factor_images_match_the_relabeling_oracle():
         factorization = decompose(ladder)
         for u, f in enumerate(classify(ladder).factors):
             assert f.omega_image == embed_factor_omega(factorization, u)
+
+
+def test_classify_holds_memory_linear_in_the_rank():
+    # 1,000 2x2 blocks and a 2x3 block: rank 2,001, 1,001 factors.  A dense
+    # image per factor held over 2 million coordinates, 15.5 MB.
+    ladder = compose([Ladder.full_matrix(2, 2)] * 1000 + [Ladder.full_matrix(2, 3)])
+    decompose(ladder)  # the ladder keeps its factors; the report is what classify adds
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = classify(ladder)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (report.rank, report.count, len(report.factors)) == (2001, 2, 1001)
+    assert held < 2 * 2**20
+
+
+def test_factor_runs_partition_the_labels_and_are_omega_there():
+    # the Q runs follow one another from Q1 to Q(h+1), the P runs from P1 to Pk
+    for ladder in _enumerated_and_glued():
+        report = classify(ladder)
+        omega = report.omega._vec
+        h = corners(ladder).h
+        for kind, at, end in ((0, 0, h + 1), (1, h + 1, report.rank)):
+            for f in report.factors:
+                first, run = (f.q, f.p)[kind]
+                assert first == at and omega[first : first + len(run)] == run
+                at += len(run)
+            assert at == end
+        for f in report.factors:
+            assert f.to_json_dict()["omega_image"] == f.omega_image.to_json_dict()
+            assert f.gorenstein == f.omega_image.is_zero
+
+
+def test_texts_joined_from_the_images_are_the_classes_str():
+    for ladder in [*_enumerated_and_glued(), construct_2n(8, [(2, 5), (4, 2)] * 4)]:
+        report = classify(ladder)
+        omega, images, classes = report._texts()
+        assert omega == str(report.omega)
+        assert images == [str(f.omega_image) for f in report.factors]
+        assert list(classes) == list(map(str, report.classes))
 
 
 def test_classify_rejects_non_two_connected():
