@@ -95,8 +95,13 @@ class DivisorClass:
         return cls(ladder)
 
     def items(self) -> tuple:
-        """The (label, coefficient) pairs with a nonzero coefficient, in basis order."""
-        return tuple((l, c) for l, c in zip(_labels(self.ladder), self._vec) if c)
+        """The (label, coefficient) pairs with a nonzero coefficient, in basis order.
+
+        Coordinate i is Q(i + 1) up to h and P(i - h) after it; only the
+        labels of nonzero coordinates are built.
+        """
+        h = corners(self.ladder).h
+        return tuple((Q(i + 1) if i <= h else P(i - h), c) for i, c in enumerate(self._vec) if c)
 
     @property
     def is_zero(self) -> bool:
@@ -133,11 +138,22 @@ class DivisorClass:
         return f"DivisorClass({self})"
 
     def __str__(self):
-        return _format(_labels(self.ladder), self._vec)
+        items = self.items()
+        return _format([l for l, _ in items], [c for _, c in items])
 
     def to_json_dict(self) -> dict:
-        items = self.items()
-        return {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
+        # Q(i) sits at position i - 1 and P(j) at h + j.
+        h1 = corners(self.ladder).h + 1
+        return _json_runs(1, self._vec[:h1], 1, self._vec[h1:])
+
+
+def _json_runs(q_first: int, q, p_first: int, p) -> dict:
+    """The JSON of the class that is zero but on a run q of Q labels from
+    Q(q_first) and a run p of P labels from P(p_first)."""
+    return {
+        "Q": {str(i): c for i, c in enumerate(q, q_first) if c},
+        "P": {str(j): c for j, c in enumerate(p, p_first) if c},
+    }
 
 
 def _format(labels, vec: tuple[int, ...]) -> str:

@@ -85,6 +85,14 @@ def decompose(ladder: Ladder) -> Factorization:
     offset places it there: the union is exact, adjacent factors meet in
     their corner only, and no others meet.
 
+    With no coincidental corner (w = 0) nothing is cut: the one factor is
+    Y's ``_twin``, a new ladder that shares Y's spans, corners and report,
+    at offset (0, 0), so no row is surveyed again.  Each check above is
+    vacuous there: the factor's corner lists are Y's, with no cut to
+    insert; Y has no coincidental corner; ``require_analyzable`` has
+    already shown Y to be 2-connected; and the glue of one factor at
+    (0, 0) is that factor, so the round trip is the identity.
+
     The ladder keeps the factors, corners and offsets once they have passed
     every check, so a later call on the same object returns them at once; a
     failure is not kept, and raises again.  What it keeps refers to no
@@ -96,11 +104,14 @@ def decompose(ladder: Ladder) -> Factorization:
     if split is None:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
-        regions = _regions(ladder, cc)
-        factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
-        spans, offsets = _glue([f._spans for f in factors])
-        _check_factors(ladder, factors, cc, spans, offsets)
-        split = factors, cc, offsets
+        if cc:
+            regions = _regions(ladder, cc)
+            factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
+            spans, offsets = _glue([f._spans for f in factors])
+            _check_factors(ladder, factors, cc, spans, offsets)
+            split = factors, cc, offsets
+        else:
+            split = (ladder._twin(),), cc, ((0, 0),)
         object.__setattr__(ladder, "_split", split)
     return Factorization(ladder, *split)
 

@@ -150,7 +150,9 @@ class Ladder:
     validation report are found while it is built, and ``_split`` holds the
     verified factorization once :func:`ladderdet.decompose.decompose` has
     made it; its cells are built on first use.  Each lives as long as the
-    ladder, and no longer.
+    ladder, and no longer.  A ladder with no coincidental corner is its own
+    one factor, so ``_split`` may hold a ``_twin``: a second ladder that
+    shares this one's spans, corners and report, and refers to no ladder.
     """
 
     __slots__ = ("m", "n", "_spans", "_size", "_hash", "_corners", "_report", "_split", "_cells")
@@ -220,6 +222,16 @@ class Ladder:
         object.__setattr__(self, "_split", None)
         object.__setattr__(self, "_cells", None)
         return self
+
+    def _twin(self) -> "Ladder":
+        """A new ladder equal to this one, sharing its spans, size, hash,
+        corners and report, with no factorization or cells of its own."""
+        twin = object.__new__(type(self))
+        for name in ("m", "n", "_spans", "_size", "_hash", "_corners", "_report"):
+            object.__setattr__(twin, name, getattr(self, name))
+        object.__setattr__(twin, "_split", None)
+        object.__setattr__(twin, "_cells", None)
+        return twin
 
     def _pairs(self):
         """The (row, col) pair of every cell, in order."""

@@ -21,7 +21,17 @@ from collections import deque
 from itertools import chain, cycle, islice, product, repeat
 from typing import NamedTuple
 
-from .classgroup import DivisorClass, _format, _labels, _lead, _set_ladder, _set_vec, _terms, canonical_class
+from .classgroup import (
+    DivisorClass,
+    _format,
+    _json_runs,
+    _labels,
+    _lead,
+    _set_ladder,
+    _set_vec,
+    _terms,
+    canonical_class,
+)
 from .decompose import decompose
 from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, _brief, _glue, _matrix_spans, corners, require_analyzable
 
@@ -76,10 +86,7 @@ class FactorReport(NamedTuple):
             "m": self.m,
             "n": self.n,
             "gorenstein": self.gorenstein,
-            "omega_image": {
-                "Q": {str(i): c for i, c in enumerate(q, q0 + 1) if c},
-                "P": {str(j): c for j, c in enumerate(p, p0 - h) if c},
-            },
+            "omega_image": _json_runs(q0 + 1, q, p0 - h, p),
         }
 
 
@@ -198,7 +205,9 @@ def classify(ladder: Ladder) -> SdmReport:
     Gorenstein, the canonical class agrees with each image on that image's
     runs, and the runs end at the last labels, so by 3 the canonical class
     is the sum of the images.  Each factor costs O(its rows and labels), so
-    the report costs O(rows + rank).
+    the report costs O(rows + rank).  A ladder with no coincidental corner
+    is its own one factor, with the ladder's corners, so that factor's
+    canonical class is omega, whose vector is reused, not computed again.
     """
     factorization = decompose(ladder)
     omega = canonical_class(ladder)
@@ -209,7 +218,7 @@ def classify(ladder: Ladder) -> SdmReport:
 
     reports = []
     for u, factor in enumerate(factorization.factors):
-        local = canonical_class(factor)._vec
+        local = canonical_class(factor)._vec if factorization.w else vec
         h_u = corners(factor).h
         q_run = local[: h_u + 1]
         p_run = local[:1] + local[h_u + 1 :] if u else local[h_u + 1 :]

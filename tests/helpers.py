@@ -578,6 +578,30 @@ def child_env():
 
 
 # ---------------------------------------------------------------------------
+# the cutting oracle
+
+def decompose_by_cutting(ladder):
+    """The factorization made by cutting, whether or not there is a corner to cut at.
+
+    The oracle for ``decompose`` on a ladder with no coincidental corner,
+    whose one factor is the ladder's twin: this one cuts the ladder into its
+    regions, builds each as a new ladder from its spans, surveying its rows
+    again, glues them back and makes every check of the factors.
+    """
+    from ladderdet import Factorization, Ladder, corners, require_analyzable
+    from ladderdet.decompose import _check_factors, _regions
+    from ladderdet.ladders import _columns, _glue
+
+    require_analyzable(ladder)
+    cc = corners(ladder).coincidental
+    regions = _regions(ladder, cc)
+    factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
+    spans, offsets = _glue([f._spans for f in factors])
+    _check_factors(ladder, factors, cc, spans, offsets)
+    return Factorization(ladder, factors, cc, offsets)
+
+
+# ---------------------------------------------------------------------------
 # the factor-embedding oracle
 #
 # Every global basis label is named by the factor that owns it and its role

@@ -1,11 +1,13 @@
 import bisect
 import functools
+import json
 import random
 import re
 import time
 
 import pytest
 
+import ladderdet.classgroup as classgroup_module
 from ladderdet import (
     BasisLabel,
     Cell,
@@ -343,6 +345,29 @@ def test_divisor_class_json(l3):
     omega = canonical_class(l3)
     assert omega.to_json_dict() == {"Q": {"1": 1, "2": 1}, "P": {"1": 1}}
     assert DivisorClass.zero(l3).to_json_dict() == {"Q": {}, "P": {}}
+
+
+def test_divisor_class_names_only_its_nonzero_labels(monkeypatch):
+    # items, str and JSON as the full label list gave them, byte for byte,
+    # with no call that builds that list
+    rng = random.Random(71)
+    cases = []
+    for _ in range(60):
+        ladder = random_two_connected(rng)
+        labels = classgroup_module._labels(ladder)
+        vec = tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in labels)
+        items = tuple((l, c) for l, c in zip(labels, vec) if c)
+        doc = {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
+        text = classgroup_module._format(labels, vec)
+        cases.append((DivisorClass._make(ladder, vec), items, text, json.dumps(doc)))
+    calls = []
+    labels_of = classgroup_module._labels
+    monkeypatch.setattr(classgroup_module, "_labels", lambda l: calls.append(l) or labels_of(l))
+    for cls, items, text, doc in cases:
+        assert cls.items() == items
+        assert str(cls) == text
+        assert json.dumps(cls.to_json_dict()) == doc
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from ladderdet import (
     validate,
 )
 
-from helpers import random_staircase_cells
+from helpers import decompose_by_cutting, enumerate_ladder_cellsets, random_staircase_cells
 
 # the package's `decompose` attribute is the function, so fetch the module itself
 decompose_module = importlib.import_module("ladderdet.decompose")
+ladders_module = importlib.import_module("ladderdet.ladders")
 
 
 def factorization_roundtrip_check(factors):
@@ -226,3 +227,36 @@ def test_kept_factorization_holds_no_reference_to_its_ladder(l1, l3):
                 seen.add(id(obj))
                 stack += [x for x in gc.get_referents(obj) if type(x) in followed]
         assert len(seen) > len(decompose(ladder).factors)
+
+
+def test_one_factor_decomposition_is_the_cutting_oracles():
+    # every analyzable ladder up to 5x5 with no coincidental corner: its twin
+    # is the factor that cutting, rebuilding and gluing make, checked in full
+    seen = 0
+    for cells in enumerate_ladder_cellsets(5, 5):
+        ladder = Ladder(cells)
+        report = validate(ladder)
+        if not report.two_connected or report.sidedness == "other" or corners(ladder).coincidental:
+            continue
+        seen += 1
+        oracle = decompose_by_cutting(ladder)
+        f = decompose(ladder)
+        assert f == oracle and f.ladder is ladder and f.offsets == ((0, 0),) and f.coincidental == ()
+        for got, want in zip(f.factors, oracle.factors, strict=True):
+            assert got._spans == want._spans
+            assert corners(got) == corners(want) and validate(got) == validate(want)
+            assert (got.m, got.n, len(got), hash(got)) == (want.m, want.n, len(want), hash(want))
+    assert seen == 337
+
+
+def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1):
+    calls = []
+    survey, from_spans = ladders_module._survey, Ladder._from_spans
+    monkeypatch.setattr(ladders_module, "_survey", lambda *args: calls.append("_survey") or survey(*args))
+    counted = classmethod(lambda cls, *args: calls.append("_from_spans") or from_spans(*args))
+    monkeypatch.setattr(Ladder, "_from_spans", counted)
+    (factor,) = decompose(l1).factors
+    assert calls == []
+    assert factor == l1 and factor is not l1
+    assert factor._corners is l1._corners and factor._report is l1._report and factor._spans is l1._spans
+    assert factor._split is None and factor._cells is None

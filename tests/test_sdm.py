@@ -28,6 +28,8 @@ from ladderdet import (
 )
 
 from helpers import (
+    L1_ASCII,
+    L2_ASCII,
     L3_ASCII,
     classes_by_addition,
     embed_factor_omega,
@@ -215,6 +217,28 @@ def test_classify_rejects_labels_the_factors_do_not_cover(monkeypatch):
 
     monkeypatch.setattr(sdm_module, "corners", extra)
     with pytest.raises(LadderError, match="^internal inconsistency: the factors' labels do not cover the class group$"):
+        classify(ladder)
+
+
+def test_classify_of_a_one_factor_ladder_reuses_omega(monkeypatch, l1):
+    # the one factor is the ladder's twin, so its canonical class is omega
+    calls = []
+    canonical = sdm_module.canonical_class
+    monkeypatch.setattr(sdm_module, "canonical_class", lambda l: calls.append(l) or canonical(l))
+    report = classify(l1)
+    assert calls == [l1] and calls[0] is l1
+    (f,) = report.factors
+    assert f.omega_image == report.omega and report.count == 2
+
+
+@pytest.mark.parametrize("text", [L1_ASCII, L2_ASCII], ids=["L1", "L2"])
+def test_classify_of_a_one_factor_ladder_checks_gorenstein_against_omega(monkeypatch, text):
+    # a wrong Gorenstein test is caught on the lone factor too, either way round
+    ladder = parse_ascii(text)
+    truth = is_gorenstein(ladder)
+    monkeypatch.setattr(sdm_module, "is_gorenstein", lambda l: not truth)
+    disagree = "^internal inconsistency: factor 0 Gorenstein test and canonical image disagree$"
+    with pytest.raises(LadderError, match=disagree):
         classify(ladder)
 
 
