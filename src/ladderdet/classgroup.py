@@ -10,11 +10,11 @@ sums and differences are element-wise.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import add, sub
 from typing import NamedTuple
 
-from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, corners, is_int, require_analyzable
+from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, _new, corners, is_int, require_analyzable
 
 
 class BasisLabel(NamedTuple):
@@ -42,7 +42,8 @@ def P(j: int) -> BasisLabel:
 def _labels(ladder: Ladder) -> tuple[BasisLabel, ...]:
     """Q(1)..Q(h+1), P(1)..P(k): the coordinates of every class over the ladder."""
     prof = corners(ladder)
-    return tuple(Q(i) for i in range(1, prof.h + 2)) + tuple(P(j) for j in range(1, prof.k + 1))
+    fields = chain(zip(repeat("Q"), range(1, prof.h + 2)), zip(repeat("P"), range(1, prof.k + 1)))
+    return tuple(map(_new, repeat(BasisLabel), fields))
 
 
 def _check_label(prof: CornerProfile, label) -> None:

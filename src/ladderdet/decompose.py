@@ -14,7 +14,6 @@ from .ladders import (
     Cell,
     Ladder,
     LadderError,
-    _columns,
     _glue,
     corners,
     require_analyzable,
@@ -51,12 +50,19 @@ def decompose(ladder: Ladder) -> Factorization:
 
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
     closed regions between consecutive corners, each a slice of the ladder's
-    rows (see ``_regions``).  The glue certifies them: ``_glue`` places them
-    and gives the offsets, and ``_check_factors`` asks that Y's corner lists
-    be the factors' lists, translated, with cc[u] between factors u and
-    u + 1; that every factor be 2-connected with no coincidental corner; and
-    that the glued spans be Y's.  Each step is linear in the number of rows
-    and columns.
+    rows with two ends cut (see ``_regions``).  A factor's columns are taken
+    to be one run, from its bottom row's first column to its top row's last.
+    That is certified, not assumed: the round trip compares the glued
+    columns with Y's, and a region whose rows left a column of that run
+    empty would hold two consecutive rows that share no column, so its
+    factor would fail its own closure check (if their ends rise) or
+    2-connectedness check.  The glue certifies the factors: ``_glue``
+    places them and gives the offsets, and ``_check_factors`` asks that Y's
+    corner lists be the factors' lists, translated, with cc[u] between
+    factors u and u + 1; that every factor be 2-connected with no
+    coincidental corner; and that the glued spans be Y's.  Besides the
+    factors' own surveys, which are the independent evidence, these steps
+    take O(w + h + k) Python steps and slices and compares made in C.
 
     These checks imply the rest.  Let F_u be factor u (m_u x n_u) placed at
     (dr_u, dc_u), and J_u the cell where the glue puts F_u's (m_u, 1) on
@@ -106,7 +112,7 @@ def decompose(ladder: Ladder) -> Factorization:
         cc = corners(ladder).coincidental
         if cc:
             regions = _regions(ladder, cc)
-            factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
+            factors = tuple(Ladder._from_spans(rows, los, his, range(los[-1], his[0] + 1)) for rows, los, his in regions)
             spans, offsets = _glue([f._spans for f in factors])
             _check_factors(ladder, factors, cc, spans, offsets)
             split = factors, cc, offsets
@@ -123,20 +129,26 @@ def _regions(ladder, cc):
     Region u is the row slice of rows cc[u-1].row..cc[u].row, cut to the
     columns cc[u].col..cc[u-1].col, running to the ladder's edge where u is
     the first or last region.  The ladder is analyzable, so its rows are
-    1..m and each is the whole of its span.  Row ends never increase down
-    the rows, and the top row holds the right edge of the cut and the bottom
-    row its left edge, so the cut leaves no row of the slice empty.
+    1..m and each is the whole of its span lo_r..hi_r.  Only two ends are
+    cut.  A coincidental corner (r, c) is a lower corner, so c = lo_{r-1}
+    and lo_r < c, and an upper one, so c = hi_{r+1} and hi_r > c (module
+    docstring of ``ladders``, "Corners").  Row ends never increase down the
+    rows.  So with top = cc[u-1] and bottom = cc[u], every row r of the
+    slice below top has hi_r <= hi_{top.row+1} = top.col, and every row
+    above bottom has lo_r >= lo_{bottom.row-1} = bottom.col: the top row
+    needs only its last column cut to top.col, and the bottom row only its
+    first to bottom.col.  The edge cuts (1, n) and (m, 1) change nothing, as
+    row 1 ends in n and row m starts in 1.  The cut leaves the top row
+    holding top.col and the bottom row bottom.col, so no row is empty.
     """
     _, los, his, _ = ladder._spans
-    cuts = [Cell(1, ladder.n), *cc, Cell(ladder.m, 1)]
-    return [
-        (
-            list(range(top, bottom + 1)),
-            [max(c, lo) for c in los[top - 1 : bottom]],
-            [min(c, hi) for c in his[top - 1 : bottom]],
-        )
-        for (top, hi), (bottom, lo) in zip(cuts, cuts[1:])
-    ]
+    cuts = [(1, ladder.n), *cc, (ladder.m, 1)]
+    regions = []
+    for (top, hi), (bottom, lo) in zip(cuts, cuts[1:]):
+        r_los, r_his = list(los[top - 1 : bottom]), list(his[top - 1 : bottom])
+        r_los[-1], r_his[0] = lo, hi
+        regions.append((list(range(top, bottom + 1)), r_los, r_his))
+    return regions
 
 
 def _check_factors(ladder, factors, cc, spans, offsets):
@@ -144,21 +156,23 @@ def _check_factors(ladder, factors, cc, spans, offsets):
     # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
     # classify lays out the class-group labels by factor on this.  A cut with
     # no factor, or a factor with no cut, leaves a corner out of the list.
+    # A Cell is a tuple, so plain (row, col) pairs compare equal to it.
     prof = corners(ladder)
     for kind in ("lower", "upper"):
         glued = []
         for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):
             if cut:
                 glued.append(cut)
-            glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
+            glued += [(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
         if tuple(glued) != getattr(prof, kind):
             raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
     for u, f in enumerate(factors):
-        if corners(f).coincidental:
+        fprof = corners(f)
+        if not set(fprof.lower).isdisjoint(fprof.upper):
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         if not validate(f).two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
     # Equal spans and columns are equal ladders, and the ladder is closed, so this
     # is compose(factors) == ladder without building and hashing a second ladder.
-    if tuple(map(tuple, spans)) != tuple(map(tuple, ladder._spans)):
+    if list(spans) != list(map(list, ladder._spans)):
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

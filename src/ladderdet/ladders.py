@@ -134,9 +134,13 @@ class Cell(NamedTuple):
         return f"({self.row},{self.col})"
 
 
+# _new(T, values) makes the NamedTuple T of a tuple of its fields without a Python-level call.
+_new = tuple.__new__
+
+
 def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
-    """The cells at the given (row, col) pairs; tuple.__new__ makes each without a Python-level call."""
-    return frozenset(map(tuple.__new__, repeat(Cell), pairs))
+    """The cells at the given (row, col) pairs, each made by ``_new``."""
+    return frozenset(map(_new, repeat(Cell), pairs))
 
 
 class Ladder:
@@ -211,27 +215,13 @@ class Ladder:
             range(1, n + 1) if len(cols) == n else tuple(map(dc.__add__, cols)),
         )
         prof, report, size = _survey(*spans, m, n)
-        self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_spans", spans)
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_hash", hash(spans))
-        object.__setattr__(self, "_corners", prof)
-        object.__setattr__(self, "_report", report)
-        object.__setattr__(self, "_split", None)
-        object.__setattr__(self, "_cells", None)
-        return self
+        return _fill(object.__new__(cls), m, n, spans, size, hash(spans), prof, report)
 
     def _twin(self) -> "Ladder":
         """A new ladder equal to this one, sharing its spans, size, hash,
         corners and report, with no factorization or cells of its own."""
         twin = object.__new__(type(self))
-        for name in ("m", "n", "_spans", "_size", "_hash", "_corners", "_report"):
-            object.__setattr__(twin, name, getattr(self, name))
-        object.__setattr__(twin, "_split", None)
-        object.__setattr__(twin, "_cells", None)
-        return twin
+        return _fill(twin, self.m, self.n, self._spans, self._size, self._hash, self._corners, self._report)
 
     def _pairs(self):
         """The (row, col) pair of every cell, in order."""
@@ -242,7 +232,7 @@ class Ladder:
     @property
     def cells(self) -> frozenset[Cell]:
         if self._cells is None:
-            object.__setattr__(self, "_cells", _cell_set(self._pairs()))
+            _set_cells(self, _cell_set(self._pairs()))
         return self._cells
 
     def __setattr__(self, name, value):
@@ -286,7 +276,7 @@ class Ladder:
         return self._size
 
     def __iter__(self):
-        return map(tuple.__new__, repeat(Cell), self._pairs())
+        return map(_new, repeat(Cell), self._pairs())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ladder) and self._spans == other._spans
@@ -296,6 +286,27 @@ class Ladder:
 
     def __repr__(self):
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
+
+
+# Slot setters past the __setattr__ that keeps a ladder immutable, each one C call.
+_set_m, _set_n, _set_spans, _set_size, _set_hash, _set_corners, _set_report, _set_split, _set_cells = (
+    getattr(Ladder, name).__set__
+    for name in ("m", "n", "_spans", "_size", "_hash", "_corners", "_report", "_split", "_cells")
+)
+
+
+def _fill(ladder, m, n, spans, size, hash_, prof, report) -> Ladder:
+    """The new ladder with every slot set, and no factorization or cells yet."""
+    _set_m(ladder, m)
+    _set_n(ladder, n)
+    _set_spans(ladder, spans)
+    _set_size(ladder, size)
+    _set_hash(ladder, hash_)
+    _set_corners(ladder, prof)
+    _set_report(ladder, report)
+    _set_split(ladder, None)
+    _set_cells(ladder, None)
+    return ladder
 
 
 def _matrix_spans(m: int, n: int):
@@ -439,12 +450,17 @@ class CornerProfile(NamedTuple):
 
     @property
     def lower_ext(self) -> tuple[Cell, ...]:
-        return (Cell(1, self.n), *self.lower, Cell(self.m, 1))
+        return (_new(Cell, (1, self.n)), *self.lower, _new(Cell, (self.m, 1)))
 
     @property
     def coincidental(self) -> tuple[Cell, ...]:
-        both = set(self.lower) & set(self.upper)
-        return tuple(sorted(both))
+        """The corners that are both lower and upper, in row order.
+
+        A row holds at most one corner of each kind (module docstring,
+        "Corners") and both lists are in row order, so these are the lower
+        corners that are also upper ones, in the lower list's order: no sort.
+        """
+        return tuple(filter(set(self.upper).__contains__, self.lower))
 
 
 def corners(ladder: Ladder) -> CornerProfile:
@@ -533,20 +549,21 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
         b0, l0 = b, l1
         if r2 == r1 + 1:
             if l2 < l1 <= h2 and cols[l1 - 2] == cols[l1 - 1] - 1:
-                lower.append(Cell(r2, cols[l1 - 1]))
+                lower.append(_new(Cell, (r2, cols[l1 - 1])))
             if l1 <= h2 < h1 and cols[h2] == cols[h2 - 1] + 1:
-                upper.append(Cell(r1, cols[h2 - 1]))
+                upper.append(_new(Cell, (r1, cols[h2 - 1])))
     every_cell_in_minor = not loose
     two_connected = every_cell_in_minor and min(shared, default=0) >= 2 and meets == len(shared) - 1
     path_connected = len(rows) == m and len(cols) == n and all(shared)
 
-    messages = []
-    if not every_cell_in_minor:
-        messages.append(f"{loose} cell(s) belong to no full 2-minor")
-    if not two_connected and every_cell_in_minor:
-        messages.append("the 2-minor hypergraph is disconnected")
-    if not path_connected:
-        messages.append("cell set is not path-connected")
+    messages = []  # only a ladder that fails a test has any
+    if not (two_connected and path_connected):
+        if not every_cell_in_minor:
+            messages.append(f"{loose} cell(s) belong to no full 2-minor")
+        if not two_connected and every_cell_in_minor:
+            messages.append("the 2-minor hypergraph is disconnected")
+        if not path_connected:
+            messages.append("cell set is not path-connected")
 
     if not path_connected:
         sidedness = "other"
@@ -557,8 +574,8 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
     else:
         sidedness = "one-sided"
 
-    report = ValidationReport(every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages))
-    return CornerProfile(m, n, tuple(lower), tuple(upper)), report, total
+    report = _new(ValidationReport, (every_cell_in_minor, two_connected, path_connected, sidedness, tuple(messages)))
+    return _new(CornerProfile, (m, n, tuple(lower), tuple(upper))), report, total
 
 
 def _closure_error(r1, r2, c1, c2, dc=0):

@@ -581,24 +581,56 @@ def child_env():
 # the cutting oracle
 
 def decompose_by_cutting(ladder):
-    """The factorization made by cutting, whether or not there is a corner to cut at.
+    """The factorization made by cutting every row and merging column runs.
 
-    The oracle for ``decompose`` on a ladder with no coincidental corner,
-    whose one factor is the ladder's twin: this one cuts the ladder into its
-    regions, builds each as a new ladder from its spans, surveying its rows
-    again, glues them back and makes every check of the factors.
+    The oracle for ``decompose``, with or without a corner to cut at.  It
+    finds the coincidental corners by sorting the intersection of the two
+    corner lists, clips every row of each region to the columns between
+    its cuts, sorts and merges the clipped spans into the factor's columns,
+    builds each factor from its spans, surveying its rows again, glues them
+    back and checks the factors with ``Cell``s rebuilt from each corner.
+    Only the glue and the ladder constructor are the library's.
     """
-    from ladderdet import Factorization, Ladder, corners, require_analyzable
-    from ladderdet.decompose import _check_factors, _regions
-    from ladderdet.ladders import _columns, _glue
+    from ladderdet import Cell, Factorization, Ladder, LadderError, corners, require_analyzable, validate
+    from ladderdet.ladders import _glue
 
     require_analyzable(ladder)
-    cc = corners(ladder).coincidental
-    regions = _regions(ladder, cc)
-    factors = tuple(Ladder._from_spans(rows, los, his, _columns(los, his)) for rows, los, his in regions)
+    prof = corners(ladder)
+    cc = tuple(sorted(set(prof.lower) & set(prof.upper)))
+    _, los, his, _ = ladder._spans
+    cuts = [Cell(1, ladder.n), *cc, Cell(ladder.m, 1)]
+    factors = []
+    for (top, hi), (bottom, lo) in zip(cuts, cuts[1:]):
+        f_los = [max(c, lo) for c in los[top - 1 : bottom]]
+        f_his = [min(c, hi) for c in his[top - 1 : bottom]]
+        cols = _merged_columns(f_los, f_his)
+        factors.append(Ladder._from_spans(list(range(top, bottom + 1)), f_los, f_his, cols))
     spans, offsets = _glue([f._spans for f in factors])
-    _check_factors(ladder, factors, cc, spans, offsets)
-    return Factorization(ladder, factors, cc, offsets)
+    for kind in ("lower", "upper"):
+        glued = []
+        for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):
+            if cut:
+                glued.append(cut)
+            glued += [Cell(r + dr, c + dc) for r, c in getattr(corners(f), kind)]
+        if tuple(glued) != getattr(prof, kind):
+            raise LadderError(f"cutting oracle: the factors' {kind} corners are not the ladder's")
+    for u, f in enumerate(factors):
+        if set(corners(f).lower) & set(corners(f).upper) or not validate(f).two_connected:
+            raise LadderError(f"cutting oracle: factor {u} is not 2-connected and free of coincidental corners")
+    if tuple(map(tuple, spans)) != tuple(map(tuple, ladder._spans)):
+        raise LadderError("cutting oracle: composing the factors does not recover the ladder")
+    return Factorization(ladder, tuple(factors), cc, offsets)
+
+
+def _merged_columns(los, his):
+    """The columns that lie in some span lo..hi, in order, by sorting and merging the spans."""
+    runs = []
+    for lo, hi in sorted(zip(los, his)):
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return [c for lo, hi in runs for c in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ from ladderdet import (
     validate,
 )
 
-from helpers import decompose_by_cutting, enumerate_ladder_cellsets, random_staircase_cells
+from helpers import (
+    decompose_by_cutting,
+    enumerate_ladder_cellsets,
+    random_staircase_cells,
+    random_two_connected_staircase,
+)
 
 # the package's `decompose` attribute is the function, so fetch the module itself
 decompose_module = importlib.import_module("ladderdet.decompose")
@@ -260,3 +265,51 @@ def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1):
     assert factor == l1 and factor is not l1
     assert factor._corners is l1._corners and factor._report is l1._report and factor._spans is l1._spans
     assert factor._split is None and factor._cells is None
+
+
+def two_sided_glues(seed, count):
+    """count seeded glues of 2 to 6 two-sided staircases up to 6x6, each
+    2-connected with no coincidental corner, so every factor has inside
+    corners of its own."""
+    rng = random.Random(seed)
+
+    def factor():
+        while True:
+            ladder = Ladder(random_two_connected_staircase(rng, 6, 6))
+            if validate(ladder).sidedness == "two-sided" and not corners(ladder).coincidental:
+                return ladder
+
+    return [compose([factor() for _ in range(rng.randint(2, 6))]) for _ in range(count)]
+
+
+def test_decomposition_at_corners_is_the_cutting_oracles():
+    # the oracle clips every row and sorts and merges each factor's columns;
+    # decompose cuts two row ends per region and takes the columns as one run
+    small = []
+    for cells in enumerate_ladder_cellsets(5, 5):
+        ladder = Ladder(cells)
+        report = validate(ladder)
+        if report.two_connected and report.sidedness != "other" and corners(ladder).coincidental:
+            small.append(ladder)
+    glues = two_sided_glues(20, 200)
+    assert len(small) == 157 and len(glues) == 200
+    assert all(corners(x).h and corners(x).k for g in glues for x in decompose_by_cutting(g).factors)
+    for ladder in small + glues:
+        oracle = decompose_by_cutting(ladder)
+        f = decompose(ladder)
+        assert f == oracle and f.ladder is ladder and f.w >= 1
+        for got, want in zip(f.factors, oracle.factors, strict=True):
+            assert got._spans == want._spans
+            assert corners(got) == corners(want) and validate(got) == validate(want)
+            assert (got.m, got.n, len(got), hash(got)) == (want.m, want.n, len(want), hash(want))
+
+
+def test_coincidental_corners_are_the_sorted_intersection():
+    # the lower corners that are upper ones too, in row order, are the sorted
+    # intersection of the two lists on every ladder up to 5x5, analyzable or not
+    ladders = [Ladder(cells) for cells in enumerate_ladder_cellsets(5, 5)] + two_sided_glues(21, 200)
+    assert len(ladders) == 20417 + 200
+    for ladder in ladders:
+        prof = corners(ladder)
+        assert prof.coincidental == tuple(sorted(set(prof.lower) & set(prof.upper)))
+    assert sum(bool(corners(ladder).coincidental) for ladder in ladders) > 300
