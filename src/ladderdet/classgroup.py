@@ -62,6 +62,12 @@ def _check_label(prof: CornerProfile, label) -> None:
         raise LadderError(f"unknown label kind: expected 'Q' or 'P', got type {type(label.kind).__name__}")
 
 
+def _check_qprime(prof: CornerProfile, i) -> None:
+    """Raise LadderError unless i is the index of one of QPrime(1)..QPrime(h+1)."""
+    if not (is_int(i) and 1 <= i <= prof.h + 1):
+        raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
+
+
 class DivisorClass:
     """Dense integer vector over the basis labels of a fixed ambient ladder."""
 
@@ -203,8 +209,7 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
     prof = corners(ladder)
     _, los, his, _ = ladder._spans  # analyzable: rows 1..m, each the whole of its span
     if isinstance(label, QPrime):
-        if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
-            raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
+        _check_qprime(prof, label.index)
         col = prof.lower_ext[label.index].col
         return _cell_set((r, col) for r, lo, hi in zip(count(1), los, his) if lo <= col <= hi)
     _check_label(prof, label)
@@ -242,8 +247,7 @@ def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
     """[QPrime(i)] expressed in the basis: -Q(i) minus the P(j) dominating (a_{i-1}, b_i)."""
     require_analyzable(ladder)
     prof = corners(ladder)
-    if not (is_int(i) and 1 <= i <= prof.h + 1):
-        raise LadderError(f"QPrime index out of range 1..{prof.h + 1} (h = {prof.h})")
+    _check_qprime(prof, i)
     le = prof.lower_ext
     a_prev, b_i = le[i - 1].row, le[i].col
     coeffs: dict[BasisLabel, int] = {Q(i): -1}

@@ -150,16 +150,17 @@ class Ladder:
     column of each, and the occupied columns S in order; each row is the
     columns of S in its span (module docstring, "Spans").  A list 1..k is
     held as ``range(1, k + 1)``, so a ladder with no empty row or column
-    costs O(rows), and any ladder O(rows + |S|).  Its corners and
-    validation report are found while it is built, and ``_split`` holds the
-    verified factorization once :func:`ladderdet.decompose.decompose` has
-    made it; its cells are built on first use.  Each lives as long as the
-    ladder, and no longer.  A ladder with no coincidental corner is its own
-    one factor, so ``_split`` may hold a ``_twin``: a second ladder that
-    shares this one's spans, corners and report, and refers to no ladder.
+    costs O(rows), and any ladder O(rows + |S|).  Besides its spans a
+    ladder keeps only its survey, the corners and validation report found
+    while it is built, and in ``_split`` the verified factorization once
+    :func:`ladderdet.decompose.decompose` has made it.  Each lives as long
+    as the ladder, and no longer.  ``cells`` builds its set on each read
+    and keeps none.  A ladder with no coincidental corner is its own one
+    factor, so ``_split`` may hold a ``_twin``: a second ladder that shares
+    this one's spans and survey, and refers to no ladder.
     """
 
-    __slots__ = ("m", "n", "_spans", "_size", "_hash", "_corners", "_report", "_split", "_cells")
+    __slots__ = ("m", "n", "_spans", "_size", "_corners", "_report", "_split")
 
     def __new__(cls, cells: Iterable[tuple[int, int]]):
         rows = defaultdict(set)
@@ -215,13 +216,13 @@ class Ladder:
             range(1, n + 1) if len(cols) == n else tuple(map(dc.__add__, cols)),
         )
         prof, report, size = _survey(*spans, m, n)
-        return _fill(object.__new__(cls), m, n, spans, size, hash(spans), prof, report)
+        return _fill(object.__new__(cls), m, n, spans, size, prof, report)
 
     def _twin(self) -> "Ladder":
-        """A new ladder equal to this one, sharing its spans, size, hash,
-        corners and report, with no factorization or cells of its own."""
+        """A new ladder equal to this one, sharing its spans, size, corners
+        and report, with no factorization of its own."""
         twin = object.__new__(type(self))
-        return _fill(twin, self.m, self.n, self._spans, self._size, self._hash, self._corners, self._report)
+        return _fill(twin, self.m, self.n, self._spans, self._size, self._corners, self._report)
 
     def _pairs(self):
         """The (row, col) pair of every cell, in order."""
@@ -231,9 +232,8 @@ class Ladder:
 
     @property
     def cells(self) -> frozenset[Cell]:
-        if self._cells is None:
-            _set_cells(self, _cell_set(self._pairs()))
-        return self._cells
+        """The set of every cell, built on each read."""
+        return _cell_set(self._pairs())
 
     def __setattr__(self, name, value):
         raise AttributeError("Ladder is immutable")
@@ -248,14 +248,6 @@ class Ladder:
             raise LadderError(f"cannot build a full {m}x{n} matrix: its cells exceed the cap of {sys.maxsize}")
         return cls._from_spans(*_matrix_spans(m, n))
 
-    def row_cols(self, r: int) -> frozenset[int]:
-        """Columns occupied in row r (empty set if the row is empty), built on each call."""
-        rows, los, his, cols = self._spans
-        i = bisect_left(rows, r)
-        if not (i < len(rows) and rows[i] == r):
-            return frozenset()
-        return frozenset(cols[bisect_left(cols, los[i]) : bisect_right(cols, his[i])])
-
     @property
     def is_full_matrix(self) -> bool:
         return len(self) == self.m * self.n
@@ -269,8 +261,9 @@ class Ladder:
         try:
             i = bisect_left(rows, r)
             return i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and cols[bisect_left(cols, c)] == c
-        except TypeError:  # floats, strings and the rest compare as in the cell set
-            return (r, c) in self.cells
+        except TypeError:  # floats, strings and the rest: equal to a cell's indices, as in a set of cells
+            runs = (cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for x, lo, hi in zip(rows, los, his) if x == r)
+            return any(c in run for run in runs)
 
     def __len__(self) -> int:
         return self._size
@@ -282,30 +275,27 @@ class Ladder:
         return isinstance(other, Ladder) and self._spans == other._spans
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._spans)
 
     def __repr__(self):
         return f"Ladder({self.m}x{self.n}, {len(self)} cells)"
 
 
 # Slot setters past the __setattr__ that keeps a ladder immutable, each one C call.
-_set_m, _set_n, _set_spans, _set_size, _set_hash, _set_corners, _set_report, _set_split, _set_cells = (
-    getattr(Ladder, name).__set__
-    for name in ("m", "n", "_spans", "_size", "_hash", "_corners", "_report", "_split", "_cells")
+_set_m, _set_n, _set_spans, _set_size, _set_corners, _set_report, _set_split = (
+    getattr(Ladder, name).__set__ for name in Ladder.__slots__
 )
 
 
-def _fill(ladder, m, n, spans, size, hash_, prof, report) -> Ladder:
-    """The new ladder with every slot set, and no factorization or cells yet."""
+def _fill(ladder, m, n, spans, size, prof, report) -> Ladder:
+    """The new ladder with every slot set, and no factorization yet."""
     _set_m(ladder, m)
     _set_n(ladder, n)
     _set_spans(ladder, spans)
     _set_size(ladder, size)
-    _set_hash(ladder, hash_)
     _set_corners(ladder, prof)
     _set_report(ladder, report)
     _set_split(ladder, None)
-    _set_cells(ladder, None)
     return ladder
 
 

@@ -281,10 +281,10 @@ def intersect_bounded(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monomia
 
 def _intersect_search(gen_sets, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Minimal common members of degree <= d of the ideals of the two sets, by the search; any sets of cells."""
-    common = _members(gen_sets, d, ladder)
+    common, cells = _members(gen_sets, d, ladder), ladder.cells
     return frozenset(
         Monomial.from_cells(zip(*content)) for content in common
-        if not any(t in common for t in _quotients(*content, ladder.cells, ladder.cells))
+        if not any(t in common for t in _quotients(*content, cells, cells))
     )
 
 

@@ -109,7 +109,7 @@ class CellSetLadder:
     """A ladder held as its plain set of cells, shifted to start at (1, 1).
 
     The reference for the library's row spans over the occupied columns:
-    size, membership and rows read the set itself.
+    size and membership read the set itself.
     """
 
     def __init__(self, cells):
@@ -124,9 +124,6 @@ class CellSetLadder:
 
     def __contains__(self, cell):
         return tuple(cell) in self.cells
-
-    def row_cols(self, r):
-        return frozenset(c for row, c in self.cells if row == r)
 
     def ascii(self):
         cols = range(1, self.n + 1)

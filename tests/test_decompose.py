@@ -254,7 +254,7 @@ def test_one_factor_decomposition_is_the_cutting_oracles():
     assert seen == 337
 
 
-def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1):
+def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1, cell_reads):
     calls = []
     survey, from_spans = ladders_module._survey, Ladder._from_spans
     monkeypatch.setattr(ladders_module, "_survey", lambda *args: calls.append("_survey") or survey(*args))
@@ -264,7 +264,7 @@ def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1):
     assert calls == []
     assert factor == l1 and factor is not l1
     assert factor._corners is l1._corners and factor._report is l1._report and factor._spans is l1._spans
-    assert factor._split is None and factor._cells is None
+    assert factor._split is None and cell_reads == []
 
 
 def two_sided_glues(seed, count):

@@ -173,7 +173,6 @@ def test_every_construction_gives_the_same_ladder():
             assert other == ladder and hash(other) == hash(ladder)
             assert other.cells == set(cells) and len(other) == len(cells)
             assert all(type(p) is Cell for p in other.cells)
-        assert ladder.cells is ladder.cells
         assert ladder.is_full_matrix == (ladder == Ladder.full_matrix(ladder.m, ladder.n))
 
 
@@ -233,9 +232,9 @@ def test_validate_full_matrix():
     assert report.sidedness == "matrix"
 
 
-def test_span_built_ladders_hold_no_row_set(l1, l3):
+def test_span_built_ladders_hold_no_row_set(l1, l3, cell_reads):
     # a ladder is its row spans and its occupied columns: built from spans it
-    # holds no set, list or dict, and a row's columns are made when asked for
+    # holds no set, list or dict, and no layer that builds one reads its cells
     glue = compose([l1, l3, Ladder.full_matrix(3, 2)])
     built = [
         *(Ladder.full_matrix(m, n) for m, n in ((1, 1), (3, 2), (40, 7))),
@@ -244,8 +243,6 @@ def test_span_built_ladders_hold_no_row_set(l1, l3):
         *decompose(glue).factors,
     ]
     for ladder in built:
-        if ladder.is_full_matrix:
-            assert all(ladder.row_cols(r) == frozenset(range(1, ladder.n + 1)) for r in range(1, ladder.m + 1))
         stack, seen = [ladder], set()
         while stack:
             obj = stack.pop()
@@ -254,7 +251,7 @@ def test_span_built_ladders_hold_no_row_set(l1, l3):
                 assert not isinstance(obj, (set, frozenset, list, dict)), (ladder, obj)
                 if isinstance(obj, (Ladder, tuple)):
                     stack += gc.get_referents(obj)
-        assert ladder._cells is None and len(seen) > 10
+        assert cell_reads == [] and len(seen) > 10
 
 
 def test_spans_match_the_cell_set_oracle():
@@ -268,7 +265,6 @@ def test_spans_match_the_cell_set_oracle():
         assert len(ladder) == len(oracle) and ladder.cells == oracle.cells
         assert list(ladder) == sorted(oracle.cells)
         for r in range(oracle.m + 2):
-            assert ladder.row_cols(r) == oracle.row_cols(r)
             assert all(((r, c) in ladder) == ((r, c) in oracle) for c in range(oracle.n + 2))
         r, c = min(oracle.cells)
         assert (float(r), c) in ladder and ("1", c) not in ladder
@@ -596,8 +592,9 @@ def test_a_large_matrix_costs_its_rows_not_its_cells():
 
 
 def test_dropped_ladders_free_their_memory():
-    # What a ladder computes (corners, report, factors, cells) lives on it and
-    # goes with it: nothing is kept for a ladder the caller has dropped.
+    # What a ladder computes (corners, report, factors) lives on it and goes
+    # with it, as does the cell set the caller read: nothing is kept for a
+    # ladder the caller has dropped.
     texts = ["\n".join(["#" * (101 + i)] * 100) for i in range(10)]
     tracemalloc.start()
     try:
@@ -607,12 +604,40 @@ def test_dropped_ladders_free_their_memory():
             ladder = parse_ascii(text)
             assert validate(ladder).sidedness == "matrix"
             assert corners(ladder).h == 0 and classify(ladder).count == 2
-            assert len(ladder.cells) == len(ladder)
+            cells = ladder.cells
+            assert len(cells) == len(ladder)
             one = tracemalloc.get_traced_memory()[0] - before
-            del ladder
+            del ladder, cells
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert one > 500_000  # a 100 x 110 ladder's cell set, with every result on it
     assert kept < one / 4, (kept, one)
+
+
+MIXED_PROBES = [
+    ("a", 1), (None, 5), (1, "x"), (1.0, 1), (complex(1, 0), 1), (2, complex(3, 0)), (1001, complex(1, 0)), (True, 1),
+]
+
+
+def test_membership_of_non_integer_indices_builds_no_cell_set():
+    # the probes' answers are those of the million-cell set, which took seconds and over 100 MB to build
+    ladder = Ladder.full_matrix(1000, 1000)
+    start = time.process_time()
+    got = [probe in ladder for probe in MIXED_PROBES]
+    elapsed = time.process_time() - start
+    tracemalloc.start()
+    try:
+        assert [probe in ladder for probe in MIXED_PROBES] == got
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [False, False, False, True, True, True, False, True]
+    assert elapsed < 0.5 and peak < 1_000_000, (elapsed, peak)
+    # on gapped columns too, a probe is in the ladder exactly when it is in the oracle's set
+    for cells in GAPPED_CELLSETS:
+        ladder, oracle = Ladder(cells), CellSetLadder(cells)
+        for r, c in itertools.product(range(oracle.m + 2), range(oracle.n + 2)):
+            for probe in ((complex(r, 0), c), (r, complex(c, 0)), (str(r), c), (r, None), (r, float(c))):
+                assert (probe in ladder) == (probe in oracle), (sorted(cells), probe)
