@@ -48,8 +48,14 @@ def _labels(ladder: Ladder) -> tuple[BasisLabel, ...]:
 
 def _check_label(prof: CornerProfile, label) -> None:
     """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k)."""
-    # The messages name the label's type or bound, not the label or index,
-    # which may be an integer too long for str().
+    # A label as Q and P make it passes here; any other takes the checks
+    # below, whose messages name the label's type or bound, not the label or
+    # index, which may be an integer too long for str().
+    if type(label) is BasisLabel:
+        kind, index = label
+        top = len(prof.lower) + 1 if kind == "Q" else len(prof.upper) if kind == "P" else 0
+        if type(index) is int and 1 <= index <= top:
+            return
     if not isinstance(label, BasisLabel):
         raise LadderError(f"not a basis label: got type {type(label).__name__}")
     if label.kind == "Q":
@@ -208,15 +214,19 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
     require_analyzable(ladder)
     prof = corners(ladder)
     _, los, his, _ = ladder._spans  # analyzable: rows 1..m, each the whole of its span
+    # (a_i, b_i) is lower[i - 1], with (a_0, b_0) = (1, n) and (a_{h+1}, b_{h+1}) = (m, 1).
+    lower = prof.lower
     if isinstance(label, QPrime):
-        _check_qprime(prof, label.index)
-        col = prof.lower_ext[label.index].col
+        i = label.index
+        _check_qprime(prof, i)
+        col = lower[i - 1].col if i <= len(lower) else 1
         return _cell_set((r, col) for r, lo, hi in zip(count(1), los, his) if lo <= col <= hi)
     _check_label(prof, label)
-    if label.kind == "Q":
-        row = prof.lower_ext[label.index - 1].row
+    kind, i = label
+    if kind == "Q":
+        row = lower[i - 2].row if i > 1 else 1
         return _cell_set(zip(repeat(row), range(los[row - 1], his[row - 1] + 1)))
-    c, d = prof.upper[label.index - 1]
+    c, d = prof.upper[i - 1]
     return _cell_set(
         (r, col) for r, lo, hi in zip(range(1, c + 1), los, his) for col in range(lo, (hi if hi < d else d) + 1)
     )
@@ -231,13 +241,12 @@ def canonical_class(ladder: Ladder) -> DivisorClass:
     decreases, and one merge pass finds them all: O(h + k).
     """
     require_analyzable(ladder)
-    prof = corners(ladder)
-    le = prof.lower_ext
-    sums = [a + b for a, b in le]
+    m, n, lower, upper = corners(ladder)
+    sums = [1 + n, *map(sum, lower), m + 1]  # a_i + b_i for i = 0..h+1
     vec = list(map(sub, sums[1:], sums))
-    i_j = 1
-    for c, d in prof.upper:
-        while le[i_j][0] <= c:
+    i_j, h = 1, len(lower)
+    for c, d in upper:
+        while i_j <= h and lower[i_j - 1].row <= c:  # a_{h+1} = m lies below every upper corner
             i_j += 1
         vec.append(sums[i_j] - c - d)
     return DivisorClass._make(ladder, tuple(vec))
@@ -248,8 +257,9 @@ def qprime_class(ladder: Ladder, i: int) -> DivisorClass:
     require_analyzable(ladder)
     prof = corners(ladder)
     _check_qprime(prof, i)
-    le = prof.lower_ext
-    a_prev, b_i = le[i - 1].row, le[i].col
+    lower = prof.lower
+    a_prev = lower[i - 2].row if i > 1 else 1
+    b_i = lower[i - 1].col if i <= len(lower) else 1
     coeffs: dict[BasisLabel, int] = {Q(i): -1}
     for j, (c, d) in enumerate(prof.upper, start=1):
         if a_prev <= c and b_i <= d:

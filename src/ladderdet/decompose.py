@@ -14,7 +14,7 @@ from .ladders import (
     Cell,
     Ladder,
     LadderError,
-    _glue,
+    _offsets,
     corners,
     require_analyzable,
     validate,
@@ -52,17 +52,51 @@ def decompose(ladder: Ladder) -> Factorization:
     closed regions between consecutive corners, each a slice of the ladder's
     rows with two ends cut (see ``_regions``).  A factor's columns are taken
     to be one run, from its bottom row's first column to its top row's last.
-    That is certified, not assumed: the round trip compares the glued
-    columns with Y's, and a region whose rows left a column of that run
+    That is certified, not assumed: the round trip below puts the glued
+    columns at Y's, and a region whose rows left a column of that run
     empty would hold two consecutive rows that share no column, so its
     factor would fail its own closure check (if their ends rise) or
-    2-connectedness check.  The glue certifies the factors: ``_glue``
-    places them and gives the offsets, and ``_check_factors`` asks that Y's
-    corner lists be the factors' lists, translated, with cc[u] between
-    factors u and u + 1; that every factor be 2-connected with no
-    coincidental corner; and that the glued spans be Y's.  Besides the
+    2-connectedness check.  The glue certifies the factors, but it is not
+    built: ``_offsets`` gives the offsets at which ``_glue`` would place
+    them, and ``_check_factors`` asks that Y's corner lists be the factors'
+    lists, translated, with cc[u] between factors u and u + 1; that every
+    factor be 2-connected with no coincidental corner; and that the glue of
+    the factors be Y, one factor at a time, as follows.  Besides the
     factors' own surveys, which are the independent evidence, these steps
     take O(w + h + k) Python steps and slices and compares made in C.
+
+    The round trip, one factor at a time.  Let factor u have m_u rows and
+    n_u columns, first and last columns lo^u_r and hi^u_r, and offset
+    (dr_u, dc_u): dr_u sums m_v - 1 over the factors before it and dc_u sums
+    n_v - 1 over those after it.  Its columns are 1..n_u, the run it is
+    built on, and its top row ends in n_u.  The glue keeps every row of
+    factor 0 and every row but the first of each later factor, shifted by
+    dr_u; row r of factor u keeps lo^u_r + dc_u, except that the last row of
+    each factor but the last takes the first column of the next factor's
+    first row, and hi^u_r + dc_u; its columns are 1..dc_0 + n_0.  Y is
+    analyzable, so its rows are 1..m and its columns 1..n.  A 2-connected
+    ladder's first two rows end in the same column, and its last two start
+    in the same one: a column that only its first or only its last row held
+    would lie in no full 2-minor.  Y is 2-connected, and so is every factor
+    once the factor checks have passed.  So the glue is Y exactly when, for
+    every u:
+
+    - lo^u_r + dc_u is Y's lo at row dr_u + r for every row r of factor u
+      but its last;
+    - hi^u_r + dc_u is Y's hi at row dr_u + r for every row r of factor u
+      but its first;
+    - and dr_w + m_w = m.
+
+    The ends these leave out are those the glue drops, and two more: factor
+    0's first row ends where its second does, as Y's first row does, and
+    factor w's last row starts where the row above it does, as Y's last row
+    does.  So the glue's ends there are Y's once the others are; for factor
+    0 this says that dc_0 + n_0 = n, so the glued columns are Y's.  The
+    first two compare a factor's shifted spans with slices of Y's, which the
+    last keeps inside Y's m rows; equal lengths in the second then give
+    factor u m_u rows, so its rows are 1..m_u and the glued rows Y's.  These
+    comparisons come after the corner lists and the factors, as the glued
+    comparison did, and fail exactly when it would, with its message.
 
     These checks imply the rest.  Let F_u be factor u (m_u x n_u) placed at
     (dr_u, dc_u), and J_u the cell where the glue puts F_u's (m_u, 1) on
@@ -89,7 +123,10 @@ def decompose(ladder: Ladder) -> Factorization:
 
     So F_u is the part of Y in the box between cc[u-1] and cc[u], and its
     offset places it there: the union is exact, adjacent factors meet in
-    their corner only, and no others meet.
+    their corner only, and no others meet.  As J_u = (dr_u + m_u, dc_u + 1)
+    = cc[u], the offsets are the closed form (cc[u-1].row - 1,
+    cc[u].col - 1), reading Y's edge (1, n) for cc[u-1] when u = 0 and
+    (m, 1) for cc[u] when u = w.
 
     With no coincidental corner (w = 0) nothing is cut: the one factor is
     Y's ``_twin``, a new ladder that shares Y's spans, corners and report,
@@ -113,8 +150,8 @@ def decompose(ladder: Ladder) -> Factorization:
         if cc:
             regions = _regions(ladder, cc)
             factors = tuple(Ladder._from_spans(rows, los, his, range(los[-1], his[0] + 1)) for rows, los, his in regions)
-            spans, offsets = _glue([f._spans for f in factors])
-            _check_factors(ladder, factors, cc, spans, offsets)
+            offsets = _offsets([f._spans for f in factors])
+            _check_factors(ladder, factors, cc, offsets)
             split = factors, cc, offsets
         else:
             split = (ladder._twin(),), cc, ((0, 0),)
@@ -151,7 +188,7 @@ def _regions(ladder, cc):
     return regions
 
 
-def _check_factors(ladder, factors, cc, spans, offsets):
+def _check_factors(ladder, factors, cc, offsets):
     # Each corner list of the ladder is, in row order, factor 0's corners, then
     # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
     # classify lays out the class-group labels by factor on this.  A cut with
@@ -172,7 +209,16 @@ def _check_factors(ladder, factors, cc, spans, offsets):
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         if not validate(f).two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
-    # Equal spans and columns are equal ladders, and the ladder is closed, so this
-    # is compose(factors) == ladder without building and hashing a second ladder.
-    if list(spans) != list(map(list, ladder._spans)):
+    # The glue of the factors is Y (see decompose): the factors' rows but the
+    # last start and their rows but the first end as Y's, and the last factor
+    # ends in Y's last row.
+    _, los, his, _ = ladder._spans
+    for f, (dr, dc) in zip(factors, offsets):
+        _, f_los, f_his, _ = f._spans
+        if (
+            tuple(map(dc.__add__, f_los[:-1])) != los[dr : dr + f.m - 1]
+            or tuple(map(dc.__add__, f_his[1:])) != his[dr + 1 : dr + f.m]
+        ):
+            raise LadderError("decomposition failure: composing the factors does not recover the ladder")
+    if dr + f.m != ladder.m:
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

@@ -343,14 +343,18 @@ def parse_json(text: str) -> Ladder:
     raw = doc["cells"]
     if not isinstance(raw, list):
         raise LadderError('"cells" must be a list of [row, col] pairs')
-    rows = defaultdict(set)
+    rows, row = {}, None
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        if type(entry) is not list or len(entry) != 2:  # JSON gives no tuple and no list subclass
             raise LadderError(f"bad cell entry {entry!r}: expected [row, col]")
         r, c = entry
         if type(r) is not int or type(c) is not int:  # JSON gives no int subclass but bool
             raise LadderError(f"cell indices must be integers, got {(r, c)!r}")
-        rows[r].add(c)
+        if r != row:  # one lookup per run of entries in the same row
+            row, cols = r, rows.get(r)
+            if cols is None:
+                cols = rows[r] = set()
+        cols.add(c)
     if sum(map(len, rows.values())) != len(raw):
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)
     return Ladder._from_sets(rows)
@@ -422,7 +426,9 @@ class CornerProfile(NamedTuple):
     """Inside corners of a ladder, with the conventional sentinel corners.
 
     ``lower_ext`` lists (a_0, b_0) = (1, n), the lower inside corners in row
-    order, then (a_{h+1}, b_{h+1}) = (m, 1).
+    order, then (a_{h+1}, b_{h+1}) = (m, 1).  It is built on each read; the
+    library reads (a_i, b_i) as ``lower[i - 1]`` instead, and the two
+    sentinels from m and n.
     """
 
     m: int
@@ -637,30 +643,41 @@ def _glue(spans):
     """The rows, first columns, last columns and occupied columns of the
     composition of the ladders with these ``_spans``, which already starts at
     (1, 1), as lists, and the offset (dr_u, dc_u) at which each factor u is
-    placed.
+    placed (see ``_offsets``).
 
-    Each factor is normalized, so its last row is m_u and its last column
-    n_u.  Factor u sits below the earlier factors and left of the later
-    ones: dr_u sums m_v - 1 over the earlier factors and dc_u sums n_v - 1
-    over the later ones, so that factor u's (m_u, 1) lands on the next one's
-    (1, n).  Each span is shifted once, to its final position; the last row
-    of one factor, which ends in that cell, runs on into the first row of
-    the next, which starts left of it.  No shift is negative.
+    Each span is shifted once, to its final position; the last row of one
+    factor, which ends in the cell where the next factor's (1, n) lands,
+    runs on into the first row of the next, which starts left of it.  No
+    shift is negative.
     """
-    rows, los, his, offsets = [], [], [], []
-    dr = 0
-    dc = sum(f_cols[-1] - 1 for _, _, _, f_cols in spans)
-    for f_rows, f_los, f_his, f_cols in spans:
-        dc -= f_cols[-1] - 1
-        offsets.append((dr, dc))
+    offsets = _offsets(spans)
+    rows, los, his = [], [], []
+    for (f_rows, f_los, f_his, _), (dr, dc) in zip(spans, offsets):
         skip = 1 if rows else 0
         if skip:
             los[-1] = f_los[0] + dc
         rows += map(dr.__add__, f_rows[skip:])
         los += map(dc.__add__, f_los[skip:])
         his += map(dc.__add__, f_his[skip:])
-        dr += f_rows[-1] - 1
     cols = [1]  # each factor's first column is the last of the factor to its left
     for (_, _, _, f_cols), (_, dc) in zip(reversed(spans), reversed(offsets)):
         cols += map(dc.__add__, f_cols[1:])
-    return (rows, los, his, cols), tuple(offsets)
+    return (rows, los, his, cols), offsets
+
+
+def _offsets(spans):
+    """The offset (dr_u, dc_u) at which ``_glue`` places each ladder u with these ``_spans``.
+
+    Each ladder is normalized, so its last row is m_u and its last column
+    n_u.  Ladder u sits below the earlier ones and left of the later ones:
+    dr_u sums m_v - 1 over the earlier ones and dc_u sums n_v - 1 over the
+    later ones, so that ladder u's (m_u, 1) lands on the next one's (1, n).
+    """
+    offsets = []
+    dr = 0
+    dc = sum(f_cols[-1] - 1 for _, _, _, f_cols in spans)
+    for f_rows, _, _, f_cols in spans:
+        dc -= f_cols[-1] - 1
+        offsets.append((dr, dc))
+        dr += f_rows[-1] - 1
+    return tuple(offsets)

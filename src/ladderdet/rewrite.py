@@ -312,10 +312,9 @@ def _intersect_additive(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monom
     both = s1 & s2
     pairs = set()
     if d > 1:
-        cells = ladder.cells
         for (i, j), (p, q) in itertools.product(s1 - s2, s2 - s1):
             # The content's other realization, if its two cells lie in the ladder, is (i, q)*(p, j).
-            if not ((i, q) in both and (p, j) in cells or (p, j) in both and (i, q) in cells):
+            if not ((i, q) in both and (p, j) in ladder or (p, j) in both and (i, q) in ladder):
                 pairs.add(((min(i, p), max(j, q)), (max(i, p), min(j, q))))
     return frozenset(map(Monomial._squarefree, [*((x,) for x in both), *pairs]))
 

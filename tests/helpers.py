@@ -733,3 +733,55 @@ def classes_by_addition(report):
         if not f.gorenstein:
             classes += [f.omega_image + c for c in classes]
     return tuple(classes)
+
+
+# ---------------------------------------------------------------------------
+# the class-group label oracle
+#
+# The prime ideals and classes of the labels, read off the sentinel-extended
+# corner list ``lower_ext`` and the ladder's cells, with a scan of every
+# lower corner per upper corner; the library indexes ``lower`` instead.
+
+def label_generators_oracle(ladder, label):
+    """The cells that generate the prime of a Q, P or QPrime label: Q(i) is
+    row a_{i-1}, P(j) the cells weakly above and left of upper corner j, and
+    QPrime(i) column b_i."""
+    from ladderdet import QPrime, corners
+
+    prof = corners(ladder)
+    if isinstance(label, QPrime):
+        col = prof.lower_ext[label.index].col
+        return {p for p in ladder.cells if p.col == col}
+    if label.kind == "Q":
+        row = prof.lower_ext[label.index - 1].row
+        return {p for p in ladder.cells if p.row == row}
+    c, d = prof.upper[label.index - 1]
+    return {p for p in ladder.cells if p.row <= c and p.col <= d}
+
+
+def canonical_class_oracle(ladder):
+    """lambda_i Q(i) and delta_j P(j), as a dict from label to coefficient:
+    lambda_i = a_i + b_i - a_{i-1} - b_{i-1} and delta_j = a_i + b_i - c_j - d_j
+    for the least i with a_i > c_j."""
+    from ladderdet import P, Q, corners
+
+    prof = corners(ladder)
+    le = prof.lower_ext
+    coeffs = {Q(i): le[i].row + le[i].col - le[i - 1].row - le[i - 1].col for i in range(1, prof.h + 2)}
+    for j, (c, d) in enumerate(prof.upper, start=1):
+        a, b = next(p for p in le if p.row > c)
+        coeffs[P(j)] = a + b - c - d
+    return coeffs
+
+
+def qprime_class_oracle(ladder, i):
+    """-Q(i) minus every P(j) whose corner (c_j, d_j) has a_{i-1} <= c_j and b_i <= d_j."""
+    from ladderdet import P, Q, corners
+
+    prof = corners(ladder)
+    le = prof.lower_ext
+    coeffs = {Q(i): -1}
+    for j, (c, d) in enumerate(prof.upper, start=1):
+        if le[i - 1].row <= c and le[i].col <= d:
+            coeffs[P(j)] = -1
+    return coeffs

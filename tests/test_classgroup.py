@@ -36,12 +36,15 @@ from ladderdet import (
 
 from helpers import (
     FactorRole,
+    canonical_class_oracle,
     embed_factor_omega,
     enumerate_ladder_cellsets,
     hibi_coordinates,
     hibi_facets,
     hibi_graded,
+    label_generators_oracle,
     naive_corners,
+    qprime_class_oracle,
     random_staircase_cells,
     random_two_connected_staircase,
     relabel,
@@ -160,6 +163,77 @@ def test_factor_images_are_facet_sums():
         images = [factor.omega_image for factor in classify(ladder).factors]
         for u, coord in enumerate(sums):
             assert DivisorClass(ladder, zip(labels, coord)) == embed_factor_omega(f, u) == images[u], (ladder, u)
+
+
+def test_label_layer_matches_the_lower_ext_oracle():
+    # every analyzable ladder up to 5x5 and 200 seeded glues: the generators of
+    # every label, each QPrime class and the canonical class, read by index
+    # into the lower corners, are the oracle's, read off lower_ext and the cells
+    small = [ladder for ladder in map(Ladder, enumerate_ladder_cellsets(5, 5)) if _analyzable(ladder)]
+    rng = random.Random(43)
+    glues = [
+        compose(Ladder(random_two_connected_staircase(rng, 5, 5)) for _ in range(rng.randint(2, 5)))
+        for _ in range(200)
+    ]
+    assert len(small) == 494 and all(map(_analyzable, glues))
+    for ladder in small + glues:
+        h = corners(ladder).h
+        for label in (*basis(ladder), *map(QPrime, range(1, h + 2))):
+            assert ideal_generators(ladder, label) == label_generators_oracle(ladder, label), (ladder, label)
+        for i in range(1, h + 2):
+            assert qprime_class(ladder, i) == DivisorClass(ladder, qprime_class_oracle(ladder, i)), (ladder, i)
+        assert canonical_class(ladder) == DivisorClass(ladder, canonical_class_oracle(ladder)), ladder
+
+
+class _Index(int):
+    """An int subclass: accepted as an index, as an int is."""
+
+
+class _Label(BasisLabel):
+    """A BasisLabel subclass: accepted as a label, as a BasisLabel is."""
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        pytest.param(("Q", 1), "not a basis label: got type tuple", id="tuple"),
+        pytest.param(10**4300, "not a basis label: got type int", id="huge-int"),
+        pytest.param(Q(True), "Q label index out of range 1..2 (h = 1)", id="Q-bool"),
+        pytest.param(P(False), "P label index out of range 1..1 (k = 1)", id="P-bool"),
+        pytest.param(Q(0), "Q label index out of range 1..2 (h = 1)", id="Q-low"),
+        pytest.param(Q(3), "Q label index out of range 1..2 (h = 1)", id="Q-high"),
+        pytest.param(P(2), "P label index out of range 1..1 (k = 1)", id="P-high"),
+        pytest.param(Q(_Index(3)), "Q label index out of range 1..2 (h = 1)", id="Q-int-subclass-high"),
+        pytest.param(_Label("P", 0), "P label index out of range 1..1 (k = 1)", id="label-subclass-low"),
+        pytest.param(Q(10**4300), "Q label index out of range 1..2 (h = 1)", id="Q-huge"),
+        pytest.param(P(-(10**4300)), "P label index out of range 1..1 (k = 1)", id="P-huge-negative"),
+        pytest.param(BasisLabel("R", 1), "unknown label kind: expected 'Q' or 'P', got type str", id="kind-R"),
+        pytest.param(BasisLabel(None, 1), "unknown label kind: expected 'Q' or 'P', got type NoneType", id="kind-None"),
+        pytest.param(QPrime(True), "QPrime index out of range 1..2 (h = 1)", id="QPrime-bool"),
+        pytest.param(QPrime(_Index(0)), "QPrime index out of range 1..2 (h = 1)", id="QPrime-int-subclass-low"),
+        pytest.param(QPrime(10**4300), "QPrime index out of range 1..2 (h = 1)", id="QPrime-huge"),
+    ],
+)
+def test_bad_labels_name_their_type_or_range(l3, label, message):
+    # each message is the whole of what is raised, for the generators and,
+    # for a label that is no QPrime, for a class built on it
+    calls = [lambda: ideal_generators(l3, label)]
+    if not isinstance(label, QPrime):
+        calls.append(lambda: DivisorClass(l3, {label: 1}))
+    for call in calls:
+        with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_int_and_label_subclasses_name_the_same_labels(l3):
+    for kind, i in [("Q", 1), ("Q", 2), ("P", 1)]:
+        label = BasisLabel(kind, i)
+        for other in (BasisLabel(kind, _Index(i)), _Label(kind, i)):
+            assert ideal_generators(l3, other) == ideal_generators(l3, label)
+            assert DivisorClass(l3, {other: 3}) == DivisorClass(l3, {label: 3})
+    for i in (1, 2):
+        assert ideal_generators(l3, QPrime(_Index(i))) == ideal_generators(l3, QPrime(i))
+        assert qprime_class(l3, _Index(i)) == qprime_class(l3, i)
 
 
 def test_ideal_generators_out_of_range(l3):

@@ -202,21 +202,97 @@ def test_classify_after_decompose_checks_the_factors_once(monkeypatch, l1, l2):
     assert len(calls) == 1
 
 
+def _inject(monkeypatch, fault):
+    """Make decompose cut its regions as usual, then apply fault to their list."""
+    regions = decompose_module._regions
+
+    def faulty(ladder, cc):
+        out = regions(ladder, cc)
+        fault(out)
+        return out
+
+    monkeypatch.setattr(decompose_module, "_regions", faulty)
+
+
+# Each fault below passes the corner lists and the factor checks, and the
+# comparison of the factors' spans with slices of the ladder's rejects it.
+
+def _row_short(out):
+    # L3's last region loses its last row: the glue ends a row above the
+    # ladder's last, and only the check of the last row sees it
+    rows, los, his = out[-1]
+    out[-1] = rows[:-1], los[:-1], his[:-1]
+
+
+def _cut_lower(out):
+    # two 3x3 blocks cut a row below their corner, into 4x3 and 2x3: the glue
+    # keeps the first factor's first column in row 3 and its last in row 4,
+    # and neither is the ladder's
+    (rows, los, his), (rows_1, los_1, his_1) = out
+    out[:] = [(rows + rows_1[1:2], los + los[-1:], his + his[-1:]), (rows_1[1:], los_1[1:], his_1[1:])]
+
+
+def _cut_higher(out):
+    # the same blocks cut a row above their corner, into 2x3 and 4x3: the glue
+    # keeps the second factor's first column in row 2 and its last in row 3,
+    # and neither is the ladder's
+    (rows, los, his), (rows_1, los_1, his_1) = out
+    out[:] = [(rows[:-1], los[:-1], his[:-1]), (rows[-2:-1] + rows_1, los_1[:1] + los_1, his_1[:1] + his_1)]
+
+
+def _narrow_first(out):
+    # the first 3x3 block one column narrower: placed by the glue, its rows
+    # end short of the ladder's last column, so the glued columns are too few
+    rows, los, his = out[0]
+    out[0] = rows, [lo + 1 for lo in los], his
+
+
 def test_a_failed_decomposition_is_not_kept(monkeypatch, l3):
     # the round trip is the last check, made after the factors are built
-    glue = decompose_module._glue
-
-    def off_by_a_row(factors):
-        (rows, los, his, cols), offsets = glue(factors)
-        return ([*rows, 99], [*los, 1], [*his, 1], cols), offsets
-
-    monkeypatch.setattr(decompose_module, "_glue", off_by_a_row)
+    _inject(monkeypatch, _row_short)
     for _ in range(2):
         with pytest.raises(LadderError, match="composing the factors does not recover the ladder"):
             decompose(l3)
         assert l3._split is None
     monkeypatch.undo()
     assert decompose(l3).w == 1
+
+
+@pytest.mark.parametrize(
+    "fault, shape",
+    [
+        pytest.param(_row_short, "l3", id="rows"),
+        pytest.param(_cut_lower, "blocks", id="los"),
+        pytest.param(_cut_higher, "blocks", id="his"),
+        pytest.param(_narrow_first, "blocks", id="columns"),
+    ],
+)
+def test_decompose_rejects_factors_that_do_not_glue_to_the_ladder(monkeypatch, l3, fault, shape):
+    ladder = l3 if shape == "l3" else compose([Ladder.full_matrix(3, 3)] * 2)
+    _inject(monkeypatch, fault)
+    with pytest.raises(LadderError, match="^decomposition failure: composing the factors does not recover the ladder$"):
+        decompose(ladder)
+    assert ladder._split is None
+
+
+def test_the_spans_see_a_fault_the_corner_lists_miss(monkeypatch):
+    # the second of two 3x3 blocks with its top row a column short on the
+    # left: that gives it a lower corner, which a blinded corners() hides, and
+    # then only the first columns of its rows tell it from the ladder's
+    ladder = compose([Ladder.full_matrix(3, 3)] * 2)
+    short = Ladder([(1, 2), (1, 3), *((r, c) for r in (2, 3) for c in (1, 2, 3))])
+    corners_of = decompose_module.corners
+    monkeypatch.setattr(
+        decompose_module, "corners", lambda x: corners_of(x)._replace(lower=()) if x == short else corners_of(x)
+    )
+
+    def top_row_short(out):
+        rows, los, his = out[-1]
+        out[-1] = rows, [los[0] + 1, *los[1:]], his
+
+    _inject(monkeypatch, top_row_short)
+    with pytest.raises(LadderError, match="^decomposition failure: composing the factors does not recover the ladder$"):
+        decompose(ladder)
 
 
 def test_kept_factorization_holds_no_reference_to_its_ladder(l1, l3):
@@ -298,6 +374,10 @@ def test_decomposition_at_corners_is_the_cutting_oracles():
         oracle = decompose_by_cutting(ladder)
         f = decompose(ladder)
         assert f == oracle and f.ladder is ladder and f.w >= 1
+        # the oracle's offsets are the glue's, and they are the closed form
+        # (cc[u-1].row - 1, cc[u].col - 1), with (1, n) and (m, 1) at the ends
+        cuts = [(1, ladder.n), *f.coincidental, (ladder.m, 1)]
+        assert f.offsets == tuple((top - 1, lo - 1) for (top, _), (_, lo) in zip(cuts, cuts[1:]))
         for got, want in zip(f.factors, oracle.factors, strict=True):
             assert got._spans == want._spans
             assert corners(got) == corners(want) and validate(got) == validate(want)

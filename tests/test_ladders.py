@@ -6,6 +6,7 @@ import re
 import sys
 import time
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,68 @@ def test_parse_json_duplicates_warn_and_dedup():
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(LadderError):
         parse_json(text)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # entries are checked one at a time, in order, before any closure check
+        pytest.param('[[1, 1], [1, "a"], [1]]', "cell indices must be integers, got (1, 'a')", id="index-first"),
+        pytest.param('[[1, 1], [1], [1, "a"]]', "bad cell entry [1]: expected [row, col]", id="shape-first"),
+        pytest.param('[[1, 1], [2, 2], [true, 1]]', "cell indices must be integers, got (True, 1)", id="bool"),
+        pytest.param('[[1, 1], [1, 2, 3], [2, 2.0]]', "bad cell entry [1, 2, 3]: expected [row, col]", id="triple"),
+        pytest.param('[[2, 1], [1, 1], {"r": 1}]', "bad cell entry {'r': 1}: expected [row, col]", id="object"),
+        pytest.param('[[2, 1], {"r": 1, "c": 1}]', "bad cell entry {'r': 1, 'c': 1}: expected [row, col]", id="pair-object"),
+        pytest.param('[[2, 1], "rc", [1]]', "bad cell entry 'rc': expected [row, col]", id="pair-string"),
+        pytest.param("[[2, 1], 7]", "bad cell entry 7: expected [row, col]", id="number"),
+        pytest.param('[[1, 1], [1, 1], [2, null]]', "cell indices must be integers, got (2, None)", id="duplicate"),
+        pytest.param(
+            "[[1, 1], [2, 2]]", "closure violation: cells (1,1) and (2,2) require (1,2) and (2,1)", id="closure"
+        ),
+    ],
+)
+def test_parse_json_names_the_first_bad_entry(cells, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+            parse_json(f'{{"cells": {cells}}}')
+    assert caught == []  # a rejected input is not warned of
+
+
+def _parse_json_warned(text):
+    """parse_json(text), and the message of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parsed = parse_json(text)
+    return parsed, [str(w.message) for w in caught]
+
+
+DUPLICATES = "duplicate cells in ladder input; deduplicating"
+
+
+def test_parse_json_warns_once_of_duplicates():
+    # repeated cells in one row and apart, in rows met again after others
+    text = '{"cells": [[1, 1], [1, 1], [2, 1], [1, 2], [2, 1], [1, 1], [2, 2], [2, 2]]}'
+    parsed, warned = _parse_json_warned(text)
+    assert warned == [DUPLICATES]
+    assert parsed == Ladder.full_matrix(2, 2)
+
+
+def test_parse_json_of_shuffled_and_repeated_cells_is_the_ladder():
+    rng = random.Random(73)
+    repeated = 0
+    for _ in range(200):
+        cells = sorted(random_staircase_cells(rng, 7, 7))
+        entries = [[r, c] for r, c in cells] + [[r, c] for r, c in cells if rng.random() < 0.2]
+        if rng.random() < 0.8:
+            rng.shuffle(entries)
+        parsed, warned = _parse_json_warned(json.dumps({"cells": entries}))
+        assert warned == [DUPLICATES] * (len(entries) > len(cells))
+        repeated += len(entries) > len(cells)
+        ladder = Ladder(cells)
+        assert parsed == ladder and hash(parsed) == hash(ladder) and parsed._spans == ladder._spans
+        assert (corners(parsed), validate(parsed)) == (corners(ladder), validate(ladder))
+    assert 100 < repeated < 200
 
 
 def test_parse_json_normalizes_offset_input():

@@ -475,6 +475,17 @@ def test_label_intersections_need_no_degree_bound():
     assert time.process_time() - start < 1.0
 
 
+@pytest.mark.parametrize("ascii_name", ["L1_ASCII", "L2_ASCII", "L3_ASCII"])
+def test_label_intersections_build_no_cell_set(ascii_name, cell_reads):
+    # the closed form asks the ladder's spans whether a cell is in it
+    ladder = parse_ascii(getattr(helpers, ascii_name))
+    gens = _label_gens(ladder)
+    for first, second in itertools.product(gens, repeat=2):
+        low = intersect_bounded(first, second, 2, ladder)
+        assert low and intersect_bounded(first, second, 3, ladder) == low
+    assert cell_reads == []
+
+
 # ---------------------------------------------------------------------------
 # witness identities
 
