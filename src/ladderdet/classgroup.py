@@ -47,25 +47,23 @@ def _labels(ladder: Ladder) -> tuple[BasisLabel, ...]:
 
 
 def _check_label(prof: CornerProfile, label) -> None:
-    """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k)."""
-    # A label as Q and P make it passes here; any other takes the checks
-    # below, whose messages name the label's type or bound, not the label or
-    # index, which may be an integer too long for str().
-    if type(label) is BasisLabel:
-        kind, index = label
-        top = len(prof.lower) + 1 if kind == "Q" else len(prof.upper) if kind == "P" else 0
-        if type(index) is int and 1 <= index <= top:
-            return
+    """Raise LadderError unless label is one of Q(1)..Q(h+1), P(1)..P(k).
+
+    The messages name the label's type or bound, not the label or index,
+    which may be an integer too long for str().
+    """
     if not isinstance(label, BasisLabel):
         raise LadderError(f"not a basis label: got type {type(label).__name__}")
-    if label.kind == "Q":
-        if not (is_int(label.index) and 1 <= label.index <= prof.h + 1):
+    kind, index = label
+    whole = type(index) is int or is_int(index)
+    if kind == "Q":
+        if not (whole and 1 <= index <= prof.h + 1):
             raise LadderError(f"Q label index out of range 1..{prof.h + 1} (h = {prof.h})")
-    elif label.kind == "P":
-        if not (is_int(label.index) and 1 <= label.index <= prof.k):
+    elif kind == "P":
+        if not (whole and 1 <= index <= prof.k):
             raise LadderError(f"P label index out of range 1..{prof.k} (k = {prof.k})")
     else:
-        raise LadderError(f"unknown label kind: expected 'Q' or 'P', got type {type(label.kind).__name__}")
+        raise LadderError(f"unknown label kind: expected 'Q' or 'P', got type {type(kind).__name__}")
 
 
 def _check_qprime(prof: CornerProfile, i) -> None:

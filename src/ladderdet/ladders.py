@@ -343,18 +343,14 @@ def parse_json(text: str) -> Ladder:
     raw = doc["cells"]
     if not isinstance(raw, list):
         raise LadderError('"cells" must be a list of [row, col] pairs')
-    rows, row = {}, None
+    rows = defaultdict(set)
     for entry in raw:
         if type(entry) is not list or len(entry) != 2:  # JSON gives no tuple and no list subclass
             raise LadderError(f"bad cell entry {entry!r}: expected [row, col]")
         r, c = entry
         if type(r) is not int or type(c) is not int:  # JSON gives no int subclass but bool
             raise LadderError(f"cell indices must be integers, got {(r, c)!r}")
-        if r != row:  # one lookup per run of entries in the same row
-            row, cols = r, rows.get(r)
-            if cols is None:
-                cols = rows[r] = set()
-        cols.add(c)
+        rows[r].add(c)
     if sum(map(len, rows.values())) != len(raw):
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)
     return Ladder._from_sets(rows)
@@ -427,8 +423,13 @@ class CornerProfile(NamedTuple):
 
     ``lower_ext`` lists (a_0, b_0) = (1, n), the lower inside corners in row
     order, then (a_{h+1}, b_{h+1}) = (m, 1).  It is built on each read; the
-    library reads (a_i, b_i) as ``lower[i - 1]`` instead, and the two
-    sentinels from m and n.
+    library reads (a_i, b_i) as ``lower[i - 1]`` instead, and writes the
+    sentinels out where it needs them, in three places:
+    ``classgroup.ideal_generators`` (a_0 = 1 and b_{h+1} = 1),
+    ``classgroup.qprime_class`` (the same two) and
+    ``classgroup.canonical_class`` (a_0 + b_0 = 1 + n and
+    a_{h+1} + b_{h+1} = m + 1).  The tests check all three against
+    ``lower_ext``; a change to the convention changes all four.
     """
 
     m: int
