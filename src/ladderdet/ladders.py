@@ -419,17 +419,16 @@ def render_ascii(ladder: Ladder, annotate: bool = False) -> str:
 # corners
 
 class CornerProfile(NamedTuple):
-    """Inside corners of a ladder, with the conventional sentinel corners.
+    """Inside corners of a ladder, each list in row order.
 
-    ``lower_ext`` lists (a_0, b_0) = (1, n), the lower inside corners in row
-    order, then (a_{h+1}, b_{h+1}) = (m, 1).  It is built on each read; the
-    library reads (a_i, b_i) as ``lower[i - 1]`` instead, and writes the
-    sentinels out where it needs them, in three places:
-    ``classgroup.ideal_generators`` (a_0 = 1 and b_{h+1} = 1),
-    ``classgroup.qprime_class`` (the same two) and
-    ``classgroup.canonical_class`` (a_0 + b_0 = 1 + n and
-    a_{h+1} + b_{h+1} = m + 1).  The tests check all three against
-    ``lower_ext``; a change to the convention changes all four.
+    The lower corners are (a_1, b_1), ..., (a_h, b_h); the library reads
+    (a_i, b_i) as ``lower[i - 1]``.  The paper's sentinel corners
+    (a_0, b_0) = (1, n) and (a_{h+1}, b_{h+1}) = (m, 1) are written out
+    where they are needed, in three places: ``classgroup.ideal_generators``
+    (a_0 = 1 and b_{h+1} = 1), ``classgroup.qprime_class`` (the same two)
+    and ``classgroup.canonical_class`` (a_0 + b_0 = 1 + n and
+    a_{h+1} + b_{h+1} = m + 1).  The tests check all three against an
+    oracle that builds the extended list.
     """
 
     m: int
@@ -444,10 +443,6 @@ class CornerProfile(NamedTuple):
     @property
     def k(self) -> int:
         return len(self.upper)
-
-    @property
-    def lower_ext(self) -> tuple[Cell, ...]:
-        return (_new(Cell, (1, self.n)), *self.lower, _new(Cell, (self.m, 1)))
 
     @property
     def coincidental(self) -> tuple[Cell, ...]:

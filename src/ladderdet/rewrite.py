@@ -242,9 +242,9 @@ def _checked(gen_sets, d: int, ladder: Ladder) -> list[list[Cell]]:
     return checked
 
 
-def _members(gen_sets, d: int, ladder: Ladder) -> set:
-    """Sorted content of the degree <= d normal monomials in (G) for all G in gen_sets; chains carry the G they miss."""
-    cells = ladder.cells
+def _members(gen_sets, d: int, cells) -> set:
+    """Sorted content of the degree <= d normal monomials on the cells in (G) for all G in gen_sets; chains carry
+    the G they miss.  The caller reads ``ladder.cells`` once and passes it."""
     above = {x: [(r, c) for r, c in cells if r >= x.row and c <= x.col] for x in cells} if d > 1 else {}
     stack = [((r,), (c,), tuple(gen_sets)) for r, c in cells]
     out = set()
@@ -260,7 +260,7 @@ def _members(gen_sets, d: int, ladder: Ladder) -> set:
 
 def ideal_monomials_bounded(gens, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Normal forms of all degree <= d monomials in the ideal generated by gens."""
-    members = _members(_checked([gens], d, ladder), d, ladder)
+    members = _members(_checked([gens], d, ladder), d, ladder.cells)
     return frozenset(Monomial.from_cells(zip(*content)) for content in members)
 
 
@@ -281,7 +281,8 @@ def intersect_bounded(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monomia
 
 def _intersect_search(gen_sets, d: int, ladder: Ladder) -> frozenset[Monomial]:
     """Minimal common members of degree <= d of the ideals of the two sets, by the search; any sets of cells."""
-    common, cells = _members(gen_sets, d, ladder), ladder.cells
+    cells = ladder.cells
+    common = _members(gen_sets, d, cells)
     return frozenset(
         Monomial.from_cells(zip(*content)) for content in common
         if not any(t in common for t in _quotients(*content, cells, cells))

@@ -677,8 +677,9 @@ def relabel(factorization):
             upper_cell_role[Cell(p.row + dr, p.col + dc)] = FactorRole(u, "p", j)
 
     pairs = []
+    le = lower_ext(prof)
     for i in range(1, prof.h + 2):
-        row = prof.lower_ext[i - 1].row
+        row = le[i - 1].row
         role = q_row_role.get(row)
         if role is None:
             raise LadderError(f"relabeling failure: no factor owns the row ideal keyed to row {row}")
@@ -742,6 +743,14 @@ def classes_by_addition(report):
 # corner list ``lower_ext`` and the ladder's cells, with a scan of every
 # lower corner per upper corner; the library indexes ``lower`` instead.
 
+def lower_ext(prof):
+    """(a_0, b_0) = (1, n), the lower inside corners of a ``CornerProfile`` in
+    row order, then (a_{h+1}, b_{h+1}) = (m, 1)."""
+    from ladderdet import Cell
+
+    return (Cell(1, prof.n), *prof.lower, Cell(prof.m, 1))
+
+
 def label_generators_oracle(ladder, label):
     """The cells that generate the prime of a Q, P or QPrime label: Q(i) is
     row a_{i-1}, P(j) the cells weakly above and left of upper corner j, and
@@ -750,10 +759,10 @@ def label_generators_oracle(ladder, label):
 
     prof = corners(ladder)
     if isinstance(label, QPrime):
-        col = prof.lower_ext[label.index].col
+        col = lower_ext(prof)[label.index].col
         return {p for p in ladder.cells if p.col == col}
     if label.kind == "Q":
-        row = prof.lower_ext[label.index - 1].row
+        row = lower_ext(prof)[label.index - 1].row
         return {p for p in ladder.cells if p.row == row}
     c, d = prof.upper[label.index - 1]
     return {p for p in ladder.cells if p.row <= c and p.col <= d}
@@ -766,7 +775,7 @@ def canonical_class_oracle(ladder):
     from ladderdet import P, Q, corners
 
     prof = corners(ladder)
-    le = prof.lower_ext
+    le = lower_ext(prof)
     coeffs = {Q(i): le[i].row + le[i].col - le[i - 1].row - le[i - 1].col for i in range(1, prof.h + 2)}
     for j, (c, d) in enumerate(prof.upper, start=1):
         a, b = next(p for p in le if p.row > c)
@@ -779,7 +788,7 @@ def qprime_class_oracle(ladder, i):
     from ladderdet import P, Q, corners
 
     prof = corners(ladder)
-    le = prof.lower_ext
+    le = lower_ext(prof)
     coeffs = {Q(i): -1}
     for j, (c, d) in enumerate(prof.upper, start=1):
         if le[i - 1].row <= c and le[i].col <= d:

@@ -43,6 +43,7 @@ from helpers import (
     hibi_facets,
     hibi_graded,
     label_generators_oracle,
+    lower_ext,
     naive_corners,
     qprime_class_oracle,
     random_staircase_cells,
@@ -282,7 +283,7 @@ def test_canonical_class_on_a_long_band_is_linear():
     omega = canonical_class(band)
     assert time.process_time() - start < 0.1
     # i_j is the least i with a_i > c_j, found here by bisection over the rows of the sentinel-extended corners
-    le = prof.lower_ext
+    le = lower_ext(prof)
     rows = [a for a, _ in le]
     lam = [le[i].row + le[i].col - le[i - 1].row - le[i - 1].col for i in range(1, prof.h + 2)]
     delta = [le[i].row + le[i].col - c - d for c, d in prof.upper for i in [bisect.bisect_right(rows, c)]]
@@ -320,7 +321,7 @@ def test_qprime_reduces_to_minus_q_iff_no_dominating_upper_corner():
     for _ in range(40):
         ladder = random_two_connected(rng, 7, 7)
         prof = corners(ladder)
-        le = prof.lower_ext
+        le = lower_ext(prof)
         for i in range(1, prof.h + 2):
             dominating = [
                 j

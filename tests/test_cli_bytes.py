@@ -11,13 +11,14 @@ are hashed: argparse's usage text, and the interpreter's wording of an
 exception that the library quotes after one of ``QUOTING`` below.
 """
 
+import argparse
 import hashlib
 import json
 import random
 
 import pytest
 
-from ladderdet.cli import main
+from ladderdet.cli import build_parser, main
 
 from helpers import L1_ASCII, L2_ASCII, L3_ASCII, L3_CELLS, enumerate_ladder_cellsets, validate_oracle
 
@@ -167,3 +168,10 @@ def test_command_output_bytes_are_unchanged(capsys, runs, command):
             code, out, err = _run(capsys, [*argv, mode])
             digest.update(json.dumps([code, out, err]).encode())
     assert digest.hexdigest() == COMMAND_SHA256[command]
+
+
+def test_every_registered_command_is_pinned(runs):
+    # a command that the parser registers cannot ship without runs and a pin
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS) == set(COMMAND_SHA256)
+    assert all(runs[command] for command in COMMANDS)

@@ -37,6 +37,7 @@ from helpers import (
     closure_holds,
     compose_oracle,
     enumerate_ladder_cellsets,
+    lower_ext,
     naive_corners,
     random_staircase_cells,
     single_cell_mutants,
@@ -396,8 +397,8 @@ def test_corners_full_matrix_empty():
 
 def test_corner_sentinels(l3):
     prof = corners(l3)
-    assert prof.lower_ext[0] == Cell(1, 3)
-    assert prof.lower_ext[-1] == Cell(5, 1)
+    assert lower_ext(prof)[0] == Cell(1, 3)
+    assert lower_ext(prof)[-1] == Cell(5, 1)
 
 
 def test_coincidental_corners(l1, l2, l3):

@@ -486,6 +486,16 @@ def test_label_intersections_build_no_cell_set(ascii_name, cell_reads):
     assert cell_reads == []
 
 
+def test_the_search_reads_the_cells_once(l1, cell_reads):
+    # neither one-cell set is additive on L1, so the intersection takes the search
+    assert rewrite._additive({(2, 2)}, l1) is None and rewrite._additive({(3, 3)}, l1) is None
+    assert intersect_bounded({(2, 2)}, {(3, 3)}, 2, l1)
+    assert cell_reads == [l1]
+    cell_reads.clear()
+    assert ideal_monomials_bounded({(2, 2)}, 2, l1)
+    assert cell_reads == [l1]
+
+
 # ---------------------------------------------------------------------------
 # witness identities
 

@@ -34,6 +34,7 @@ from helpers import (
     classes_by_addition,
     embed_factor_omega,
     enumerate_ladder_cellsets,
+    lower_ext,
     random_staircase_cells,
 )
 
@@ -213,7 +214,7 @@ def test_classify_rejects_labels_the_factors_do_not_cover(monkeypatch):
 
     def extra(l):
         prof = corners_of(l)
-        return prof._replace(lower=prof.lower + (prof.lower_ext[-1],)) if l is ladder else prof
+        return prof._replace(lower=prof.lower + (lower_ext(prof)[-1],)) if l is ladder else prof
 
     monkeypatch.setattr(sdm_module, "corners", extra)
     with pytest.raises(LadderError, match="^internal inconsistency: the factors' labels do not cover the class group$"):
