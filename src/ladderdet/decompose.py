@@ -50,91 +50,66 @@ def decompose(ladder: Ladder) -> Factorization:
 
     With the corners cc_1 < ... < cc_w ordered by row, the factors are the
     closed regions between consecutive corners, each a slice of the ladder's
-    rows with two ends cut (see ``_regions``).  A factor's columns are taken
-    to be one run, from its bottom row's first column to its top row's last.
-    That is certified, not assumed: the round trip below puts the glued
-    columns at Y's, and a region whose rows left a column of that run
-    empty would hold two consecutive rows that share no column, so its
-    factor would fail its own closure check (if their ends rise) or
-    2-connectedness check.  The glue certifies the factors, but it is not
-    built: ``_offsets`` gives the offsets at which ``_glue`` would place
-    them, and ``_check_factors`` asks that Y's corner lists be the factors'
-    lists, translated, with cc[u] between factors u and u + 1; that every
-    factor be 2-connected with no coincidental corner; and that the glue of
-    the factors be Y, one factor at a time, as follows.  Besides the
-    factors' own surveys, which are the independent evidence, these steps
-    take O(w + h + k) Python steps and slices and compares made in C.
+    rows with two ends cut (see ``_regions``).  The factors are certified by
+    their glue, which is not built: ``_offsets`` gives the offsets at which
+    ``_glue`` would place them, and ``_check_factors`` asks that Y's corner
+    lists be the factors' lists, translated, with cc[u] between factors u
+    and u + 1; that every factor be 2-connected and path-connected with no
+    coincidental corner; and that the glue join factor u to factor u + 1 at
+    cc[u] and reach Y's last row and last column.  Besides the factors' own
+    surveys, which are the independent evidence, these steps take
+    O(w + h + k) Python steps.  Two lemmas show that they make the glue Y.
 
-    The round trip, one factor at a time.  Let factor u have m_u rows and
-    n_u columns, first and last columns lo^u_r and hi^u_r, and offset
-    (dr_u, dc_u): dr_u sums m_v - 1 over the factors before it and dc_u sums
-    n_v - 1 over those after it.  Its columns are 1..n_u, the run it is
-    built on, and its top row ends in n_u.  The glue keeps every row of
-    factor 0 and every row but the first of each later factor, shifted by
-    dr_u; row r of factor u keeps lo^u_r + dc_u, except that the last row of
-    each factor but the last takes the first column of the next factor's
-    first row, and hi^u_r + dc_u; its columns are 1..dc_0 + n_0.  Y is
-    analyzable, so its rows are 1..m and its columns 1..n.  A 2-connected
-    ladder's first two rows end in the same column, and its last two start
-    in the same one: a column that only its first or only its last row held
-    would lie in no full 2-minor.  Y is 2-connected, and so is every factor
-    once the factor checks have passed.  So the glue is Y exactly when, for
-    every u:
+    Corners fix the spans.  Let the rows of Y be 1..m, each the run
+    lo_r..hi_r, with lo and hi never increasing down the rows and
+    lo_{r-1} <= hi_r, as on an analyzable ladder (module docstring of
+    ``ladders``, "Closed forms").  Then (r, c) is a lower corner exactly
+    when c = lo_{r-1} and lo_r < c, and an upper one exactly when
+    c = hi_{r+1} and hi_r > c.  So down the rows lo changes only at a lower
+    corner (r, c), from c = lo_{r-1}, and hi changes only below an upper
+    corner (r, c), to c = hi_{r+1}.  Hence lo_r is the column of the first
+    lower corner below row r, or 1 if there is none, and hi_r is the column
+    of the last upper corner above row r, or n if there is none: m, n and
+    the two corner lists fix Y.
 
-    - lo^u_r + dc_u is Y's lo at row dr_u + r for every row r of factor u
-      but its last;
-    - hi^u_r + dc_u is Y's hi at row dr_u + r for every row r of factor u
-      but its first;
-    - and dr_w + m_w = m.
+    The glue's corners.  Let factor u have m_u rows and n_u columns and sit
+    at the offset (dr_u, dc_u) that ``_offsets`` gives: dr_0 = 0, dc_w = 0,
+    and J_u = (dr_u + m_u, dc_u + 1) is the cell where the glue puts its
+    (m_u, 1) on the next factor's (1, n_{u+1}).  Let every factor be
+    2-connected and path-connected.  A 2-connected ladder has two rows or
+    more, each of two columns or more, its first two rows end in the same
+    column and its last two start in the same one: a column that only its
+    first or only its last row held would lie in no full 2-minor.
+    So a factor's corners lie in its rows 2..m_u - 1, where the glue's row
+    and the rows next to it are the factor's, shifted: there the glue has
+    the factor's corners, translated.  The row above J_u starts in J_u's
+    column and the row below ends in it, while the row of J_u starts left
+    of it and ends right of it: J_u is a lower and an upper corner of the
+    glue.  The glue's first and last rows hold no corner, as the factors'
+    do not.  So the glue's corners are the factors' corners, translated,
+    with each J_u inserted as both a lower and an upper corner, in row
+    order.  The glue's rows are 1..dr_w + m_w and its columns
+    1..dc_0 + n_0, each row is a run, the ends never increase, and adjacent
+    rows share a column, so the first lemma holds for it.
 
-    The ends these leave out are those the glue drops, and two more: factor
-    0's first row ends where its second does, as Y's first row does, and
-    factor w's last row starts where the row above it does, as Y's last row
-    does.  So the glue's ends there are Y's once the others are; for factor
-    0 this says that dc_0 + n_0 = n, so the glued columns are Y's.  The
-    first two compare a factor's shifted spans with slices of Y's, which the
-    last keeps inside Y's m rows; equal lengths in the second then give
-    factor u m_u rows, so its rows are 1..m_u and the glued rows Y's.  These
-    comparisons come after the corner lists and the factors, as the glued
-    comparison did, and fail exactly when it would, with its message.
-
-    These checks imply the rest.  Let F_u be factor u (m_u x n_u) placed at
-    (dr_u, dc_u), and J_u the cell where the glue puts F_u's (m_u, 1) on
-    F_{u+1}'s (1, n_{u+1}); both hold it, as a normalized ladder holds its
-    (m, 1) and (1, n).
-
-    1. F_u lies in rows dr_u+1..dr_u+m_u and columns dc_u+1..dc_u+n_u.  This
-       box shares only J_u with the next one and, as a 2-connected factor has
-       two rows or more, no row with those further on.  So the J_u lie in
-       increasing rows, and as the round trip makes Y the union of the F_u,
-       a cell of Y other than the J_u lies in just one F_u.
-    2. J_u = (r, c) is a coincidental corner of Y.  (r-1, c-1) and
-       (r+1, c+1) lie in no box.  (m_u, 1) lies in a full 2-minor of factor
-       u, so F_u holds a cell of row r right of c and one of column c above
-       r, and F_{u+1} one left of c and one below r.  Y is analyzable, so its
-       rows are intervals with no empty row between, and by closure so are
-       its columns: they hold (r, c-1), (r, c+1), (r-1, c) and (r+1, c).
-    3. J_u = cc[u].  J_u lies in a factor's last row and first column or its
-       first row and last column, so it is no corner of a factor, and the
-       check must insert it as a cut.  A cc[v] that no cut inserts would, by
-       1, be a lower and an upper corner of one factor, which is checked not
-       to be.  So all w cuts are inserted, each is one J_u, and as both run
-       in row order, J_u = cc[u].
-
-    So F_u is the part of Y in the box between cc[u-1] and cc[u], and its
-    offset places it there: the union is exact, adjacent factors meet in
-    their corner only, and no others meet.  As J_u = (dr_u + m_u, dc_u + 1)
-    = cc[u], the offsets are the closed form (cc[u-1].row - 1,
-    cc[u].col - 1), reading Y's edge (1, n) for cc[u-1] when u = 0 and
-    (m, 1) for cc[u] when u = w.
+    So once J_u = cc[u] for u < w, with dr_w + m_w = m and dc_0 + n_0 = n,
+    the corner-list check shows that the glue and Y have the same m, n and
+    corner lists, and so they are equal.  Placed at its offset, factor u
+    then is the part of Y in the box between cc[u-1] and cc[u], adjacent
+    factors meet in their corner only, and no others meet.  The offsets are
+    the closed form (cc[u-1].row - 1, cc[u].col - 1), reading Y's edge
+    (1, n) for cc[u-1] when u = 0 and (m, 1) for cc[u] when u = w.  A
+    factor whose columns are not one run is not path-connected, and is
+    refused before the joins are read, so the factors' columns are
+    certified to be the run ``_regions`` builds them on, not assumed to be.
 
     With no coincidental corner (w = 0) nothing is cut: the one factor is
     Y's ``_twin``, a new ladder that shares Y's spans, corners and report,
     at offset (0, 0), so no row is surveyed again.  Each check above is
     vacuous there: the factor's corner lists are Y's, with no cut to
     insert; Y has no coincidental corner; ``require_analyzable`` has
-    already shown Y to be 2-connected; and the glue of one factor at
-    (0, 0) is that factor, so the round trip is the identity.
+    already shown Y to be 2-connected and path-connected; and the glue of
+    one factor at (0, 0) is that factor.
 
     The ladder keeps the factors, corners and offsets once they have passed
     every check, so a later call on the same object returns them at once; a
@@ -207,18 +182,13 @@ def _check_factors(ladder, factors, cc, offsets):
         fprof = corners(f)
         if not set(fprof.lower).isdisjoint(fprof.upper):
             raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
-        if not validate(f).two_connected:
+        report = validate(f)
+        if not report.two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")
-    # The glue of the factors is Y (see decompose): the factors' rows but the
-    # last start and their rows but the first end as Y's, and the last factor
-    # ends in Y's last row.
-    _, los, his, _ = ladder._spans
-    for f, (dr, dc) in zip(factors, offsets):
-        _, f_los, f_his, _ = f._spans
-        if (
-            tuple(map(dc.__add__, f_los[:-1])) != los[dr : dr + f.m - 1]
-            or tuple(map(dc.__add__, f_his[1:])) != his[dr + 1 : dr + f.m]
-        ):
-            raise LadderError("decomposition failure: composing the factors does not recover the ladder")
-    if dr + f.m != ladder.m:
+        if not report.path_connected:
+            raise LadderError(f"decomposition failure: factor {u} is not path-connected")
+    # The glue of the factors is Y (see decompose): it joins factor u to the
+    # next at cc[u], and reaches Y's last row and last column.
+    joins = [(dr + f.m, dc + 1) for f, (dr, dc) in zip(factors, offsets)]
+    if joins != [*cc, (ladder.m, 1)] or offsets[0][1] + factors[0].n != ladder.n:
         raise LadderError("decomposition failure: composing the factors does not recover the ladder")

@@ -241,6 +241,9 @@ class Ladder:
     @classmethod
     def full_matrix(cls, m: int, n: int) -> "Ladder":
         """The full m x n grid of cells, at most ``sys.maxsize`` of them: ``len`` counts no more."""
+        if not (is_int(m) and is_int(n)):
+            bad = m if not is_int(m) else n
+            raise LadderError(f"matrix dimensions must be integers, got {bad!r}")
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
         if m * n > sys.maxsize:
@@ -632,14 +635,14 @@ def compose(factors: Iterable[Ladder]) -> Ladder:
     factors = list(factors)
     if not factors:
         raise LadderError("compose needs at least one factor")
-    return Ladder._from_spans(*_glue([f._spans for f in factors])[0])
+    return Ladder._from_spans(*_glue([f._spans for f in factors]))
 
 
 def _glue(spans):
     """The rows, first columns, last columns and occupied columns of the
     composition of the ladders with these ``_spans``, which already starts at
-    (1, 1), as lists, and the offset (dr_u, dc_u) at which each factor u is
-    placed (see ``_offsets``).
+    (1, 1), as lists.  Factor u is placed at the offset (dr_u, dc_u) that
+    ``_offsets`` gives.
 
     Each span is shifted once, to its final position; the last row of one
     factor, which ends in the cell where the next factor's (1, n) lands,
@@ -658,7 +661,7 @@ def _glue(spans):
     cols = [1]  # each factor's first column is the last of the factor to its left
     for (_, _, _, f_cols), (_, dc) in zip(reversed(spans), reversed(offsets)):
         cols += map(dc.__add__, f_cols[1:])
-    return (rows, los, his, cols), offsets
+    return rows, los, his, cols
 
 
 def _offsets(spans):

@@ -33,7 +33,17 @@ from .classgroup import (
     canonical_class,
 )
 from .decompose import decompose
-from .ladders import MAX_EXTENT_DIGITS, Ladder, LadderError, _brief, _glue, _matrix_spans, corners, require_analyzable
+from .ladders import (
+    MAX_EXTENT_DIGITS,
+    Ladder,
+    LadderError,
+    _brief,
+    _glue,
+    _matrix_spans,
+    corners,
+    is_int,
+    require_analyzable,
+)
 
 # The most cells construct_2n builds, summed over its blocks (sum of m_u * n_u);
 # every block is a full matrix, so a short --sizes list can ask for any number.
@@ -241,11 +251,12 @@ def classify(ladder: Ladder) -> SdmReport:
 def construct_2n(n: int, sizes) -> Ladder:
     """Compose n non-square full-matrix blocks, giving exactly 2**n classes.
 
-    Each block must be m x n with m, n > 1 and m != n; a square block would
-    be Gorenstein (trivial canonical class) and contribute no factor of 2.
-    The blocks may hold at most ``MAX_CONSTRUCT_CELLS`` cells in all; that is
-    checked before anything is built.  The blocks' spans are glued as
-    ``compose`` glues ladders, and only the glue is built as a ladder.
+    Each block must be m x n with integers m, n > 1 and m != n; a square
+    block would be Gorenstein (trivial canonical class) and contribute no
+    factor of 2.  The blocks may hold at most ``MAX_CONSTRUCT_CELLS`` cells
+    in all; that is checked before anything is built.  The blocks' spans are
+    glued as ``compose`` glues ladders, and only the glue is built as a
+    ladder.
     """
     sizes = list(sizes)
     if n < 1:
@@ -253,6 +264,9 @@ def construct_2n(n: int, sizes) -> Ladder:
     if len(sizes) != n:
         raise LadderError(f"expected {n} block sizes, got {len(sizes)}")
     for m_u, n_u in sizes:
+        if not (is_int(m_u) and is_int(n_u)):
+            bad = m_u if not is_int(m_u) else n_u
+            raise LadderError(f"block sizes must be integers, got {bad!r}")
         if m_u < 2 or n_u < 2 or m_u == n_u:
             block = f"{_brief(m_u)}x{_brief(n_u)}"
             if m_u < 2 or n_u < 2:
@@ -266,4 +280,4 @@ def construct_2n(n: int, sizes) -> Ladder:
         # Python prints no int of over 4300 digits, and two long sides can multiply to one.
         many = total if total < 10**MAX_EXTENT_DIGITS else f"at least 10**{MAX_EXTENT_DIGITS}"
         raise LadderError(f"blocks of {many} cells in all exceed the cap of {MAX_CONSTRUCT_CELLS}")
-    return Ladder._from_spans(*_glue([_matrix_spans(m_u, n_u) for m_u, n_u in sizes])[0])
+    return Ladder._from_spans(*_glue([_matrix_spans(m_u, n_u) for m_u, n_u in sizes]))

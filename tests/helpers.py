@@ -577,6 +577,16 @@ def child_env():
 # ---------------------------------------------------------------------------
 # the cutting oracle
 
+def spans_from_corners(m, n, lower, upper):
+    """The first and the last column of each row 1..m of the analyzable m x n
+    ladder with these corners, in any order: lo_r is the column of the first
+    lower corner below row r, or 1 if there is none, and hi_r the column of
+    the last upper corner above row r, or n if there is none."""
+    los = [min(((a, b) for a, b in lower if a > r), default=(m + 1, 1))[1] for r in range(1, m + 1)]
+    his = [max(((a, b) for a, b in upper if a < r), default=(0, n))[1] for r in range(1, m + 1)]
+    return los, his
+
+
 def decompose_by_cutting(ladder):
     """The factorization made by cutting every row and merging column runs.
 
@@ -586,7 +596,10 @@ def decompose_by_cutting(ladder):
     its cuts, sorts and merges the clipped spans into the factor's columns,
     builds each factor from its spans, surveying its rows again, glues them
     back and checks the factors with ``Cell``s rebuilt from each corner.
-    Only the glue and the ladder constructor are the library's.
+    Each factor's offset is the closed form (cc[u-1].row - 1, cc[u].col - 1),
+    with Y's edges (1, n) and (m, 1) at the ends, not the running sums that
+    ``decompose`` takes from ``_offsets``.  Only the glue and the ladder
+    constructor are the library's.
     """
     from ladderdet import Cell, Factorization, Ladder, LadderError, corners, require_analyzable, validate
     from ladderdet.ladders import _glue
@@ -602,7 +615,8 @@ def decompose_by_cutting(ladder):
         f_his = [min(c, hi) for c in his[top - 1 : bottom]]
         cols = _merged_columns(f_los, f_his)
         factors.append(Ladder._from_spans(list(range(top, bottom + 1)), f_los, f_his, cols))
-    spans, offsets = _glue([f._spans for f in factors])
+    offsets = tuple((top - 1, lo - 1) for (top, _), (_, lo) in zip(cuts, cuts[1:]))
+    spans = _glue([f._spans for f in factors])
     for kind in ("lower", "upper"):
         glued = []
         for cut, f, (dr, dc) in zip((None, *cc), factors, offsets):

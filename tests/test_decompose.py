@@ -1,7 +1,9 @@
+import functools
 import gc
 import importlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,10 +20,12 @@ from ladderdet import (
 )
 
 from helpers import (
+    compose_oracle,
     decompose_by_cutting,
     enumerate_ladder_cellsets,
     random_staircase_cells,
     random_two_connected_staircase,
+    spans_from_corners,
 )
 
 # the package's `decompose` attribute is the function, so fetch the module itself
@@ -37,6 +41,18 @@ def factorization_roundtrip_check(factors):
         if corners(f).coincidental:
             raise LadderError("round-trip factors must be free of coincidental corners")
     return list(decompose(compose(factors)).factors) == factors
+
+
+@functools.lru_cache(maxsize=1)  # three tests walk the same ladders
+def analyzable_up_to_5x5():
+    """Every analyzable ladder up to 5x5, in the enumeration's order."""
+    out = []
+    for cells in enumerate_ladder_cellsets(5, 5):
+        ladder = Ladder(cells)
+        report = validate(ladder)
+        if report.two_connected and report.sidedness != "other":
+            out.append(ladder)
+    return tuple(out)
 
 
 def random_corner_free_factor(rng, max_m=6, max_n=6):
@@ -215,40 +231,40 @@ def _inject(monkeypatch, fault):
 
 
 # Each fault below passes the corner lists and the factor checks, and the
-# comparison of the factors' spans with slices of the ladder's rejects it.
+# glue's joins and extent reject it: the glue must join factor u to the next
+# at the ladder's corner cc[u], end in the ladder's last row and reach its
+# last column.
 
 def _row_short(out):
     # L3's last region loses its last row: the glue ends a row above the
-    # ladder's last, and only the check of the last row sees it
+    # ladder's last, and only the join after the last factor sees it
     rows, los, his = out[-1]
     out[-1] = rows[:-1], los[:-1], his[:-1]
 
 
 def _cut_lower(out):
     # two 3x3 blocks cut a row below their corner, into 4x3 and 2x3: the glue
-    # keeps the first factor's first column in row 3 and its last in row 4,
-    # and neither is the ladder's
+    # joins them in row 4, a row below the ladder's corner
     (rows, los, his), (rows_1, los_1, his_1) = out
     out[:] = [(rows + rows_1[1:2], los + los[-1:], his + his[-1:]), (rows_1[1:], los_1[1:], his_1[1:])]
 
 
 def _cut_higher(out):
     # the same blocks cut a row above their corner, into 2x3 and 4x3: the glue
-    # keeps the second factor's first column in row 2 and its last in row 3,
-    # and neither is the ladder's
+    # joins them in row 2, a row above the ladder's corner
     (rows, los, his), (rows_1, los_1, his_1) = out
     out[:] = [(rows[:-1], los[:-1], his[:-1]), (rows[-2:-1] + rows_1, los_1[:1] + los_1, his_1[:1] + his_1)]
 
 
 def _narrow_first(out):
-    # the first 3x3 block one column narrower: placed by the glue, its rows
-    # end short of the ladder's last column, so the glued columns are too few
+    # the first 3x3 block one column narrower: the join is the ladder's
+    # corner, but the glue's rows end short of the ladder's last column
     rows, los, his = out[0]
     out[0] = rows, [lo + 1 for lo in los], his
 
 
 def test_a_failed_decomposition_is_not_kept(monkeypatch, l3):
-    # the round trip is the last check, made after the factors are built
+    # the joins are the last check, made after the factors are built
     _inject(monkeypatch, _row_short)
     for _ in range(2):
         with pytest.raises(LadderError, match="composing the factors does not recover the ladder"):
@@ -275,24 +291,40 @@ def test_decompose_rejects_factors_that_do_not_glue_to_the_ladder(monkeypatch, l
     assert ladder._split is None
 
 
-def test_the_spans_see_a_fault_the_corner_lists_miss(monkeypatch):
-    # the second of two 3x3 blocks with its top row a column short on the
-    # left: that gives it a lower corner, which a blinded corners() hides, and
-    # then only the first columns of its rows tell it from the ladder's
-    ladder = compose([Ladder.full_matrix(3, 3)] * 2)
-    short = Ladder([(1, 2), (1, 3), *((r, c) for r in (2, 3) for c in (1, 2, 3))])
-    corners_of = decompose_module.corners
-    monkeypatch.setattr(
-        decompose_module, "corners", lambda x: corners_of(x)._replace(lower=()) if x == short else corners_of(x)
-    )
-
-    def top_row_short(out):
-        rows, los, his = out[-1]
-        out[-1] = rows, [los[0] + 1, *los[1:]], his
-
-    _inject(monkeypatch, top_row_short)
-    with pytest.raises(LadderError, match="^decomposition failure: composing the factors does not recover the ladder$"):
-        decompose(ladder)
+def test_the_joins_and_the_extent_certify_the_glue(l1, l2):
+    # on small glues, one factor replaced by every 2-connected shape up to 4x4
+    # with no coincidental corner, and two by a seeded sample of them: the
+    # checks pass exactly when the factors glue to the ladder's cells.  Some
+    # shapes have a gap in their rows or columns; one whose rows give the
+    # ladder's corners may still leave a column of its glue empty
+    shapes = [x for x in map(Ladder, enumerate_ladder_cellsets(4, 4)) if validate(x).two_connected]
+    shapes = [x for x in shapes if not corners(x).coincidental]
+    full = Ladder.full_matrix
+    glues = [compose(fs) for fs in ([full(3, 2)] * 2, [full(3, 3)] * 2, [l1, l2], [full(2, 3), l1, full(3, 2)])]
+    rng = random.Random(29)
+    outcomes = Counter()
+    for ladder in glues:
+        f = decompose(ladder)
+        cells, spots = set(ladder.cells), range(len(f.factors))
+        swaps = [{u: x} for u in spots for x in shapes]
+        pairs = [(u, v) for u in spots for v in spots[u + 1 :]] * 1500
+        swaps += [{u: rng.choice(shapes), v: rng.choice(shapes)} for u, v in pairs]
+        for swap in swaps:
+            factors = tuple(swap.get(u, x) for u, x in enumerate(f.factors))
+            offsets = ladders_module._offsets([x._spans for x in factors])
+            try:
+                decompose_module._check_factors(ladder, factors, f.coincidental, offsets)
+                outcome = "passed"
+            except LadderError as exc:
+                outcome = str(exc)
+            assert (outcome == "passed") == (compose_oracle([x.cells for x in factors]) == cells), (ladder, swap)
+            outcomes[outcome] += 1
+    assert len(shapes) == 132 and sum(outcomes.values()) == 10188
+    # only the true factors pass, two per glue but that of l1 and l2, which
+    # are larger than 4x4
+    assert outcomes["passed"] == 6
+    assert outcomes["decomposition failure: factor 0 is not path-connected"] > 0
+    assert outcomes["decomposition failure: composing the factors does not recover the ladder"] > 0
 
 
 def test_kept_factorization_holds_no_reference_to_its_ladder(l1, l3):
@@ -314,10 +346,8 @@ def test_one_factor_decomposition_is_the_cutting_oracles():
     # every analyzable ladder up to 5x5 with no coincidental corner: its twin
     # is the factor that cutting, rebuilding and gluing make, checked in full
     seen = 0
-    for cells in enumerate_ladder_cellsets(5, 5):
-        ladder = Ladder(cells)
-        report = validate(ladder)
-        if not report.two_connected or report.sidedness == "other" or corners(ladder).coincidental:
+    for ladder in analyzable_up_to_5x5():
+        if corners(ladder).coincidental:
             continue
         seen += 1
         oracle = decompose_by_cutting(ladder)
@@ -361,27 +391,30 @@ def two_sided_glues(seed, count):
 def test_decomposition_at_corners_is_the_cutting_oracles():
     # the oracle clips every row and sorts and merges each factor's columns;
     # decompose cuts two row ends per region and takes the columns as one run
-    small = []
-    for cells in enumerate_ladder_cellsets(5, 5):
-        ladder = Ladder(cells)
-        report = validate(ladder)
-        if report.two_connected and report.sidedness != "other" and corners(ladder).coincidental:
-            small.append(ladder)
+    small = [ladder for ladder in analyzable_up_to_5x5() if corners(ladder).coincidental]
     glues = two_sided_glues(20, 200)
     assert len(small) == 157 and len(glues) == 200
     assert all(corners(x).h and corners(x).k for g in glues for x in decompose_by_cutting(g).factors)
     for ladder in small + glues:
         oracle = decompose_by_cutting(ladder)
         f = decompose(ladder)
+        # decompose's offsets are the running sums of _offsets and the
+        # oracle's the closed form, so this compares the two formulas too
         assert f == oracle and f.ladder is ladder and f.w >= 1
-        # the oracle's offsets are the glue's, and they are the closed form
-        # (cc[u-1].row - 1, cc[u].col - 1), with (1, n) and (m, 1) at the ends
-        cuts = [(1, ladder.n), *f.coincidental, (ladder.m, 1)]
-        assert f.offsets == tuple((top - 1, lo - 1) for (top, _), (_, lo) in zip(cuts, cuts[1:]))
         for got, want in zip(f.factors, oracle.factors, strict=True):
             assert got._spans == want._spans
             assert corners(got) == corners(want) and validate(got) == validate(want)
             assert (got.m, got.n, len(got), hash(got)) == (want.m, want.n, len(want), hash(want))
+
+
+def test_corners_fix_the_spans():
+    # the first lemma of decompose's proof: on an analyzable ladder, lo_r is
+    # the column of the first lower corner below row r, or 1, and hi_r that of
+    # the last upper corner above row r, or n
+    for ladder in (*analyzable_up_to_5x5(), *two_sided_glues(20, 200)):
+        prof = corners(ladder)
+        los, his = spans_from_corners(ladder.m, ladder.n, prof.lower, prof.upper)
+        assert ladder._spans == (range(1, ladder.m + 1), tuple(los), tuple(his), range(1, ladder.n + 1))
 
 
 def test_coincidental_corners_are_the_sorted_intersection():

@@ -279,6 +279,13 @@ def test_full_matrix_beyond_a_countable_length_is_rejected(m, n, sides):
     assert len(Ladder.full_matrix(1, sys.maxsize)) == sys.maxsize
 
 
+@pytest.mark.parametrize("m, n, bad", [(2.5, 3, "2.5"), (True, 3, "True"), (3, 2.0, "2.0"), ("3", 3, "'3'")])
+def test_full_matrix_takes_integer_sides(m, n, bad):
+    # not a TypeError from deep inside, and True is no side of 1
+    with pytest.raises(LadderError, match=f"^matrix dimensions must be integers, got {re.escape(bad)}$"):
+        Ladder.full_matrix(m, n)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import time
 import tracemalloc
 
@@ -354,6 +355,16 @@ def test_construct_2n_rejects_square_blocks():
 def test_construct_2n_rejects_degenerate_blocks():
     with pytest.raises(LadderError):
         construct_2n(1, [(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "n, sizes, bad",
+    [(2, [(2.0, 3), (3, 2)], "2.0"), (1, [(True, 3)], "True"), (2, [(2, 3), (3, "2")], "'2'")],
+)
+def test_construct_2n_takes_integer_sizes(n, sizes, bad):
+    # not a TypeError, and True is no side of 1 to call too small
+    with pytest.raises(LadderError, match=f"^block sizes must be integers, got {re.escape(bad)}$"):
+        construct_2n(n, sizes)
 
 
 def test_construct_2n_rejects_bad_arity():
