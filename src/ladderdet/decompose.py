@@ -54,11 +54,12 @@ def decompose(ladder: Ladder) -> Factorization:
     their glue, which is not built: ``_offsets`` gives the offsets at which
     ``_glue`` would place them, and ``_check_factors`` asks that Y's corner
     lists be the factors' lists, translated, with cc[u] between factors u
-    and u + 1; that every factor be 2-connected and path-connected with no
-    coincidental corner; and that the glue join factor u to factor u + 1 at
-    cc[u] and reach Y's last row and last column.  Besides the factors' own
-    surveys, which are the independent evidence, these steps take
-    O(w + h + k) Python steps.  Two lemmas show that they make the glue Y.
+    and u + 1; that every factor be 2-connected and path-connected; and
+    that the glue join factor u to factor u + 1 at cc[u] and reach Y's last
+    row and last column.  Besides the factors' own surveys, which are the
+    independent evidence, these steps take O(w + h + k) Python steps.  Two
+    lemmas show that they make the glue Y, and a third that no factor then
+    has a coincidental corner.
 
     Corners fix the spans.  Let the rows of Y be 1..m, each the run
     lo_r..hi_r, with lo and hi never increasing down the rows and
@@ -103,33 +104,42 @@ def decompose(ladder: Ladder) -> Factorization:
     refused before the joins are read, so the factors' columns are
     certified to be the run ``_regions`` builds them on, not assumed to be.
 
-    With no coincidental corner (w = 0) nothing is cut: the one factor is
-    Y's ``_twin``, a new ladder that shares Y's spans, corners and report,
-    at offset (0, 0), so no row is surveyed again.  Each check above is
-    vacuous there: the factor's corner lists are Y's, with no cut to
-    insert; Y has no coincidental corner; ``require_analyzable`` has
-    already shown Y to be 2-connected and path-connected; and the glue of
-    one factor at (0, 0) is that factor.
+    The factors have no coincidental corner.  The joins have one entry per
+    factor and must be [*cc, (m, 1)], so a list that passes has w + 1
+    factors, and each glued corner list holds every cut exactly once.  Y's
+    corner rows strictly increase, so neither of its lists repeats an
+    entry.  Were x a coincidental corner of factor u, then, as the glued
+    lists are Y's, x translated would lie in both of Y's lists, so it would
+    be a coincidental corner of Y, hence a cut, and would appear twice in
+    each glued list, once as the cut and once as factor u's corner: that
+    list would repeat an entry.  So no check asks it.
 
-    The ladder keeps the factors, corners and offsets once they have passed
-    every check, so a later call on the same object returns them at once; a
-    failure is not kept, and raises again.  What it keeps refers to no
-    ladder but the factors, which are new objects.  Two threads that
-    decompose one ladder at once may both do the work and both store it,
-    but what they store is equal, so the ladder can still be shared freely.
+    With no coincidental corner (w = 0) nothing is cut: Y is its own one
+    factor, at offset (0, 0), so no row is surveyed again, and nothing is
+    kept.  Each check above is vacuous there: the factor's corner lists are
+    Y's, with no cut to insert; ``require_analyzable`` has already shown Y
+    to be 2-connected and path-connected; and the glue of one factor at
+    (0, 0) is that factor.
+
+    With w >= 1 the ladder keeps the factors, corners and offsets once they
+    have passed every check, so a later call on the same object returns
+    them at once; a failure is not kept, and raises again.  What it keeps
+    refers to no ladder but the factors, which are new objects.  Two
+    threads that decompose one ladder at once may both do the work and both
+    store it, but what they store is equal, so the ladder can still be
+    shared freely.
     """
     split = ladder._split
     if split is None:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
-        if cc:
-            regions = _regions(ladder, cc)
-            factors = tuple(Ladder._from_spans(rows, los, his, range(los[-1], his[0] + 1)) for rows, los, his in regions)
-            offsets = _offsets([f._spans for f in factors])
-            _check_factors(ladder, factors, cc, offsets)
-            split = factors, cc, offsets
-        else:
-            split = (ladder._twin(),), cc, ((0, 0),)
+        if not cc:
+            return Factorization(ladder, (ladder,), cc, ((0, 0),))
+        regions = _regions(ladder, cc)
+        factors = tuple(Ladder._from_spans(rows, los, his, range(los[-1], his[0] + 1)) for rows, los, his in regions)
+        offsets = _offsets([f._spans for f in factors])
+        _check_factors(ladder, factors, cc, offsets)
+        split = factors, cc, offsets
         object.__setattr__(ladder, "_split", split)
     return Factorization(ladder, *split)
 
@@ -166,9 +176,10 @@ def _regions(ladder, cc):
 def _check_factors(ladder, factors, cc, offsets):
     # Each corner list of the ladder is, in row order, factor 0's corners, then
     # per cut u >= 1 its corner cc[u-1] and factor u's corners, translated;
-    # classify lays out the class-group labels by factor on this.  A cut with
-    # no factor, or a factor with no cut, leaves a corner out of the list.
-    # A Cell is a tuple, so plain (row, col) pairs compare equal to it.
+    # classify lays out the class-group labels by factor on this.  The joins
+    # below refuse a list with a cut and a factor too few or too many, which
+    # zip would pair short.  A Cell is a tuple, so plain (row, col) pairs
+    # compare equal to it.
     prof = corners(ladder)
     for kind in ("lower", "upper"):
         glued = []
@@ -179,9 +190,6 @@ def _check_factors(ladder, factors, cc, offsets):
         if tuple(glued) != getattr(prof, kind):
             raise LadderError(f"decomposition failure: the factors' {kind} corners are not the ladder's")
     for u, f in enumerate(factors):
-        fprof = corners(f)
-        if not set(fprof.lower).isdisjoint(fprof.upper):
-            raise LadderError(f"decomposition failure: factor {u} has a coincidental corner")
         report = validate(f)
         if not report.two_connected:
             raise LadderError(f"decomposition failure: factor {u} is not 2-connected")

@@ -153,11 +153,10 @@ class Ladder:
     costs O(rows), and any ladder O(rows + |S|).  Besides its spans a
     ladder keeps only its survey, the corners and validation report found
     while it is built, and in ``_split`` the verified factorization once
-    :func:`ladderdet.decompose.decompose` has made it.  Each lives as long
-    as the ladder, and no longer.  ``cells`` builds its set on each read
-    and keeps none.  A ladder with no coincidental corner is its own one
-    factor, so ``_split`` may hold a ``_twin``: a second ladder that shares
-    this one's spans and survey, and refers to no ladder.
+    :func:`ladderdet.decompose.decompose` has made it; a ladder with no
+    coincidental corner is its own factor, and keeps none.  Each lives as
+    long as the ladder, and no longer.  ``cells`` builds its set on each read
+    and keeps none.
     """
 
     __slots__ = ("m", "n", "_spans", "_size", "_corners", "_report", "_split")
@@ -216,13 +215,15 @@ class Ladder:
             range(1, n + 1) if len(cols) == n else tuple(map(dc.__add__, cols)),
         )
         prof, report, size = _survey(*spans, m, n)
-        return _fill(object.__new__(cls), m, n, spans, size, prof, report)
-
-    def _twin(self) -> "Ladder":
-        """A new ladder equal to this one, sharing its spans, size, corners
-        and report, with no factorization of its own."""
-        twin = object.__new__(type(self))
-        return _fill(twin, self.m, self.n, self._spans, self._size, self._corners, self._report)
+        ladder = object.__new__(cls)
+        _set_m(ladder, m)
+        _set_n(ladder, n)
+        _set_spans(ladder, spans)
+        _set_size(ladder, size)
+        _set_corners(ladder, prof)
+        _set_report(ladder, report)
+        _set_split(ladder, None)
+        return ladder
 
     def _pairs(self):
         """The (row, col) pair of every cell, in order."""
@@ -288,18 +289,6 @@ class Ladder:
 _set_m, _set_n, _set_spans, _set_size, _set_corners, _set_report, _set_split = (
     getattr(Ladder, name).__set__ for name in Ladder.__slots__
 )
-
-
-def _fill(ladder, m, n, spans, size, prof, report) -> Ladder:
-    """The new ladder with every slot set, and no factorization yet."""
-    _set_m(ladder, m)
-    _set_n(ladder, n)
-    _set_spans(ladder, spans)
-    _set_size(ladder, size)
-    _set_corners(ladder, prof)
-    _set_report(ladder, report)
-    _set_split(ladder, None)
-    return ladder
 
 
 def _matrix_spans(m: int, n: int):
@@ -522,6 +511,13 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
     By the module docstring's lemma this checks the axiom on all pairs of
     rows, in O(rows) once the ends' positions in ``cols``, counted from 1,
     are found; a failure names a violating pair of consecutive rows.
+
+    Of the block chain's three conditions for 2-connectedness (module
+    docstring), every |K_i| >= 2 is not tested: the other two imply it.
+    Blocks meet at pair i only when both K_{i-1} and K_i are blocks, so
+    with t >= 2 pairs, meets at all t - 1 of them make every K_i a block.
+    With t = 1, a pair that is no block leaves every cell loose, and with
+    t = 0, one row, there is no block at all.
     """
     if type(cols) is range:  # cols is 1..n, so each column is its own position
         ls, hs = los, his
@@ -548,7 +544,7 @@ def _survey(rows, los, his, cols, m, n) -> tuple[CornerProfile, ValidationReport
             if l1 <= h2 < h1 and cols[h2] == cols[h2 - 1] + 1:
                 upper.append(_new(Cell, (r1, cols[h2 - 1])))
     every_cell_in_minor = not loose
-    two_connected = every_cell_in_minor and min(shared, default=0) >= 2 and meets == len(shared) - 1
+    two_connected = every_cell_in_minor and meets == len(shared) - 1
     path_connected = len(rows) == m and len(cols) == n and all(shared)
 
     messages = []  # only a ladder that fails a test has any

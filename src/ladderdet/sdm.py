@@ -259,10 +259,12 @@ def construct_2n(n: int, sizes) -> Ladder:
     ladder.
     """
     sizes = list(sizes)
+    if not is_int(n):
+        raise LadderError(f"block count must be an integer, got {n!r}")
     if n < 1:
         raise LadderError("need at least one block; any Gorenstein ladder already gives a count of 1")
     if len(sizes) != n:
-        raise LadderError(f"expected {n} block sizes, got {len(sizes)}")
+        raise LadderError(f"expected {_brief(n)} block sizes, got {len(sizes)}")
     for m_u, n_u in sizes:
         if not (is_int(m_u) and is_int(n_u)):
             bad = m_u if not is_int(m_u) else n_u

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from ladderdet import Ladder, compose, construct_2n, parse_ascii
-from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, main
+from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, build_parser, main
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
 from helpers import L1_ASCII, L2_ASCII, L3_ASCII, L3_CELLS, child_env
@@ -587,6 +588,25 @@ def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "validate")
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
+
+
+def _help(capsys, *argv):
+    """What ``main`` prints for ``--help``, after checking that it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_names_every_command(capsys):
+    # content, not bytes: argparse words and wraps its help differently on each Python
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    top = _help(capsys)
+    assert top.split()[:2] == ["usage:", "ladderdet"]
+    assert len(helps) == 14 and all("".join(h.split()) in "".join(top.split()) for h in helps.values())
+    for command in helps:
+        assert _help(capsys, command).split()[:3] == ["usage:", "ladderdet", command]
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -100,7 +100,7 @@ def _runs(paths):
     out += [("eq", ["eq", *l3, '{"exps": [[1, 2, 2]]}', '{"exps": [[1, 2, 1], [1, 2, 1]]}'])]
     out += [("nf", ["nf", *l3])]  # a usage error
     out += [("corners", ["corners", "--in", paths["non-utf8"]]), ("sdm", ["sdm", "--in", paths["missing"]])]
-    sizes = ("3x2,3x2", "2x3,3x4", "2x3,3x2,2x4", "2x3,5x2,2x3,3x2", "3x3", "1x5", "100000x99999", f"2x{BIG}", "3y2")
+    sizes = ("3x2,3x2", "2x3,3x4", "2x3,3x2,2x4", "2x3,5x2,2x3,3x2", "3x3", "1x5", "100000x99999", f"2x{BIG}", "3y2", "ax2", "2x")
     out += [("construct2n", ["construct2n", "--sizes", s]) for s in sizes]
     return out
 
@@ -132,7 +132,7 @@ COMMAND_SHA256 = {  # written before a Ladder stopped caching its cell set and i
     "compose": "24ff2d7fbfb5f51933be5c6fca705b28af1d407b980a71d3de72281cca55dba4",
     "antitranspose": "f35302e7d824098659ffe9bb2dea1df9ceff8cf7377b2b62b96c978bfeb4ef8a",
     "render": "7f3de1b5b083ab0dcd65666138c177d5fc6c369a554da421da5e688632d7a562",
-    "construct2n": "efb81da018eedfe86e2f528e54cac5fde88a783859cb56786de4d37f93b89d77",
+    "construct2n": "baddaaf0b32546d6beea80d9fa2194a7556c608c6ecd7668c8ff1da92a0262f2",
     "nf": "602986a783507c2f5f45af3ebe5bf3bafcc295dafe08b65b84f60a6f89828dec",
     "eq": "9dfa5e559f54395f5499181d4a2bcd41694fd0a68193deabf54a877449358868",
     "witness": "1280c144147b3137d6427f0c08c11fb7c0e97c3b78fe907902ea3f9a3c2b1eb8",

@@ -3,6 +3,7 @@ import gc
 import importlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -158,8 +159,10 @@ def test_decompose_takes_the_offsets_from_the_glue(monkeypatch, l3):
 
 
 def test_decompose_rejects_merged_regions(monkeypatch, l1, l2):
-    # the last two regions as one: the union is exact and the first cut is
-    # right, but the last cut has no factor below it
+    # the last two regions as one: the union is exact, the first cut is
+    # right, and the merged factor's corners, the last cut among them, give
+    # the ladder's lists; but the last cut has no factor below it, so the
+    # joins are one short of the cuts
     regions = decompose_module._regions
 
     def merged(ladder, cc):
@@ -169,8 +172,10 @@ def test_decompose_rejects_merged_regions(monkeypatch, l1, l2):
         return [*out, (rows_a + rows_b[1:], los_a[:-1] + los_b, his_a + his_b[1:])]
 
     monkeypatch.setattr(decompose_module, "_regions", merged)
-    with pytest.raises(LadderError, match="^decomposition failure: factor 1 has a coincidental corner$"):
-        decompose(compose([l1, l2, Ladder.full_matrix(3, 2)]))
+    ladder = compose([l1, l2, Ladder.full_matrix(3, 2)])
+    with pytest.raises(LadderError, match="^decomposition failure: composing the factors does not recover the ladder$"):
+        decompose(ladder)
+    assert ladder._split is None
 
 
 @pytest.mark.parametrize(
@@ -202,10 +207,14 @@ def test_factorization_json(l3):
 
 
 def test_decompose_keeps_its_factorization_on_the_ladder(l1, l3):
-    for ladder in (l1, l3):
-        first = decompose(ladder)
-        again = decompose(ladder)
-        assert again.factors is first.factors and again == first and again.ladder is ladder
+    first = decompose(l3)
+    again = decompose(l3)
+    assert again.factors is first.factors and again == first and again.ladder is l3
+    # a ladder with no coincidental corner is its own factor, and keeps nothing
+    for _ in range(2):
+        f = decompose(l1)
+        assert f.factors == (l1,) and f.factors[0] is l1 and f.ladder is l1
+        assert l1._split is None
 
 
 def test_classify_after_decompose_checks_the_factors_once(monkeypatch, l1, l2):
@@ -292,23 +301,35 @@ def test_decompose_rejects_factors_that_do_not_glue_to_the_ladder(monkeypatch, l
 
 
 def test_the_joins_and_the_extent_certify_the_glue(l1, l2):
-    # on small glues, one factor replaced by every 2-connected shape up to 4x4
-    # with no coincidental corner, and two by a seeded sample of them: the
-    # checks pass exactly when the factors glue to the ladder's cells.  Some
-    # shapes have a gap in their rows or columns; one whose rows give the
-    # ladder's corners may still leave a column of its glue empty
-    shapes = [x for x in map(Ladder, enumerate_ladder_cellsets(4, 4)) if validate(x).two_connected]
-    shapes = [x for x in shapes if not corners(x).coincidental]
+    # on small glues, one factor replaced by every ladder up to 4x4, and two
+    # by a seeded sample of the 2-connected ones: the checks pass exactly when
+    # the factors glue to the ladder's cells.  Some shapes are not
+    # 2-connected, some have a coincidental corner, which no check asks of a
+    # factor, and some have a gap in their rows or columns; one whose rows
+    # give the ladder's corners may still leave a column of its glue empty
+    shapes = list(map(Ladder, enumerate_ladder_cellsets(4, 4)))
+    connected = [x for x in shapes if validate(x).two_connected]
     full = Ladder.full_matrix
-    glues = [compose(fs) for fs in ([full(3, 2)] * 2, [full(3, 3)] * 2, [l1, l2], [full(2, 3), l1, full(3, 2)])]
+    glues = [
+        compose(fs)
+        for fs in (
+            [full(3, 2)] * 2,
+            [full(3, 3)] * 2,
+            [full(2, 2)] * 2,
+            [l1, l2],
+            [full(2, 3), l1, full(3, 2)],
+            [full(2, 3), full(3, 2), full(2, 3)],
+        )
+    ]
+    cells_of = functools.lru_cache(maxsize=None)(lambda x: x.cells)
     rng = random.Random(29)
     outcomes = Counter()
     for ladder in glues:
         f = decompose(ladder)
         cells, spots = set(ladder.cells), range(len(f.factors))
         swaps = [{u: x} for u in spots for x in shapes]
-        pairs = [(u, v) for u in spots for v in spots[u + 1 :]] * 1500
-        swaps += [{u: rng.choice(shapes), v: rng.choice(shapes)} for u, v in pairs]
+        pairs = [(u, v) for u in spots for v in spots[u + 1 :]] * 1000
+        swaps += [{u: rng.choice(connected), v: rng.choice(connected)} for u, v in pairs]
         for swap in swaps:
             factors = tuple(swap.get(u, x) for u, x in enumerate(f.factors))
             offsets = ladders_module._offsets([x._spans for x in factors])
@@ -316,35 +337,38 @@ def test_the_joins_and_the_extent_certify_the_glue(l1, l2):
                 decompose_module._check_factors(ladder, factors, f.coincidental, offsets)
                 outcome = "passed"
             except LadderError as exc:
-                outcome = str(exc)
-            assert (outcome == "passed") == (compose_oracle([x.cells for x in factors]) == cells), (ladder, swap)
+                outcome = re.sub(r"factor \d", "factor u", str(exc))
+            assert (outcome == "passed") == (compose_oracle([cells_of(x) for x in factors]) == cells), (ladder, swap)
             outcomes[outcome] += 1
-    assert len(shapes) == 132 and sum(outcomes.values()) == 10188
-    # only the true factors pass, two per glue but that of l1 and l2, which
-    # are larger than 4x4
-    assert outcomes["passed"] == 6
-    assert outcomes["decomposition failure: factor 0 is not path-connected"] > 0
+    assert (len(shapes), len(connected), sum(1 for x in connected if corners(x).coincidental)) == (1238, 146, 14)
+    assert sum(outcomes.values()) == 14 * 1238 + 10 * 1000
+    # only the true factors pass, two per glue but three for the last and
+    # none for that of l1 and l2, which are larger than 4x4
+    assert outcomes["passed"] == 11
+    for reason in ("not 2-connected", "not path-connected"):
+        assert outcomes[f"decomposition failure: factor u is {reason}"] > 0
     assert outcomes["decomposition failure: composing the factors does not recover the ladder"] > 0
 
 
 def test_kept_factorization_holds_no_reference_to_its_ladder(l1, l3):
     # a cycle would keep a dropped ladder alive until the cycle collector runs
     followed = (tuple, dict, frozenset, Ladder, Cell)
-    for ladder in (l1, l3):
-        decompose(ladder)
-        seen, stack = set(), [ladder._split]
-        while stack:
-            obj = stack.pop()
-            assert obj is not ladder
-            if id(obj) not in seen:
-                seen.add(id(obj))
-                stack += [x for x in gc.get_referents(obj) if type(x) in followed]
-        assert len(seen) > len(decompose(ladder).factors)
+    decompose(l1)
+    assert l1._split is None  # no coincidental corner: the ladder is its own factor, and keeps nothing
+    decompose(l3)
+    seen, stack = set(), [l3._split]
+    while stack:
+        obj = stack.pop()
+        assert obj is not l3
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            stack += [x for x in gc.get_referents(obj) if type(x) in followed]
+    assert len(seen) > len(decompose(l3).factors)
 
 
 def test_one_factor_decomposition_is_the_cutting_oracles():
-    # every analyzable ladder up to 5x5 with no coincidental corner: its twin
-    # is the factor that cutting, rebuilding and gluing make, checked in full
+    # every analyzable ladder up to 5x5 with no coincidental corner: it is
+    # itself the factor that cutting, rebuilding and gluing make, checked in full
     seen = 0
     for ladder in analyzable_up_to_5x5():
         if corners(ladder).coincidental:
@@ -353,6 +377,7 @@ def test_one_factor_decomposition_is_the_cutting_oracles():
         oracle = decompose_by_cutting(ladder)
         f = decompose(ladder)
         assert f == oracle and f.ladder is ladder and f.offsets == ((0, 0),) and f.coincidental == ()
+        assert f.factors[0] is ladder and ladder._split is None
         for got, want in zip(f.factors, oracle.factors, strict=True):
             assert got._spans == want._spans
             assert corners(got) == corners(want) and validate(got) == validate(want)
@@ -368,9 +393,7 @@ def test_one_factor_decomposition_surveys_no_row(monkeypatch, l1, cell_reads):
     monkeypatch.setattr(Ladder, "_from_spans", counted)
     (factor,) = decompose(l1).factors
     assert calls == []
-    assert factor == l1 and factor is not l1
-    assert factor._corners is l1._corners and factor._report is l1._report and factor._spans is l1._spans
-    assert factor._split is None and cell_reads == []
+    assert factor is l1 and l1._split is None and cell_reads == []
 
 
 def two_sided_glues(seed, count):

@@ -279,6 +279,19 @@ def test_full_matrix_beyond_a_countable_length_is_rejected(m, n, sides):
     assert len(Ladder.full_matrix(1, sys.maxsize)) == sys.maxsize
 
 
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (-2, 2)])
+def test_full_matrix_takes_positive_sides(m, n):
+    with pytest.raises(LadderError, match="^matrix dimensions must be positive$"):
+        Ladder.full_matrix(m, n)
+
+
+@pytest.mark.parametrize("cell", [(1,), (1, 2, 3), 7])
+def test_ladder_takes_row_col_pairs(cell):
+    # the constructor's own check, not parse_json's, which sees JSON lists only
+    with pytest.raises(LadderError, match=f"^bad cell {re.escape(repr(cell))}: expected a \\(row, col\\) pair$"):
+        Ladder([(1, 1), cell])
+
+
 @pytest.mark.parametrize("m, n, bad", [(2.5, 3, "2.5"), (True, 3, "True"), (3, 2.0, "2.0"), ("3", 3, "'3'")])
 def test_full_matrix_takes_integer_sides(m, n, bad):
     # not a TypeError from deep inside, and True is no side of 1

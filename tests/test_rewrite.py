@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -71,6 +72,12 @@ def test_monomial_json_roundtrip():
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(LadderError):
         Monomial({Cell(1, 1): -1})
+
+
+@pytest.mark.parametrize("cell", [(1,), (1, 2, 3), 7])
+def test_monomial_takes_row_col_pairs(cell):
+    with pytest.raises(LadderError, match=f"^bad cell {re.escape(repr(cell))}: expected a \\(row, col\\) pair$"):
+        Monomial([(cell, 1)])
 
 
 @pytest.mark.parametrize(

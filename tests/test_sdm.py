@@ -367,6 +367,21 @@ def test_construct_2n_takes_integer_sizes(n, sizes, bad):
         construct_2n(n, sizes)
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        pytest.param("2", "block count must be an integer, got '2'", id="str"),
+        pytest.param(True, "block count must be an integer, got True", id="bool"),
+        pytest.param(2.0, "block count must be an integer, got 2.0", id="float"),
+        # 5,001 digits: past what Python prints, so the count is not printed in full
+        pytest.param(10**5000, "expected <over-4300-digit> block sizes, got 2", id="long"),
+    ],
+)
+def test_construct_2n_takes_an_integer_block_count(n, message):
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        construct_2n(n, [(2, 3), (3, 2)])
+
+
 def test_construct_2n_rejects_bad_arity():
     with pytest.raises(LadderError):
         construct_2n(0, [])
