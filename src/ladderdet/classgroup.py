@@ -10,11 +10,13 @@ sums and differences are element-wise.
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
-from operator import add, sub
+from bisect import bisect_left, bisect_right
+from collections.abc import Set
+from itertools import chain, repeat
+from operator import add, neg, sub
 from typing import NamedTuple
 
-from .ladders import Cell, CornerProfile, Ladder, LadderError, _cell_set, _new, corners, is_int, require_analyzable
+from .ladders import Cell, CornerProfile, Ladder, LadderError, _new, corners, is_int, require_analyzable
 
 
 class BasisLabel(NamedTuple):
@@ -100,10 +102,6 @@ class DivisorClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
-
-    @classmethod
-    def zero(cls, ladder: Ladder) -> "DivisorClass":
-        return cls(ladder)
 
     def items(self) -> tuple:
         """The (label, coefficient) pairs with a nonzero coefficient, in basis order.
@@ -202,12 +200,31 @@ def basis(ladder: Ladder) -> tuple[BasisLabel, ...]:
     return _labels(ladder)
 
 
-def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
+def ideal_generators(ladder: Ladder, label) -> Set[Cell]:
     """Variable generators of the height-1 prime ideal named by the label.
 
     Q(i) is generated by the cells in row a_{i-1}; P(j) by the cells weakly
     above and left of the j-th upper corner; QPrime(i) by the cells in
     column b_i, the column whose class ``qprime_class`` gives.
+
+    The set is read-only and held as its row runs, built in O(rows).  It
+    equals, and hashes as, the frozenset of its cells, iterates them in
+    order, and tests membership in O(log rows).
+    """
+    return _RowRuns(*_generator_runs(ladder, label))
+
+
+def _generator_runs(ladder: Ladder, label) -> tuple:
+    """The rows of the generators of a label's prime, in order, with the
+    first and the last column of each: on an analyzable ladder each row of
+    them is one run.
+
+    Every row of Y is the whole of its span, and lo and hi never increase
+    down the rows (``ladders`` module docstring, "Closed forms").  So the
+    rows that hold a column c run from the first with lo <= c to the last
+    with hi >= c, and the rows 1..c_j of P(j) that reach column d_j are
+    those from the first with lo <= d_j.  Each of them ends past d_j: an
+    upper corner (c_j, d_j) has d_j = hi_{c_j + 1} < hi_{c_j}.
     """
     require_analyzable(ladder)
     prof = corners(ladder)
@@ -218,16 +235,74 @@ def ideal_generators(ladder: Ladder, label) -> frozenset[Cell]:
         i = label.index
         _check_qprime(prof, i)
         col = lower[i - 1].col if i <= len(lower) else 1
-        return _cell_set((r, col) for r, lo, hi in zip(count(1), los, his) if lo <= col <= hi)
+        top, bottom = bisect_left(los, -col, key=neg), bisect_right(his, -col, key=neg)
+        ends = (col,) * (bottom - top)
+        return range(top + 1, bottom + 1), ends, ends
     _check_label(prof, label)
     kind, i = label
     if kind == "Q":
         row = lower[i - 2].row if i > 1 else 1
-        return _cell_set(zip(repeat(row), range(los[row - 1], his[row - 1] + 1)))
+        return (row,), (los[row - 1],), (his[row - 1],)
     c, d = prof.upper[i - 1]
-    return _cell_set(
-        (r, col) for r, lo, hi in zip(range(1, c + 1), los, his) for col in range(lo, (hi if hi < d else d) + 1)
-    )
+    top = bisect_left(los, -d, 0, c, key=neg)
+    return range(top + 1, c + 1), los[top:c], (d,) * (c - top)
+
+
+class _RowRuns(Set):
+    """An immutable set of cells held as row runs: row ``rows[i]`` holds the
+    columns ``los[i]..his[i]``, the rows increasing.
+
+    It equals, and hashes as, the frozenset of its cells; its set operators
+    give frozensets.
+    """
+
+    __slots__ = ("_runs", "_len")
+
+    def __new__(cls, rows, los, his):
+        self = object.__new__(cls)
+        _set_runs(self, (rows, los, his))
+        _set_len(self, sum(his) - sum(los) + len(rows))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a generator set is immutable")
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        rows, los, his = self._runs
+        runs = map(range, los, map((1).__add__, his))
+        return map(_new, repeat(Cell), chain.from_iterable(map(zip, map(repeat, rows), runs)))
+
+    def __contains__(self, cell) -> bool:
+        if not (isinstance(cell, tuple) and len(cell) == 2):
+            hash(cell)  # an unhashable probe raises TypeError, as a frozenset's does
+            return False
+        r, c = cell
+        rows, los, his = self._runs
+        try:
+            i = bisect_left(rows, r)
+            return i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and c % 1 == 0
+        except TypeError:  # complex and the rest, as in a frozenset: unhashable raises, else equal to a cell
+            hash(cell)
+            return any(c in range(lo, hi + 1) for x, lo, hi in zip(rows, los, his) if x == r)
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, cells):
+        return frozenset(cells)
+
+    def __reduce__(self):  # copy and pickle, past the __setattr__ that keeps the set immutable
+        return type(self), self._runs
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)})"
+
+
+_set_runs = _RowRuns._runs.__set__
+_set_len = _RowRuns._len.__set__
 
 
 def canonical_class(ladder: Ladder) -> DivisorClass:

@@ -197,7 +197,7 @@ def _cmd_classgroup(args):
     from .classgroup import basis, ideal_generators
 
     ladder = _load_ladder(args)
-    gens = {str(l): sorted(ideal_generators(ladder, l)) for l in basis(ladder)}
+    gens = {str(l): ideal_generators(ladder, l) for l in basis(ladder)}
     return (
         lambda: {
             "rank": len(gens),

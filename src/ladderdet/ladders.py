@@ -138,11 +138,6 @@ class Cell(NamedTuple):
 _new = tuple.__new__
 
 
-def _cell_set(pairs: Iterable[tuple[int, int]]) -> frozenset[Cell]:
-    """The cells at the given (row, col) pairs, each made by ``_new``."""
-    return frozenset(map(_new, repeat(Cell), pairs))
-
-
 class Ladder:
     """An immutable ladder, normalized to start at (1, 1), held as row spans over its occupied columns.
 
@@ -234,7 +229,7 @@ class Ladder:
     @property
     def cells(self) -> frozenset[Cell]:
         """The set of every cell, built on each read."""
-        return _cell_set(self._pairs())
+        return frozenset(map(_new, repeat(Cell), self._pairs()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ladder is immutable")
@@ -416,7 +411,7 @@ class CornerProfile(NamedTuple):
     The lower corners are (a_1, b_1), ..., (a_h, b_h); the library reads
     (a_i, b_i) as ``lower[i - 1]``.  The paper's sentinel corners
     (a_0, b_0) = (1, n) and (a_{h+1}, b_{h+1}) = (m, 1) are written out
-    where they are needed, in three places: ``classgroup.ideal_generators``
+    where they are needed, in three places: ``classgroup._generator_runs``
     (a_0 = 1 and b_{h+1} = 1), ``classgroup.qprime_class`` (the same two)
     and ``classgroup.canonical_class`` (a_0 + b_0 = 1 + n and
     a_{h+1} + b_{h+1} = m + 1).  The tests check all three against an

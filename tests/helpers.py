@@ -743,7 +743,7 @@ def classes_by_addition(report):
     """
     from ladderdet import DivisorClass
 
-    classes = [DivisorClass.zero(report.omega.ladder)]
+    classes = [DivisorClass(report.omega.ladder)]
     for f in reversed(report.factors):
         if not f.gorenstein:
             classes += [f.omega_image + c for c in classes]

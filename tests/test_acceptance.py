@@ -56,7 +56,7 @@ def test_criterion_01_l3_classification():
     assert report.omega == DivisorClass(L3, {Q(1): 1, Q(2): 1, P(1): 1})
     assert report.count == 4
     assert set(report.classes) == {
-        DivisorClass.zero(L3),
+        DivisorClass(L3),
         DivisorClass(L3, {Q(1): 1}),
         DivisorClass(L3, {Q(2): 1, P(1): 1}),
         DivisorClass(L3, {Q(1): 1, Q(2): 1, P(1): 1}),
@@ -126,7 +126,7 @@ def test_criterion_07_global_factor_consistency():
         if not validate(ladder).two_connected:
             continue
         factorization = decompose(ladder)
-        total = DivisorClass.zero(ladder)
+        total = DivisorClass(ladder)
         for u in range(factorization.w + 1):
             total = total + embed_factor_omega(factorization, u)
         omega = canonical_class(ladder)

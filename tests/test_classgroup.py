@@ -1,9 +1,14 @@
 import bisect
+import copy
 import functools
+import gc
 import json
+import operator
+import pickle
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -186,6 +191,64 @@ def test_label_layer_matches_the_lower_ext_oracle():
         assert canonical_class(ladder) == DivisorClass(ladder, canonical_class_oracle(ladder)), ladder
 
 
+def test_generator_sets_behave_as_frozensets():
+    # every label of every analyzable ladder up to 5x5: the read-only set
+    # held as row runs against the frozenset of the oracle's cells
+    small = [ladder for ladder in map(Ladder, enumerate_ladder_cellsets(5, 5)) if _analyzable(ladder)]
+    assert len(small) == 494
+    for ladder in small:
+        labels = (*basis(ladder), *map(QPrime, range(1, corners(ladder).h + 2)))
+        sets = [ideal_generators(ladder, label) for label in labels]
+        frozen = [frozenset(label_generators_oracle(ladder, label)) for label in labels]
+        for u, (label, gens, expected) in enumerate(zip(labels, sets, frozen)):
+            case = (ladder, label)
+            assert gens == expected and expected == gens and set(expected) == gens, case
+            assert not (gens != expected or expected != gens), case
+            assert hash(gens) == hash(expected) and len(gens) == len(expected), case
+            assert list(gens) == sorted(expected), case
+            for r, c in expected:
+                for probe in ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    assert (probe in gens) == (probe in expected), (case, probe)
+                for probe in ((r, c + 0.5), (float(r), c), (True, 1), "x", None, (r, c, 1)):
+                    assert (probe in gens) == (probe in expected), (case, probe)
+            other, other_expected = sets[u - 1], frozen[u - 1]
+            for op in (operator.and_, operator.or_, operator.sub, operator.xor):
+                got = op(gens, other)
+                assert type(got) is frozenset and got == op(expected, other_expected), (case, op)
+            assert pickle.loads(pickle.dumps(gens)) == gens == copy.deepcopy(gens), case
+            with pytest.raises(AttributeError):
+                gens._runs = None
+            with pytest.raises(AttributeError):
+                gens.extra = None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(None, id="matrix-2x200000"),
+        pytest.param("\n".join(["#" * 200_000] * 2 + ["#" * 100_000]), id="three-rows-upper-corner"),
+    ],
+)
+def test_generators_cost_their_rows_not_their_cells(text, cell_reads):
+    # Q(1) of the full 2 x 200,000 matrix alone has 200,000 cells, and so
+    # have Q(1) and P(1) of the wide ladder; no two-row ladder with a corner
+    # is 2-connected
+    ladder = Ladder.full_matrix(2, 200_000) if text is None else parse_ascii(text)
+    labels = (*basis(ladder), *map(QPrime, range(1, corners(ladder).h + 2)))
+    assert len(labels) == (1 if text is None else 2) + 1
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sizes = [len(ideal_generators(ladder, label)) for label in labels]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sizes == ([200_000, 2] if text is None else [200_000, 200_000, 3])
+    assert cell_reads == [] and peak < 4096, peak
+
+
 class _Index(int):
     """An int subclass: accepted as an index, as an int is."""
 
@@ -348,7 +411,7 @@ def test_divisor_class_arithmetic(l3):
 
 
 def test_divisor_class_zero_equality(l3):
-    assert DivisorClass(l3, {Q(1): 0}) == DivisorClass.zero(l3)
+    assert DivisorClass(l3, {Q(1): 0}) == DivisorClass(l3)
     assert DivisorClass(l3, [(Q(1), 1), (Q(1), -1)]).is_zero
 
 
@@ -419,7 +482,7 @@ def test_divisor_classes_from_different_ladders_never_equal(l1, l3):
 def test_divisor_class_json(l3):
     omega = canonical_class(l3)
     assert omega.to_json_dict() == {"Q": {"1": 1, "2": 1}, "P": {"1": 1}}
-    assert DivisorClass.zero(l3).to_json_dict() == {"Q": {}, "P": {}}
+    assert DivisorClass(l3).to_json_dict() == {"Q": {}, "P": {}}
 
 
 def test_divisor_class_names_only_its_nonzero_labels(monkeypatch):
@@ -504,7 +567,7 @@ def test_global_factor_consistency_randomized():
     for _ in range(60):
         ladder = random_two_connected(rng)
         f = decompose(ladder)
-        total = DivisorClass.zero(ladder)
+        total = DivisorClass(ladder)
         for u in range(f.w + 1):
             total = total + embed_factor_omega(f, u)
         assert total == canonical_class(ladder)

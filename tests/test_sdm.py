@@ -82,7 +82,7 @@ def test_classify_l3(l3):
     assert report.omega == DivisorClass(l3, {Q(1): 1, Q(2): 1, P(1): 1})
     assert report.count == 4
     expected = {
-        DivisorClass.zero(l3),
+        DivisorClass(l3),
         DivisorClass(l3, {Q(1): 1}),
         DivisorClass(l3, {Q(2): 1, P(1): 1}),
         DivisorClass(l3, {Q(1): 1, Q(2): 1, P(1): 1}),
@@ -101,7 +101,7 @@ def test_classify_composite_count_8(l1, l2, l3):
 def test_classify_gorenstein_single_factor(l2):
     report = classify(l2)
     assert report.count == 1
-    assert report.classes == (DivisorClass.zero(l2),)
+    assert report.classes == (DivisorClass(l2),)
     assert report.theta_vectors == ((0,),)
 
 
@@ -109,15 +109,15 @@ def test_classify_trivial_pair(l1):
     # single non-Gorenstein factor: exactly the zero class and omega
     report = classify(l1)
     assert report.count == 2
-    assert set(report.classes) == {DivisorClass.zero(l1), canonical_class(l1)}
+    assert set(report.classes) == {DivisorClass(l1), canonical_class(l1)}
 
 
 def test_classify_contains_zero_and_omega_with_aligned_thetas(l1, l2, l3):
     report = classify(compose([l3, l1]))
-    assert DivisorClass.zero(report.omega.ladder) in report.classes
+    assert DivisorClass(report.omega.ladder) in report.classes
     assert report.omega in report.classes
     for theta, cls in zip(report.theta_vectors, report.classes):
-        acc = DivisorClass.zero(report.omega.ladder)
+        acc = DivisorClass(report.omega.ladder)
         for t, factor in zip(theta, report.factors):
             if t:
                 acc = acc + factor.omega_image
