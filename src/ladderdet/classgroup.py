@@ -16,7 +16,9 @@ from itertools import chain, repeat
 from operator import add, neg, sub
 from typing import NamedTuple
 
-from .ladders import Cell, CornerProfile, Ladder, LadderError, _new, corners, is_int, require_analyzable
+from .ladders import (
+    Cell, CornerProfile, Ladder, LadderError, _new, _span_cells, _span_contains, corners, is_int, require_analyzable
+)
 
 
 class BasisLabel(NamedTuple):
@@ -215,9 +217,10 @@ def ideal_generators(ladder: Ladder, label) -> Set[Cell]:
 
 
 def _generator_runs(ladder: Ladder, label) -> tuple:
-    """The rows of the generators of a label's prime, in order, with the
-    first and the last column of each: on an analyzable ladder each row of
-    them is one run.
+    """The rows of the generators of a label's prime, in order, the first
+    and the last column of each, and the ladder's columns 1..n: the
+    generators' ``_spans``.  On an analyzable ladder each row of them is one
+    run.
 
     Every row of Y is the whole of its span, and lo and hi never increase
     down the rows (``ladders`` module docstring, "Closed forms").  So the
@@ -228,7 +231,7 @@ def _generator_runs(ladder: Ladder, label) -> tuple:
     """
     require_analyzable(ladder)
     prof = corners(ladder)
-    _, los, his, _ = ladder._spans  # analyzable: rows 1..m, each the whole of its span
+    _, los, his, cols = ladder._spans  # analyzable: rows 1..m, each the whole of its span, and cols 1..n
     # (a_i, b_i) is lower[i - 1], with (a_0, b_0) = (1, n) and (a_{h+1}, b_{h+1}) = (m, 1).
     lower = prof.lower
     if isinstance(label, QPrime):
@@ -237,30 +240,34 @@ def _generator_runs(ladder: Ladder, label) -> tuple:
         col = lower[i - 1].col if i <= len(lower) else 1
         top, bottom = bisect_left(los, -col, key=neg), bisect_right(his, -col, key=neg)
         ends = (col,) * (bottom - top)
-        return range(top + 1, bottom + 1), ends, ends
+        return range(top + 1, bottom + 1), ends, ends, cols
     _check_label(prof, label)
     kind, i = label
     if kind == "Q":
         row = lower[i - 2].row if i > 1 else 1
-        return (row,), (los[row - 1],), (his[row - 1],)
+        return (row,), (los[row - 1],), (his[row - 1],), cols
     c, d = prof.upper[i - 1]
     top = bisect_left(los, -d, 0, c, key=neg)
-    return range(top + 1, c + 1), los[top:c], (d,) * (c - top)
+    return range(top + 1, c + 1), los[top:c], (d,) * (c - top), cols
 
 
 class _RowRuns(Set):
-    """An immutable set of cells held as row runs: row ``rows[i]`` holds the
-    columns ``los[i]..his[i]``, the rows increasing.
+    """An immutable set of cells held as row runs, in the ``_spans`` form of
+    a ``Ladder`` (``rows``, ``los``, ``his``, ``cols``): row ``rows[i]``
+    holds the columns of ``cols`` from ``los[i]`` to ``his[i]``, the rows
+    increasing.  ``cols`` is the ladder's occupied columns, 1..n on an
+    analyzable ladder, so each row is one run; the set reads its cells as a
+    ladder does.
 
     It equals, and hashes as, the frozenset of its cells; its set operators
     give frozensets.
     """
 
-    __slots__ = ("_runs", "_len")
+    __slots__ = ("_spans", "_len")
 
-    def __new__(cls, rows, los, his):
+    def __new__(cls, rows, los, his, cols):
         self = object.__new__(cls)
-        _set_runs(self, (rows, los, his))
+        _set_spans(self, (rows, los, his, cols))
         _set_len(self, sum(his) - sum(los) + len(rows))
         return self
 
@@ -270,24 +277,8 @@ class _RowRuns(Set):
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self):
-        rows, los, his = self._runs
-        runs = map(range, los, map((1).__add__, his))
-        return map(_new, repeat(Cell), chain.from_iterable(map(zip, map(repeat, rows), runs)))
-
-    def __contains__(self, cell) -> bool:
-        if not (isinstance(cell, tuple) and len(cell) == 2):
-            hash(cell)  # an unhashable probe raises TypeError, as a frozenset's does
-            return False
-        r, c = cell
-        rows, los, his = self._runs
-        try:
-            i = bisect_left(rows, r)
-            return i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and c % 1 == 0
-        except TypeError:  # complex and the rest, as in a frozenset: unhashable raises, else equal to a cell
-            hash(cell)
-            return any(c in range(lo, hi + 1) for x, lo, hi in zip(rows, los, his) if x == r)
-
+    __iter__ = _span_cells
+    __contains__ = _span_contains
     __hash__ = Set._hash
 
     @classmethod
@@ -295,13 +286,13 @@ class _RowRuns(Set):
         return frozenset(cells)
 
     def __reduce__(self):  # copy and pickle, past the __setattr__ that keeps the set immutable
-        return type(self), self._runs
+        return type(self), self._spans
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self)})"
 
 
-_set_runs = _RowRuns._runs.__set__
+_set_spans = _RowRuns._spans.__set__
 _set_len = _RowRuns._len.__set__
 
 

@@ -126,6 +126,19 @@ def _brief(x: int) -> str:
     return f"<{len(str(abs(x)))}-digit>" if abs(x) < _MAX_EXTENT else f"<over-{MAX_EXTENT_DIGITS}-digit>"
 
 
+# The most characters of an input's repr that a message echoes.
+_REPR_CHARS = 60
+
+
+def _brief_repr(x) -> str:
+    """repr(x), or its first ``_REPR_CHARS`` characters and its length when longer, as ``_brief`` cuts an int."""
+    try:
+        text = repr(x)
+    except ValueError:  # it holds an int too long for repr
+        return f"<{type(x).__name__} holding an over-{MAX_EXTENT_DIGITS}-digit int>"
+    return text if len(text) <= _REPR_CHARS else f"{text[:_REPR_CHARS]}... <{len(text)} chars>"
+
+
 class Cell(NamedTuple):
     row: int
     col: int
@@ -136,6 +149,45 @@ class Cell(NamedTuple):
 
 # _new(T, values) makes the NamedTuple T of a tuple of its fields without a Python-level call.
 _new = tuple.__new__
+
+
+# Cells held as spans, in a ``_spans`` 4-tuple as ``Ladder`` holds them.  A
+# class that holds its cells so binds the two functions below as its
+# ``__iter__`` and ``__contains__``.
+
+
+def _span_runs(spans):
+    """The columns of each row held as ``spans``, in row order: those of S in the row's span."""
+    _, los, his, cols = spans
+    return (cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for lo, hi in zip(los, his))
+
+
+def _span_cells(self):
+    """Every cell held as ``self._spans``, in order."""
+    spans = self._spans
+    return map(_new, repeat(Cell), chain.from_iterable(map(zip, map(repeat, spans[0]), _span_runs(spans))))
+
+
+def _span_contains(self, cell) -> bool:
+    """Whether cell is one of those held as ``self._spans``, answered as by the frozenset of them.
+
+    A pair of ints costs O(log rows).  A probe that is not a pair is no
+    cell, and an unhashable one raises ``TypeError``.
+    """
+    if not (isinstance(cell, tuple) and len(cell) == 2):
+        hash(cell)  # an unhashable probe raises TypeError, as a frozenset's does
+        return False
+    r, c = cell
+    rows, los, his, cols = spans = self._spans
+    try:
+        i = bisect_left(rows, r)
+        if i < len(rows) and rows[i] == r and los[i] <= c <= his[i]:
+            return cols[bisect_left(cols, c)] == c
+    except TypeError:  # complex and the rest, as in a frozenset: unhashable raises, else equal to a cell's indices
+        hash(cell)
+        return any(c in run for x, run in zip(rows, _span_runs(spans)) if x == r)
+    hash(cell)  # a miss that never compared c: an unhashable c raises TypeError here too
+    return False
 
 
 class Ladder:
@@ -151,7 +203,9 @@ class Ladder:
     :func:`ladderdet.decompose.decompose` has made it; a ladder with no
     coincidental corner is its own factor, and keeps none.  Each lives as
     long as the ladder, and no longer.  ``cells`` builds its set on each read
-    and keeps none.
+    and keeps none.  Iteration and membership read the spans through
+    ``_span_cells`` and ``_span_contains``, which the generator sets of
+    ``classgroup`` share; ``in`` answers as ``cells`` would, for any probe.
     """
 
     __slots__ = ("m", "n", "_spans", "_size", "_corners", "_report", "_split")
@@ -162,9 +216,9 @@ class Ladder:
             try:
                 r, c = rc
             except (TypeError, ValueError):
-                raise LadderError(f"bad cell {rc!r}: expected a (row, col) pair") from None
+                raise LadderError(f"bad cell {_brief_repr(rc)}: expected a (row, col) pair") from None
             if not (type(r) is int is type(c) or is_int(r) and is_int(c)):
-                raise LadderError(f"cell indices must be integers, got {rc!r}")
+                raise LadderError(f"cell indices must be integers, got {_brief_repr(rc)}")
             rows[r].add(c)
         return cls._from_sets(rows)
 
@@ -220,16 +274,10 @@ class Ladder:
         _set_split(ladder, None)
         return ladder
 
-    def _pairs(self):
-        """The (row, col) pair of every cell, in order."""
-        rows, los, his, cols = self._spans
-        runs = (cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for lo, hi in zip(los, his))
-        return chain.from_iterable(map(zip, map(repeat, rows), runs))
-
     @property
     def cells(self) -> frozenset[Cell]:
         """The set of every cell, built on each read."""
-        return frozenset(map(_new, repeat(Cell), self._pairs()))
+        return frozenset(_span_cells(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ladder is immutable")
@@ -254,21 +302,11 @@ class Ladder:
     def to_json_dict(self) -> dict:
         return {"cells": [[r, c] for r, c in self]}
 
-    def __contains__(self, cell) -> bool:
-        r, c = cell
-        rows, los, his, cols = self._spans
-        try:
-            i = bisect_left(rows, r)
-            return i < len(rows) and rows[i] == r and los[i] <= c <= his[i] and cols[bisect_left(cols, c)] == c
-        except TypeError:  # floats, strings and the rest: equal to a cell's indices, as in a set of cells
-            runs = (cols[bisect_left(cols, lo) : bisect_right(cols, hi)] for x, lo, hi in zip(rows, los, his) if x == r)
-            return any(c in run for run in runs)
+    __contains__ = _span_contains
+    __iter__ = _span_cells
 
     def __len__(self) -> int:
         return self._size
-
-    def __iter__(self):
-        return map(_new, repeat(Cell), self._pairs())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ladder) and self._spans == other._spans
@@ -333,10 +371,10 @@ def parse_json(text: str) -> Ladder:
     rows = defaultdict(set)
     for entry in raw:
         if type(entry) is not list or len(entry) != 2:  # JSON gives no tuple and no list subclass
-            raise LadderError(f"bad cell entry {entry!r}: expected [row, col]")
+            raise LadderError(f"bad cell entry {_brief_repr(entry)}: expected [row, col]")
         r, c = entry
         if type(r) is not int or type(c) is not int:  # JSON gives no int subclass but bool
-            raise LadderError(f"cell indices must be integers, got {(r, c)!r}")
+            raise LadderError(f"cell indices must be integers, got {_brief_repr((r, c))}")
         rows[r].add(c)
     if sum(map(len, rows.values())) != len(raw):
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)

@@ -61,12 +61,11 @@ minimal generators of degree 3.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .decompose import decompose
-from .ladders import Cell, Ladder, LadderError, is_int
+from .ladders import Cell, Ladder, LadderError, _brief_repr, _span_runs, is_int
 
 MAX_DEGREE_BOUND = 8
 
@@ -83,10 +82,10 @@ class Monomial:
             try:
                 r, c = cell
             except (TypeError, ValueError):
-                raise LadderError(f"bad cell {cell!r}: expected a (row, col) pair") from None
+                raise LadderError(f"bad cell {_brief_repr(cell)}: expected a (row, col) pair") from None
             if not (is_int(r) and is_int(c) and is_int(e)):
                 raise LadderError(
-                    f"bad monomial entry {[r, c, e]!r}: row, column and exponent must be integers"
+                    f"bad monomial entry {_brief_repr([r, c, e])}: row, column and exponent must be integers"
                 )
             cell = Cell(r, c)
             if e < 0:
@@ -122,7 +121,7 @@ class Monomial:
         exps = []
         for entry in doc["exps"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise LadderError(f"bad exponent entry {entry!r}: expected [row, col, e]")
+                raise LadderError(f"bad exponent entry {_brief_repr(entry)}: expected [row, col, e]")
             exps.append(((entry[0], entry[1]), entry[2]))
         return cls(exps)
 
@@ -295,12 +294,12 @@ def _additive(gens, ladder: Ladder):
     by_row = {}
     for r, c in gens:
         by_row.setdefault(r, set()).add(c)
-    rows, los, his, cols = ladder._spans
+    rows, _, his, _ = spans = ladder._spans
     f, g = {}, {}
-    for r, lo, hi in zip(rows, los, his):
+    for r, hi, run in zip(rows, his, _span_runs(spans)):
         mine = by_row.get(r, ())
         f[r] = fr = (hi in mine) - g[hi] if hi in g else 0
-        for c in cols[bisect_left(cols, lo) : bisect_right(cols, hi)]:
+        for c in run:
             x = (c in mine) - fr
             if g.setdefault(c, x) != x:
                 return None

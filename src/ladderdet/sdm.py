@@ -65,47 +65,26 @@ def is_gorenstein(ladder: Ladder) -> bool:
 class FactorReport(NamedTuple):
     """A factor (m x n), its Gorenstein test, and the image of its canonical class.
 
-    The image lies in the class group of ``ladder``, the ladder classified,
-    and is zero off two runs of its labels: ``q`` and ``p`` each give the
-    position of a run's first label in basis order and the run's
-    coefficients (``classify``).  ``omega_image`` builds the dense class on
-    each read; the report and its JSON cost only the runs.
+    The image lies in the class group of the ladder classified, and is zero
+    off two runs of its labels: ``q`` and ``p`` each give the position of a
+    run's first label in basis order and the run's coefficients
+    (``classify``).  The report and its JSON cost only the runs.
     """
 
     m: int
     n: int
     gorenstein: bool
     epsilon: int
-    ladder: Ladder
     q: tuple[int, tuple[int, ...]]
     p: tuple[int, tuple[int, ...]]
-
-    @property
-    def omega_image(self) -> DivisorClass:
-        prof = corners(self.ladder)
-        vec = [0] * (prof.h + prof.k + 1)
-        for start, run in (self.q, self.p):
-            vec[start : start + len(run)] = run
-        return DivisorClass._make(self.ladder, tuple(vec))
-
-    def to_json_dict(self) -> dict:
-        # Q(i) sits at position i - 1 and P(j) at h + j.
-        (q0, q), (p0, p) = self.q, self.p
-        h = corners(self.ladder).h
-        return {
-            "m": self.m,
-            "n": self.n,
-            "gorenstein": self.gorenstein,
-            "omega_image": _json_runs(q0 + 1, q, p0 - h, p),
-        }
 
 
 class SdmReport(NamedTuple):
     """Classification of the semidualizing module classes of one ladder.
 
-    ``count``, ``theta_vectors`` and ``classes`` are computed on each access;
-    the last two are lexicographic in theta and aligned with each other.
-    Both select coordinates from the factor images' disjoint supports.
+    ``count`` and ``classes`` are computed on each access; ``classes`` is
+    lexicographic in theta, and selects coordinates from the factor images'
+    disjoint supports.
     """
 
     rank: int
@@ -115,10 +94,6 @@ class SdmReport(NamedTuple):
     @property
     def count(self) -> int:
         return 2 ** sum(f.epsilon for f in self.factors)
-
-    @property
-    def theta_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._thetas())
 
     def _thetas(self):
         return product(*((0,) if f.gorenstein else (0, 1) for f in self.factors))
@@ -165,23 +140,23 @@ class SdmReport(NamedTuple):
         )
 
     def _json_doc(self) -> dict:
-        """``to_json_dict`` with ``classes`` and ``thetas`` as iterators; a class
-        merges the JSON of the images it selects, each built once from its runs."""
-        factors = [f.to_json_dict() for f in self.factors]
-        frags = [d["omega_image"] for f, d in zip(self.factors, factors) if not f.gorenstein]
+        """The ``sdm --json`` document, with ``classes`` and ``thetas`` as iterators;
+        a class merges the JSON of the images it selects, each built once from its runs."""
+        h = corners(self.omega.ladder).h  # Q(i) sits at position i - 1 and P(j) at h + j
+        images = [_json_runs(f.q[0] + 1, f.q[1], f.p[0] - h, f.p[1]) for f in self.factors]
+        frags = [image for f, image in zip(self.factors, images) if not f.gorenstein]
         qs, ps = (product(*(((), tuple(fr[kind].items())) for fr in frags)) for kind in ("Q", "P"))
         return {
             "rank": self.rank,
             "omega": self.omega.to_json_dict(),
             "count": self.count,
-            "factors": factors,
+            "factors": [
+                {"m": f.m, "n": f.n, "gorenstein": f.gorenstein, "omega_image": image}
+                for f, image in zip(self.factors, images)
+            ],
             "classes": ({"Q": dict(chain(*q)), "P": dict(chain(*p))} for q, p in zip(qs, ps)),
             "thetas": map(list, self._thetas()),
         }
-
-    def to_json_dict(self) -> dict:
-        doc = self._json_doc()
-        return {**doc, "classes": list(doc["classes"]), "thetas": list(doc["thetas"])}
 
 
 def classify(ladder: Ladder) -> SdmReport:
@@ -241,7 +216,7 @@ def classify(ladder: Ladder) -> SdmReport:
             raise LadderError(
                 f"internal inconsistency: factor {u} Gorenstein test and canonical image disagree"
             )
-        reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, ladder, (q, q_run), (p, p_run)))
+        reports.append(FactorReport(factor.m, factor.n, gor, 0 if gor else 1, (q, q_run), (p, p_run)))
         q, p = q + len(q_run), p + len(p_run)
     if (q, p) != (q_end, rank):
         raise LadderError("internal inconsistency: the factors' labels do not cover the class group")

@@ -737,17 +737,48 @@ def classes_by_addition(report):
     """The classes of an ``SdmReport`` as sums of the factor images, in theta order.
 
     The oracle for ``SdmReport.classes``, which selects coordinates from the
-    disjoint supports instead: this one adds, with the library's
-    ``DivisorClass.__add__`` and its group check, and assumes nothing about
-    the supports.  Doubling from the last factor keeps theta order.
+    disjoint supports instead: this one builds each image with
+    ``embed_factor_omega``, not from the report's runs, adds with the
+    library's ``DivisorClass.__add__`` and its group check, and assumes
+    nothing about the supports.  Doubling from the last factor keeps theta
+    order.
     """
+    from ladderdet import DivisorClass, decompose
+
+    ladder = report.omega.ladder
+    factorization = decompose(ladder)
+    classes = [DivisorClass(ladder)]
+    for u in reversed(range(len(report.factors))):
+        if not report.factors[u].gorenstein:
+            image = embed_factor_omega(factorization, u)
+            classes += [image + c for c in classes]
+    return tuple(classes)
+
+
+def thetas_in_order(report):
+    """The theta vectors of an ``SdmReport``, as lists: every 0/1 vector over
+    its factors, 0 on each Gorenstein one, in lexicographic order."""
+    gorenstein = [f.gorenstein for f in report.factors]
+    return [
+        list(theta) for theta in itertools.product((0, 1), repeat=len(gorenstein))
+        if not any(t and g for t, g in zip(theta, gorenstein))
+    ]
+
+
+def factor_image(report, factor):
+    """The dense class of a ``FactorReport``'s image: zero off its runs ``q`` and ``p``."""
     from ladderdet import DivisorClass
 
-    classes = [DivisorClass(report.omega.ladder)]
-    for f in reversed(report.factors):
-        if not f.gorenstein:
-            classes += [f.omega_image + c for c in classes]
-    return tuple(classes)
+    vec = [0] * report.rank
+    for start, run in (factor.q, factor.p):
+        vec[start : start + len(run)] = run
+    return DivisorClass._make(report.omega.ladder, tuple(vec))
+
+
+def sdm_json(report):
+    """The ``sdm --json`` document of an ``SdmReport``, its classes and thetas as lists."""
+    doc = report._json_doc()
+    return {**doc, "classes": list(doc["classes"]), "thetas": list(doc["thetas"])}
 
 
 # ---------------------------------------------------------------------------

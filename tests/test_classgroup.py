@@ -44,6 +44,7 @@ from helpers import (
     canonical_class_oracle,
     embed_factor_omega,
     enumerate_ladder_cellsets,
+    factor_image,
     hibi_coordinates,
     hibi_facets,
     hibi_graded,
@@ -166,7 +167,8 @@ def test_factor_images_are_facet_sums():
             [[gens for gens in facets if gens <= region] for region in regions],
             [ideal_generators(ladder, label) for label in labels],
         )
-        images = [factor.omega_image for factor in classify(ladder).factors]
+        report = classify(ladder)
+        images = [factor_image(report, factor) for factor in report.factors]
         for u, coord in enumerate(sums):
             assert DivisorClass(ladder, zip(labels, coord)) == embed_factor_omega(f, u) == images[u], (ladder, u)
 
@@ -217,7 +219,7 @@ def test_generator_sets_behave_as_frozensets():
                 assert type(got) is frozenset and got == op(expected, other_expected), (case, op)
             assert pickle.loads(pickle.dumps(gens)) == gens == copy.deepcopy(gens), case
             with pytest.raises(AttributeError):
-                gens._runs = None
+                gens._spans = None
             with pytest.raises(AttributeError):
                 gens.extra = None
 

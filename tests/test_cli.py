@@ -519,6 +519,27 @@ def test_malformed_ladder_json_is_domain_error(capsys, tmp_path, text):
     assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", json.dumps({"cells": [[1, "x" * 10**6]]})),
+        ("validate", json.dumps({"cells": [[0] * 200_000]})),
+        ("validate", json.dumps({"cells": [[1, 2], ["x" * 10**6, 1]]})),
+        ("nf", json.dumps({"exps": [[1, "x" * 10**6, 1]]})),
+        ("nf", json.dumps({"exps": [[0] * 200_000]})),
+    ],
+    ids=["1MB-column", "200k-zeros", "1MB-row", "1MB-monomial-entry", "200k-zero-exponent-entry"],
+)
+def test_error_line_echoes_a_bounded_part_of_the_input(capsys, tmp_path, l3_json, command, text):
+    # the echoed entry is cut, as _brief cuts a long integer; a short one prints in full
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["validate", "--in", str(path)] if command == "validate" else ["nf", "--in", l3_json, text]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+
+
 def test_module_entry_point_matches_main(capsys, l3_json):
     argv = ["validate", "--in", l3_json, "--json"]
     proc = subprocess.run(

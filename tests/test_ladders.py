@@ -134,6 +134,17 @@ def test_parse_json_rejects_malformed(text):
         pytest.param('[[2, 1], "rc", [1]]', "bad cell entry 'rc': expected [row, col]", id="pair-string"),
         pytest.param("[[2, 1], 7]", "bad cell entry 7: expected [row, col]", id="number"),
         pytest.param('[[1, 1], [1, 1], [2, null]]', "cell indices must be integers, got (2, None)", id="duplicate"),
+        # a long entry is cut to its first 60 characters and named by its length
+        pytest.param(
+            '[[1, 1], [1, "' + "x" * 100 + '"]]',
+            "cell indices must be integers, got (1, '" + "x" * 55 + "... <107 chars>",
+            id="long-index",
+        ),
+        pytest.param(
+            "[[1, 1], [" + "0, " * 99 + "0]]",
+            "bad cell entry [" + "0, " * 19 + "0,... <300 chars>: expected [row, col]",
+            id="long-entry",
+        ),
         pytest.param(
             "[[1, 1], [2, 2]]", "closure violation: cells (1,1) and (2,2) require (1,2) and (2,1)", id="closure"
         ),
@@ -289,6 +300,21 @@ def test_full_matrix_takes_positive_sides(m, n):
 def test_ladder_takes_row_col_pairs(cell):
     # the constructor's own check, not parse_json's, which sees JSON lists only
     with pytest.raises(LadderError, match=f"^bad cell {re.escape(repr(cell))}: expected a \\(row, col\\) pair$"):
+        Ladder([(1, 1), cell])
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((1, "x" * 10**6), "cell indices must be integers, got (1, '" + "x" * 55 + "... <1000007 chars>"),
+        # repr itself refuses an int of over 4300 digits
+        ((1.5, 10**5000), "cell indices must be integers, got <tuple holding an over-4300-digit int>"),
+        ((0,) * 100, "bad cell (" + "0, " * 19 + "0,... <300 chars>: expected a (row, col) pair"),
+    ],
+    ids=["long-index", "unprintable-index", "long-cell"],
+)
+def test_a_long_bad_cell_is_cut_in_the_message(cell, message):
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
         Ladder([(1, 1), cell])
 
 
@@ -725,3 +751,25 @@ def test_membership_of_non_integer_indices_builds_no_cell_set():
         for r, c in itertools.product(range(oracle.m + 2), range(oracle.n + 2)):
             for probe in ((complex(r, 0), c), (r, complex(c, 0)), (str(r), c), (r, None), (r, float(c))):
                 assert (probe in ladder) == (probe in oracle), (sorted(cells), probe)
+
+
+PROBES = [None, "x", "ab", (1, 2, 3), [1, 1], {1: 1}, (1.0, 2), (1, 1.5), (complex(1, 0), 1), (5, [1]), (1, [1])]
+
+
+def _answer(probe, container):
+    """``probe in container``, or the type of the exception it raises."""
+    try:
+        return probe in container
+    except Exception as exc:  # the answer compared is the exception's type
+        return type(exc)
+
+
+def test_membership_answers_as_the_cell_set_does():
+    # a probe that is not a pair is no cell, and an unhashable one raises TypeError, as in the frozenset,
+    # whether or not its row is occupied
+    for ladder in [Ladder.full_matrix(2, 2), *map(Ladder, GAPPED_CELLSETS)]:
+        cells = ladder.cells
+        for probe in PROBES:
+            assert _answer(probe, ladder) == _answer(probe, cells), (ladder, probe)
+    answers = [_answer(probe, Ladder.full_matrix(2, 2)) for probe in PROBES]
+    assert answers == [False, False, False, False, TypeError, TypeError, True, False, True, TypeError, TypeError]

@@ -24,6 +24,19 @@ def test_public_surface_is_pinned():
     ]
 
 
+def test_report_types_public_attributes_are_pinned():
+    # the report keeps what classify certifies and the CLI reads: a dropped view cannot come back unnoticed
+    from ladderdet import FactorReport, SdmReport
+
+    def own_public(cls):
+        return sorted(name for name in vars(cls) if not name.startswith("_") and name not in cls._fields)
+
+    assert FactorReport._fields == ("m", "n", "gorenstein", "epsilon", "q", "p")
+    assert own_public(FactorReport) == []
+    assert SdmReport._fields == ("rank", "omega", "factors")
+    assert own_public(SdmReport) == ["classes", "count"]
+
+
 def test_every_export_is_its_home_modules_object():
     for name in ladderdet.__all__:
         home = import_module(f"ladderdet.{ladderdet._HOME[name]}")

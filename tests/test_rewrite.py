@@ -89,6 +89,27 @@ def test_monomial_rejects_non_integer_entries(entry):
         Monomial.from_json_dict({"exps": [entry]})
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Monomial([((0,) * 100, 1)]), "bad cell (" + "0, " * 19 + "0,... <300 chars>: expected a (row, col) pair"),
+        (
+            lambda: Monomial([((1, "x" * 100), 1)]),
+            "bad monomial entry [1, '" + "x" * 55 + "... <110 chars>: row, column and exponent must be integers",
+        ),
+        (
+            lambda: Monomial.from_json_dict({"exps": [[0] * 100]}),
+            "bad exponent entry [" + "0, " * 19 + "0,... <300 chars>: expected [row, col, e]",
+        ),
+    ],
+    ids=["long-cell", "long-entry", "long-json-entry"],
+)
+def test_a_long_bad_entry_is_cut_in_the_message(make, message):
+    # a message echoes the first 60 characters of the entry and its length
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # rewrite system and normal forms
 

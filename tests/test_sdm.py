@@ -35,8 +35,11 @@ from helpers import (
     classes_by_addition,
     embed_factor_omega,
     enumerate_ladder_cellsets,
+    factor_image,
     lower_ext,
     random_staircase_cells,
+    sdm_json,
+    thetas_in_order,
 )
 
 
@@ -102,7 +105,7 @@ def test_classify_gorenstein_single_factor(l2):
     report = classify(l2)
     assert report.count == 1
     assert report.classes == (DivisorClass(l2),)
-    assert report.theta_vectors == ((0,),)
+    assert sdm_json(report)["thetas"] == [[0]]
 
 
 def test_classify_trivial_pair(l1):
@@ -113,14 +116,17 @@ def test_classify_trivial_pair(l1):
 
 
 def test_classify_contains_zero_and_omega_with_aligned_thetas(l1, l2, l3):
-    report = classify(compose([l3, l1]))
+    ladder = compose([l3, l1])
+    report = classify(ladder)
     assert DivisorClass(report.omega.ladder) in report.classes
     assert report.omega in report.classes
-    for theta, cls in zip(report.theta_vectors, report.classes):
+    factorization = decompose(ladder)
+    images = [embed_factor_omega(factorization, u) for u in range(len(report.factors))]
+    for theta, cls in zip(sdm_json(report)["thetas"], report.classes):
         acc = DivisorClass(report.omega.ladder)
-        for t, factor in zip(theta, report.factors):
+        for t, image in zip(theta, images):
             if t:
-                acc = acc + factor.omega_image
+                acc = acc + image
         assert acc == cls
 
 
@@ -148,16 +154,18 @@ def test_classify_classes_match_brute_force():
     # theta runs over {0,1} (0 for Gorenstein factors) in lexicographic order.
     for ladder in _enumerated_and_glued():
         report = classify(ladder)
-        classes, thetas = report.classes, report.theta_vectors
+        classes, thetas = report.classes, list(map(tuple, sdm_json(report)["thetas"]))
         assert report.count == 2 ** sum(not f.gorenstein for f in report.factors)
         assert len(classes) == len(set(classes)) == report.count
         assert len(thetas) == len(set(thetas)) == report.count
         assert list(thetas) == sorted(thetas)
+        factorization = decompose(ladder)
+        images = [embed_factor_omega(factorization, u).items() for u in range(len(report.factors))]
         for theta, cls in zip(thetas, classes):
             expected = {}
-            for t, factor in zip(theta, report.factors):
+            for t, factor, image in zip(theta, report.factors, images):
                 assert not (t and factor.gorenstein)
-                for label, c in factor.omega_image.items():
+                for label, c in image:
                     expected[label] = expected.get(label, 0) + t * c
             assert dict(cls.items()) == {label: c for label, c in expected.items() if c}
 
@@ -167,9 +175,9 @@ def _assert_classes_match_addition(report):
     expected = classes_by_addition(report)
     assert [c._vec for c in classes] == [c._vec for c in expected]
     assert all(c.ladder is report.omega.ladder for c in classes)
-    doc = report.to_json_dict()
+    doc = sdm_json(report)
     assert doc["classes"] == [c.to_json_dict() for c in expected]
-    assert doc["thetas"] == [list(t) for t in report.theta_vectors]
+    assert doc["thetas"] == thetas_in_order(report)
 
 
 def test_classes_match_the_addition_oracle(l2):
@@ -230,7 +238,8 @@ def test_classify_of_a_one_factor_ladder_reuses_omega(monkeypatch, l1):
     report = classify(l1)
     assert calls == [l1] and calls[0] is l1
     (f,) = report.factors
-    assert f.omega_image == report.omega and report.count == 2
+    assert factor_image(report, f) == report.omega and report.count == 2
+    assert sdm_json(report)["factors"][0]["omega_image"] == report.omega.to_json_dict()
 
 
 @pytest.mark.parametrize("text", [L1_ASCII, L2_ASCII], ids=["L1", "L2"])
@@ -248,8 +257,12 @@ def test_factor_images_match_the_relabeling_oracle():
     glue = construct_2n(12, [(2, 3), (3, 2)] * 6)
     for ladder in [*_enumerated_and_glued(), glue]:
         factorization = decompose(ladder)
-        for u, f in enumerate(classify(ladder).factors):
-            assert f.omega_image == embed_factor_omega(factorization, u)
+        report = classify(ladder)
+        doc = sdm_json(report)
+        for u, f in enumerate(report.factors):
+            image = embed_factor_omega(factorization, u)
+            assert factor_image(report, f) == image
+            assert doc["factors"][u]["omega_image"] == image.to_json_dict()
 
 
 def test_classify_holds_memory_linear_in_the_rank():
@@ -280,9 +293,9 @@ def test_factor_runs_partition_the_labels_and_are_omega_there():
                 assert first == at and omega[first : first + len(run)] == run
                 at += len(run)
             assert at == end
-        for f in report.factors:
-            assert f.to_json_dict()["omega_image"] == f.omega_image.to_json_dict()
-            assert f.gorenstein == f.omega_image.is_zero
+        for f, doc in zip(report.factors, sdm_json(report)["factors"]):
+            assert doc["omega_image"] == factor_image(report, f).to_json_dict()
+            assert f.gorenstein == factor_image(report, f).is_zero
 
 
 def test_texts_joined_from_the_images_are_the_classes_str():
@@ -290,7 +303,7 @@ def test_texts_joined_from_the_images_are_the_classes_str():
         report = classify(ladder)
         omega, images, classes = report._texts()
         assert omega == str(report.omega)
-        assert images == [str(f.omega_image) for f in report.factors]
+        assert images == [str(factor_image(report, f)) for f in report.factors]
         assert list(classes) == list(map(str, report.classes))
 
 
@@ -317,7 +330,7 @@ def test_classify_count_antitranspose_invariant():
 
 
 def test_classify_json_shape(l3):
-    doc = classify(l3).to_json_dict()
+    doc = sdm_json(classify(l3))
     assert set(doc) == {"rank", "omega", "count", "factors", "classes", "thetas"}
     assert doc["count"] == 4
     assert doc["omega"] == {"Q": {"1": 1, "2": 1}, "P": {"1": 1}}
