@@ -17,7 +17,8 @@ from operator import add, neg, sub
 from typing import NamedTuple
 
 from .ladders import (
-    Cell, CornerProfile, Ladder, LadderError, _new, _span_cells, _span_contains, corners, is_int, require_analyzable
+    Cell, CornerProfile, Ladder, LadderError, _brief_repr, _new, _span_cells, _span_contains, corners, is_int,
+    require_analyzable,
 )
 
 
@@ -89,7 +90,7 @@ class DivisorClass:
             for label, c in items:
                 _check_label(prof, label)
                 if not is_int(c):
-                    raise LadderError(f"coefficient of {label} must be an integer, got {c!r}")
+                    raise LadderError(f"coefficient of {label} must be an integer, got {_brief_repr(c)}")
                 vec[label.index - 1 if label.kind == "Q" else prof.h + label.index] += c
         _set_ladder(self, ladder)
         _set_vec(self, tuple(vec))

@@ -25,6 +25,7 @@ from .decompose import decompose
 from .ladders import (
     Ladder,
     LadderError,
+    _brief_repr,
     antitranspose,
     compose,
     corners,
@@ -90,11 +91,11 @@ def _sizes(value: str) -> list[tuple[int, int]]:
     for chunk in value.split(","):
         parts = chunk.lower().split("x")
         if len(parts) != 2:
-            raise argparse.ArgumentTypeError(f"bad block size {chunk!r}: expected MxN")
+            raise argparse.ArgumentTypeError(f"bad block size {_brief_repr(chunk)}: expected MxN")
         try:
             out.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad block size {chunk!r}: expected MxN") from None
+            raise argparse.ArgumentTypeError(f"bad block size {_brief_repr(chunk)}: expected MxN") from None
     return out
 
 

@@ -98,6 +98,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, compress, count, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -234,7 +235,8 @@ class Ladder:
             raise LadderError("a ladder needs at least one cell")
         order = sorted(rows)
         sets = [rows[r] for r in order]
-        los, his = list(map(min, sets)), list(map(max, sets))
+        ends = list(map(sorted, sets))  # one sort of a row reads both its ends
+        los, his = list(map(itemgetter(0), ends)), list(map(itemgetter(-1), ends))
         size = sum(map(len, sets))
         if size == sum(his) - sum(los) + len(sets):  # every row is the whole of its span
             return cls._from_spans(order, los, his, _columns(los, his))
@@ -287,7 +289,7 @@ class Ladder:
         """The full m x n grid of cells, at most ``sys.maxsize`` of them: ``len`` counts no more."""
         if not (is_int(m) and is_int(n)):
             bad = m if not is_int(m) else n
-            raise LadderError(f"matrix dimensions must be integers, got {bad!r}")
+            raise LadderError(f"matrix dimensions must be integers, got {_brief_repr(bad)}")
         if m < 1 or n < 1:
             raise LadderError("matrix dimensions must be positive")
         if m * n > sys.maxsize:
@@ -369,13 +371,16 @@ def parse_json(text: str) -> Ladder:
     if not isinstance(raw, list):
         raise LadderError('"cells" must be a list of [row, col] pairs')
     rows = defaultdict(set)
+    last = row = None
     for entry in raw:
         if type(entry) is not list or len(entry) != 2:  # JSON gives no tuple and no list subclass
             raise LadderError(f"bad cell entry {_brief_repr(entry)}: expected [row, col]")
         r, c = entry
         if type(r) is not int or type(c) is not int:  # JSON gives no int subclass but bool
             raise LadderError(f"cell indices must be integers, got {_brief_repr((r, c))}")
-        rows[r].add(c)
+        if r != last:  # a run of cells in one row looks its set up once
+            last, row = r, rows[r]
+        row.add(c)
     if sum(map(len, rows.values())) != len(raw):
         warnings.warn("duplicate cells in ladder input; deduplicating", stacklevel=2)
     return Ladder._from_sets(rows)

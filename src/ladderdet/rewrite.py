@@ -61,11 +61,11 @@ minimal generators of degree 3.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterable, NamedTuple
 
 from .decompose import decompose
-from .ladders import Cell, Ladder, LadderError, _brief_repr, _span_runs, is_int
+from .ladders import Cell, Ladder, LadderError, _brief_repr, _new, _span_runs, is_int
 
 MAX_DEGREE_BOUND = 8
 
@@ -76,23 +76,8 @@ class Monomial:
     __slots__ = ("_exps",)
 
     def __init__(self, exps=()):
-        merged: dict[Cell, int] = {}
         items = exps.items() if hasattr(exps, "items") else exps
-        for cell, e in items:
-            try:
-                r, c = cell
-            except (TypeError, ValueError):
-                raise LadderError(f"bad cell {_brief_repr(cell)}: expected a (row, col) pair") from None
-            if not (is_int(r) and is_int(c) and is_int(e)):
-                raise LadderError(
-                    f"bad monomial entry {_brief_repr([r, c, e])}: row, column and exponent must be integers"
-                )
-            cell = Cell(r, c)
-            if e < 0:
-                raise LadderError(f"negative exponent for {cell}")
-            if e:
-                merged[cell] = merged.get(cell, 0) + e
-        object.__setattr__(self, "_exps", tuple(sorted(merged.items())))
+        object.__setattr__(self, "_exps", tuple(sorted(_merged(_pair_triples(items)))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -104,7 +89,7 @@ class Monomial:
     @classmethod
     def _squarefree(cls, cells) -> "Monomial":
         """The product of distinct cells with integer indices, unchecked."""
-        return cls._sorted((tuple.__new__(Cell, c), 1) for c in cells)
+        return cls._sorted((_new(Cell, c), 1) for c in cells)
 
     @classmethod
     def _sorted(cls, exps) -> "Monomial":
@@ -116,14 +101,19 @@ class Monomial:
 
     @classmethod
     def from_json_dict(cls, doc) -> "Monomial":
+        """The monomial of ``{"exps": [[row, col, e], ...]}``, checked as ``Monomial`` checks its pairs.
+
+        Every entry's shape is checked before any entry's values: a bad
+        entry later in the list is named before an earlier bad value.
+        """
         if not isinstance(doc, dict) or "exps" not in doc or not isinstance(doc["exps"], list):
             raise LadderError('monomial JSON must be an object with an "exps" list')
-        exps = []
-        for entry in doc["exps"]:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise LadderError(f"bad exponent entry {_brief_repr(entry)}: expected [row, col, e]")
-            exps.append(((entry[0], entry[1]), entry[2]))
-        return cls(exps)
+        triples = _json_triples(doc["exps"])
+        try:
+            return cls._sorted(_merged(triples))
+        except LadderError:
+            deque(triples, 0)  # a bad shape further on is named first
+            raise
 
     def items(self) -> tuple:
         return self._exps
@@ -162,6 +152,44 @@ class Monomial:
         return {"exps": [[c.row, c.col, e] for c, e in self._exps]}
 
 
+def _pair_triples(items):
+    """(row, col, e) for each (cell, e) of items, in order; a cell that is no pair is named."""
+    for cell, e in items:
+        try:
+            r, c = cell
+        except (TypeError, ValueError):
+            raise LadderError(f"bad cell {_brief_repr(cell)}: expected a (row, col) pair") from None
+        yield r, c, e
+
+
+def _json_triples(entries):
+    """The entries of a monomial's JSON ``exps`` list, in order, each checked to be a [row, col, e] triple."""
+    for entry in entries:
+        if not (type(entry) is list or isinstance(entry, (list, tuple))) or len(entry) != 3:  # json gives lists
+            raise LadderError(f"bad exponent entry {_brief_repr(entry)}: expected [row, col, e]")
+        yield entry
+
+
+def _merged(triples):
+    """The (cell, exponent) pairs of a monomial given as (row, col, e) triples,
+    in one checking pass: repeated cells summed, zero exponents dropped.
+
+    Row, column and exponent must be integers, not bools, and the exponent
+    must not be negative; the first triple that breaks this is named.
+    """
+    merged: dict[Cell, int] = {}
+    get = merged.get
+    for r, c, e in triples:
+        if not (type(r) is int is type(c) is type(e) or is_int(r) and is_int(c) and is_int(e)):
+            raise LadderError(f"bad monomial entry {_brief_repr([r, c, e])}: row, column and exponent must be integers")
+        if e > 0:
+            cell = _new(Cell, (r, c))
+            merged[cell] = get(cell, 0) + e
+        elif e:
+            raise LadderError(f"negative exponent for {_brief_repr(_new(Cell, (r, c)))}")
+    return merged.items()
+
+
 def RewriteSystem(ladder: Ladder) -> Ladder:
     """Deprecated: returns the ladder, which the rewrite functions now take directly.
 
@@ -174,7 +202,7 @@ def _content(mono: Monomial, ladder: Ladder):
     """Row runs ascending and column runs descending, as (index, count) pairs."""
     bad = [c for c in mono.support if c not in ladder]
     if bad:
-        raise LadderError(f"monomial uses cells outside the ladder: {bad}")
+        raise LadderError(f"monomial uses cells outside the ladder: {_brief_repr(bad)}")
     rows, cols = Counter(), Counter()
     for (r, c), e in mono.items():
         rows[r] += e
@@ -197,7 +225,7 @@ def normal_form(mono: Monomial, ladder: Ladder) -> Monomial:
             if not left:
                 col, left = next(cols)
             k = min(need, left)
-            exps.append((tuple.__new__(Cell, (row, col)), k))
+            exps.append((_new(Cell, (row, col)), k))
             need -= k
             left -= k
     return Monomial._sorted(exps)
@@ -223,7 +251,7 @@ def _quotients(rows, cols, among, cells):
 def _checked(gen_sets, d: int, ladder: Ladder) -> list[list[Cell]]:
     """Each generator set as a sorted list of cells, after the checks every ideal operation makes, in order."""
     if not is_int(d):
-        raise LadderError(f"degree bound must be an integer, got {d!r}")
+        raise LadderError(f"degree bound must be an integer, got {_brief_repr(d)}")
     if d < 1:
         raise LadderError("degree bound must be at least 1")
     if d > MAX_DEGREE_BOUND:
@@ -232,11 +260,11 @@ def _checked(gen_sets, d: int, ladder: Ladder) -> list[list[Cell]]:
     for gens in map(list, gen_sets):
         bad = [g for g in gens if not (isinstance(g, (tuple, list)) and len(g) == 2 and all(map(is_int, g)))]
         if bad:
-            raise LadderError(f"generators must be (row, col) pairs of integers: {bad}")
+            raise LadderError(f"generators must be (row, col) pairs of integers: {_brief_repr(bad)}")
         gens = sorted(Cell(*g) for g in gens)
         bad = [g for g in gens if g not in ladder]
         if bad:
-            raise LadderError(f"generators outside the ladder: {bad}")
+            raise LadderError(f"generators outside the ladder: {_brief_repr(bad)}")
         checked.append(gens)
     return checked
 

@@ -38,6 +38,7 @@ from .ladders import (
     Ladder,
     LadderError,
     _brief,
+    _brief_repr,
     _glue,
     _matrix_spans,
     corners,
@@ -235,7 +236,7 @@ def construct_2n(n: int, sizes) -> Ladder:
     """
     sizes = list(sizes)
     if not is_int(n):
-        raise LadderError(f"block count must be an integer, got {n!r}")
+        raise LadderError(f"block count must be an integer, got {_brief_repr(n)}")
     if n < 1:
         raise LadderError("need at least one block; any Gorenstein ladder already gives a count of 1")
     if len(sizes) != n:
@@ -243,7 +244,7 @@ def construct_2n(n: int, sizes) -> Ladder:
     for m_u, n_u in sizes:
         if not (is_int(m_u) and is_int(n_u)):
             bad = m_u if not is_int(m_u) else n_u
-            raise LadderError(f"block sizes must be integers, got {bad!r}")
+            raise LadderError(f"block sizes must be integers, got {_brief_repr(bad)}")
         if m_u < 2 or n_u < 2 or m_u == n_u:
             block = f"{_brief(m_u)}x{_brief(n_u)}"
             if m_u < 2 or n_u < 2:

@@ -328,6 +328,17 @@ def random_two_connected_staircase(rng, max_m, max_n):
     return {(i + 1, c) for i in range(m) for c in range(left[i], right[i] + 1)}
 
 
+def monomial_oracle(entries):
+    """The (cell, exponent) pairs of the monomial with these (row, col, e)
+    entries, as plain ints: repeated cells summed, zero exponents dropped,
+    sorted by cell."""
+    total = {}
+    for r, c, e in entries:
+        cell = (int(r), int(c))
+        total[cell] = total.get(cell, 0) + int(e)
+    return sorted((cell, e) for cell, e in total.items() if e)
+
+
 # ---------------------------------------------------------------------------
 # the 2-minor rewriting oracle
 #

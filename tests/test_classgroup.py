@@ -291,6 +291,13 @@ def test_bad_labels_name_their_type_or_range(l3, label, message):
             call()
 
 
+def test_a_long_coefficient_is_cut_in_the_message(l3):
+    with pytest.raises(LadderError) as caught:
+        DivisorClass(l3, {Q(1): "y" * 10**6})
+    message = str(caught.value)
+    assert message.startswith("coefficient of Q1 must be an integer, got 'yyy") and len(message) < 200, message[:300]
+
+
 def test_int_and_label_subclasses_name_the_same_labels(l3):
     for kind, i in [("Q", 1), ("Q", 2), ("P", 1)]:
         label = BasisLabel(kind, i)

@@ -630,6 +630,15 @@ def test_help_names_every_command(capsys):
         assert _help(capsys, command).split()[:3] == ["usage:", "ladderdet", command]
 
 
+@pytest.mark.parametrize("sizes", ["3y" * 50_000, "2x" + "3" * 100_000 + "x"], ids=["no-x", "three-parts"])
+def test_a_long_bad_block_size_is_cut_in_the_usage_error(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct2n", "--sizes", sizes])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.encode()) < 400, err[-300:]
+    assert err.splitlines()[-1].startswith("ladderdet construct2n: error: argument --sizes: bad block size '")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -96,8 +96,20 @@ def _runs(paths):
         out += [("render", ["render", "--annotate", *io]), ("nf", ["nf", *io, m1]), ("eq", ["eq", *io, m1, m2])]
     l3 = ["--in", paths["L3"]]
     out += [("compose", ["compose", "--in", paths["L1"], "--in", paths["L2"], *l3])]
-    out += [("nf", ["nf", *l3, m]) for m in ('{"exps": [[1, 2, 1.5]]}', '{"exps": [[1, 2, 9]]}', '{"exps": [', "[]")]
+    bad_monomials = (
+        '{"exps": [[1, 2, 1.5]]}', '{"exps": [[1, 2, 9]]}', '{"exps": [', "[]",
+        '{"exps": [[1, 2]]}',  # an entry of two elements
+        '{"exps": [[1, 2, -1]]}',
+        '{"exps": [[true, 2, 1]]}',
+        '{"exps": [[1, 2, 1.5], [1, 2]]}',  # the shape error is named, not the earlier type error
+        '{"exps": [[1, 2, 0]]}',  # a zero exponent: the unit monomial
+        '{"exps": [[1, 1, 1]]}',  # (1, 1) lies outside L3
+    )
+    out += [("nf", ["nf", *l3, m]) for m in bad_monomials]
     out += [("eq", ["eq", *l3, '{"exps": [[1, 2, 2]]}', '{"exps": [[1, 2, 1], [1, 2, 1]]}'])]
+    out += [("eq", ["eq", *l3, '{"exps": [[1, 2, 0]]}', '{"exps": []}'])]
+    out += [("eq", ["eq", *l3, '{"exps": [[1, 2, 1]]}', '{"exps": [[1, 2, -1], [1, 2]]}'])]
+    out += [("eq", ["eq", *l3, '{"exps": [[1, 1, 1]]}', '{"exps": [[1, 2, 1]]}'])]
     out += [("nf", ["nf", *l3])]  # a usage error
     out += [("corners", ["corners", "--in", paths["non-utf8"]]), ("sdm", ["sdm", "--in", paths["missing"]])]
     sizes = ("3x2,3x2", "2x3,3x4", "2x3,3x2,2x4", "2x3,5x2,2x3,3x2", "3x3", "1x5", "100000x99999", f"2x{BIG}", "3y2", "ax2", "2x")
@@ -133,8 +145,8 @@ COMMAND_SHA256 = {  # written before a Ladder stopped caching its cell set and i
     "antitranspose": "f35302e7d824098659ffe9bb2dea1df9ceff8cf7377b2b62b96c978bfeb4ef8a",
     "render": "7f3de1b5b083ab0dcd65666138c177d5fc6c369a554da421da5e688632d7a562",
     "construct2n": "baddaaf0b32546d6beea80d9fa2194a7556c608c6ecd7668c8ff1da92a0262f2",
-    "nf": "602986a783507c2f5f45af3ebe5bf3bafcc295dafe08b65b84f60a6f89828dec",
-    "eq": "9dfa5e559f54395f5499181d4a2bcd41694fd0a68193deabf54a877449358868",
+    "nf": "af51c3f8634a1f0281c3707b786ede5c5944242f016acbd5478d3bb92bde906e",
+    "eq": "c8b1b1eac13e83804330bd430e9a2957f39e9ac054e705550edffa695d3f0a9c",
     "witness": "1280c144147b3137d6427f0c08c11fb7c0e97c3b78fe907902ea3f9a3c2b1eb8",
 }
 

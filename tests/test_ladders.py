@@ -194,6 +194,28 @@ def test_parse_json_of_shuffled_and_repeated_cells_is_the_ladder():
     assert 100 < repeated < 200
 
 
+def test_parse_json_of_rows_met_in_many_runs_is_the_ladder():
+    # column by column, then shuffled, with repeats: a row's cells are not consecutive
+    rng = random.Random(2930)
+    cellsets = [*GAPPED_CELLSETS, *(random_staircase_cells(rng, 8, 8) for _ in range(150))]
+    split = 0
+    for i, cells in enumerate(cellsets):
+        entries = sorted([r, c] for r, c in cells)
+        entries += rng.choices(entries, k=rng.randint(1, 4))
+        if i % 2:
+            rng.shuffle(entries)
+        else:
+            entries.sort(key=lambda rc: (rc[1], rc[0]))
+        runs = 1 + sum(a[0] != b[0] for a, b in zip(entries, entries[1:]))
+        split += runs > len({r for r, _ in cells})
+        parsed, warned = _parse_json_warned(json.dumps({"cells": entries}))
+        assert warned == [DUPLICATES]
+        ladder = Ladder(cells)
+        assert parsed == ladder and parsed._spans == ladder._spans
+        assert (corners(parsed), validate(parsed)) == (corners(ladder), validate(ladder))
+    assert split > 0.9 * len(cellsets)
+
+
 def test_parse_json_normalizes_offset_input():
     parsed = parse_json('{"cells": [[3, 4], [3, 5], [4, 4], [4, 5]]}')
     assert parsed == Ladder.full_matrix(2, 2)
@@ -288,6 +310,13 @@ def test_full_matrix_beyond_a_countable_length_is_rejected(m, n, sides):
     with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
         Ladder.full_matrix(m, n)
     assert len(Ladder.full_matrix(1, sys.maxsize)) == sys.maxsize
+
+
+@pytest.mark.parametrize("m, n", [("x" * 10**6, 2), (2, ["x"] * 10**6)], ids=["m", "n"])
+def test_full_matrix_cuts_a_long_side_in_the_message(m, n):
+    with pytest.raises(LadderError, match="^matrix dimensions must be integers, got ") as caught:
+        Ladder.full_matrix(m, n)
+    assert len(str(caught.value)) < 200, str(caught.value)[:300]
 
 
 @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (-2, 2)])

@@ -82,11 +82,18 @@ def test_monomial_takes_row_col_pairs(cell):
 
 @pytest.mark.parametrize(
     "entry",
-    [[1, 2, 1.5], [1.0, 2.0, 1], [1, 2, True], [True, 2, 1], [1, 2, "x"], [1, 2, float("inf")], [1, 2, float("nan")]],
+    [
+        [1, 2, 1.5], [1.0, 2.0, 1], [1, 2.0, 1], [1, 2, True], [True, 2, 1], [1, False, 1], [1, 2, "x"],
+        [1, 2, float("inf")], [1, 2, float("nan")],
+    ],
 )
 def test_monomial_rejects_non_integer_entries(entry):
-    with pytest.raises(LadderError, match="must be integers"):
-        Monomial.from_json_dict({"exps": [entry]})
+    # bools and floats are refused, after a good entry too, as JSON entries and as (cell, exponent) pairs
+    message = f"^bad monomial entry {re.escape(repr(entry))}: row, column and exponent must be integers$"
+    with pytest.raises(LadderError, match=message):
+        Monomial.from_json_dict({"exps": [[1, 1, 1], entry]})
+    with pytest.raises(LadderError, match=message):
+        Monomial([((1, 1), 1), ((entry[0], entry[1]), entry[2])])
 
 
 @pytest.mark.parametrize(
@@ -108,6 +115,100 @@ def test_a_long_bad_entry_is_cut_in_the_message(make, message):
     # a message echoes the first 60 characters of the entry and its length
     with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
         make()
+
+
+class _Index(int):
+    """An int subclass, which an index or an exponent may be."""
+
+
+class _Entry(list):
+    """A list subclass, which a JSON exponent entry may be."""
+
+
+def test_monomials_are_read_as_the_merge_oracle():
+    # repeats, zero exponents, list-subclass and tuple entries, int-subclass indices
+    rng = random.Random(2929)
+    for _ in range(400):
+        entries = [(rng.randint(1, 4), rng.randint(1, 4), rng.choice((0, 1, 1, 2, 5, 10**15))) for _ in range(rng.randint(0, 9))]
+        entries += rng.choices(entries, k=rng.randint(0, len(entries)))
+        rng.shuffle(entries)
+        expected = helpers.monomial_oracle(entries)
+        entries = [tuple(_Index(x) if rng.random() < 0.2 else x for x in entry) for entry in entries]
+        doc = {"exps": [rng.choice((list, tuple, _Entry))(entry) for entry in entries]}
+        assert list(Monomial.from_json_dict(doc).items()) == expected
+        pairs = [(rng.choice((tuple, list, lambda rc: Cell(*rc)))((r, c)), e) for r, c, e in entries]
+        assert list(Monomial(pairs).items()) == expected
+        assert list(Monomial(iter(pairs)).items()) == expected
+        assert list(Monomial(dict(expected)).items()) == expected
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [
+        ([[1, 2, 1.5], [1, 2]], "bad exponent entry [1, 2]: expected [row, col, e]"),
+        ([[1, 2, -1], [1, 2, 3, 4]], "bad exponent entry [1, 2, 3, 4]: expected [row, col, e]"),
+        ([[1, 2, 1], [1, 2, -1], "x", 7], "bad exponent entry 'x': expected [row, col, e]"),
+        ([[1, 2, -1], [1, 2, 1.5]], "negative exponent for (1,2)"),
+        ([[1, 2, 1.5], [1, 2, -1]], "bad monomial entry [1, 2, 1.5]: row, column and exponent must be integers"),
+    ],
+)
+def test_json_shape_errors_come_before_any_other(exps, message):
+    # every entry's shape is checked before any entry's values, whatever the order of the entries
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        Monomial.from_json_dict({"exps": exps})
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([((1, 2), 1.5), ((1,), 1)], "bad monomial entry [1, 2, 1.5]: row, column and exponent must be integers"),
+        ([((1, 2), -1), ((1,), 1)], "negative exponent for (1,2)"),
+        ([((1, 2), 1), ((1,), 1), ((1, 2), -1)], "bad cell (1,): expected a (row, col) pair"),
+    ],
+)
+def test_pair_errors_come_in_the_order_of_the_pairs(pairs, message):
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        Monomial(pairs)
+
+
+HUGE = 10**5000  # past the 4,300 digits that Python prints
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m22: Monomial([((HUGE, 1), -1)]), "negative exponent for <Cell holding an over-4300-digit int>"),
+        (
+            lambda m22: normal_form(Monomial([((HUGE, 1), 1)]), m22),
+            "monomial uses cells outside the ladder: <list holding an over-4300-digit int>",
+        ),
+        (
+            lambda m22: intersect_bounded([(HUGE, 1)], [(1, 1)], 2, m22),
+            "generators outside the ladder: <list holding an over-4300-digit int>",
+        ),
+    ],
+    ids=["negative-exponent", "normal-form", "intersect"],
+)
+def test_an_over_long_index_is_named_by_its_length(call, message):
+    with pytest.raises(LadderError, match=f"^{re.escape(message)}$"):
+        call(Ladder.full_matrix(2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m22: intersect_bounded([(1, "x" * 10**6)], [(1, 1)], 2, m22),
+        lambda m22: intersect_bounded([(r, 1) for r in range(1, 100_001)], [(1, 1)], 2, m22),
+        lambda m22: intersect_bounded([(1, 1)], [(1, 1)], "x" * 10**6, m22),
+        lambda m22: normal_form(Monomial.from_cells((r, 3) for r in range(1, 30_001)), m22),
+        lambda m22: Monomial([((10**300, 1), -1)]),
+    ],
+    ids=["bad-generator", "generators-outside", "degree-bound", "cells-outside", "negative-exponent"],
+)
+def test_a_message_on_a_long_input_stays_short(call):
+    with pytest.raises(LadderError) as caught:
+        call(Ladder.full_matrix(2, 2))
+    assert len(str(caught.value)) < 200, str(caught.value)[:300]
 
 
 # ---------------------------------------------------------------------------

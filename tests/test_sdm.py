@@ -395,6 +395,15 @@ def test_construct_2n_takes_an_integer_block_count(n, message):
         construct_2n(n, [(2, 3), (3, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, sizes", [("2" * 10**6, [(2, 3), (3, 2)]), (2, [(2, 3), ("3" * 10**6, 2)])], ids=["count", "size"]
+)
+def test_construct_2n_cuts_a_long_argument_in_the_message(n, sizes):
+    with pytest.raises(LadderError, match="^block (count|sizes) must be (an integer|integers), got '") as caught:
+        construct_2n(n, sizes)
+    assert len(str(caught.value)) < 200, str(caught.value)[:300]
+
+
 def test_construct_2n_rejects_bad_arity():
     with pytest.raises(LadderError):
         construct_2n(0, [])
