@@ -151,7 +151,7 @@ class DivisorClass:
 
     def __str__(self):
         items = self.items()
-        return _format([l for l, _ in items], [c for _, c in items])
+        return _lead(_terms([l for l, _ in items], [c for _, c in items]))
 
     def to_json_dict(self) -> dict:
         # Q(i) sits at position i - 1 and P(j) at h + j.
@@ -166,11 +166,6 @@ def _json_runs(q_first: int, q, p_first: int, p) -> dict:
         "Q": {str(i): c for i, c in enumerate(q, q_first) if c},
         "P": {str(j): c for j, c in enumerate(p, p_first) if c},
     }
-
-
-def _format(labels, vec: tuple[int, ...]) -> str:
-    """``str`` of the class with coordinates vec over the basis labels, or over their names."""
-    return _lead(_terms(labels, vec))
 
 
 def _terms(labels, vec) -> str:

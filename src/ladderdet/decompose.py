@@ -25,10 +25,10 @@ class Factorization(NamedTuple):
     """Ordered factors of a ladder, cut at its coincidental inside corners.
 
     ``offsets[u]`` translates factor-local coordinates into coordinates of
-    the original ladder: local (r, c) sits at (r + dr, c + dc).
+    the original ladder: local (r, c) sits at (r + dr, c + dc).  It names
+    no ladder but its factors, so a ladder can keep it (``Ladder._split``).
     """
 
-    ladder: Ladder
     factors: tuple[Ladder, ...]
     coincidental: tuple[Cell, ...]
     offsets: tuple[tuple[int, int], ...]
@@ -121,10 +121,10 @@ def decompose(ladder: Ladder) -> Factorization:
     to be 2-connected and path-connected; and the glue of one factor at
     (0, 0) is that factor.
 
-    With w >= 1 the ladder keeps the factors, corners and offsets once they
-    have passed every check, so a later call on the same object returns
-    them at once; a failure is not kept, and raises again.  What it keeps
-    refers to no ladder but the factors, which are new objects.  Two
+    With w >= 1 the ladder keeps the ``Factorization`` in ``_split`` once
+    it has passed every check, and a later call on the same object returns
+    that same object; a failure is not kept, and raises again.  What it
+    keeps refers to no ladder but the factors, which are new objects.  Two
     threads that decompose one ladder at once may both do the work and both
     store it, but what they store is equal, so the ladder can still be
     shared freely.
@@ -134,14 +134,14 @@ def decompose(ladder: Ladder) -> Factorization:
         require_analyzable(ladder)
         cc = corners(ladder).coincidental
         if not cc:
-            return Factorization(ladder, (ladder,), cc, ((0, 0),))
+            return Factorization((ladder,), cc, ((0, 0),))
         regions = _regions(ladder, cc)
         factors = tuple(Ladder._from_spans(rows, los, his, range(los[-1], his[0] + 1)) for rows, los, his in regions)
         offsets = _offsets([f._spans for f in factors])
         _check_factors(ladder, factors, cc, offsets)
-        split = factors, cc, offsets
+        split = Factorization(factors, cc, offsets)
         object.__setattr__(ladder, "_split", split)
-    return Factorization(ladder, *split)
+    return split
 
 
 def _regions(ladder, cc):

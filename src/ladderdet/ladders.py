@@ -200,7 +200,7 @@ class Ladder:
     held as ``range(1, k + 1)``, so a ladder with no empty row or column
     costs O(rows), and any ladder O(rows + |S|).  Besides its spans a
     ladder keeps only its survey, the corners and validation report found
-    while it is built, and in ``_split`` the verified factorization once
+    while it is built, and in ``_split`` the verified ``Factorization`` once
     :func:`ladderdet.decompose.decompose` has made it; a ladder with no
     coincidental corner is its own factor, and keeps none.  Each lives as
     long as the ladder, and no longer.  ``cells`` builds its set on each read
@@ -218,7 +218,7 @@ class Ladder:
                 r, c = rc
             except (TypeError, ValueError):
                 raise LadderError(f"bad cell {_brief_repr(rc)}: expected a (row, col) pair") from None
-            if not (type(r) is int is type(c) or is_int(r) and is_int(c)):
+            if not (is_int(r) and is_int(c)):
                 raise LadderError(f"cell indices must be integers, got {_brief_repr(rc)}")
             rows[r].add(c)
         return cls._from_sets(rows)
@@ -237,12 +237,9 @@ class Ladder:
         sets = [rows[r] for r in order]
         ends = list(map(sorted, sets))  # one sort of a row reads both its ends
         los, his = list(map(itemgetter(0), ends)), list(map(itemgetter(-1), ends))
-        size = sum(map(len, sets))
-        if size == sum(his) - sum(los) + len(sets):  # every row is the whole of its span
-            return cls._from_spans(order, los, his, _columns(los, his))
         cols = sorted(set().union(*sets))
         pos = dict(zip(cols, count())).__getitem__
-        if size == sum(map(pos, his)) - sum(map(pos, los)) + len(sets):
+        if sum(map(len, sets)) == sum(map(pos, his)) - sum(map(pos, los)) + len(sets):
             return cls._from_spans(order, los, his, cols)
         dr, dc = 1 - order[0], 1 - cols[0]
         _check_extent(order[-1] + dr, cols[-1] + dc)
@@ -332,16 +329,13 @@ def _matrix_spans(m: int, n: int):
 
 
 def _columns(los, his):
-    """The columns that lie in some span lo..hi, in order: a range when they are one run."""
-    runs = []
-    for lo, hi in sorted(zip(los, his)):
-        if runs and lo <= runs[-1][1] + 1:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-    if len(runs) == 1:
-        return range(runs[0][0], runs[0][1] + 1)
-    return list(chain.from_iterable(range(lo, hi + 1) for lo, hi in runs))
+    """The columns that lie in some span lo..hi of positive columns, in order."""
+    cols, last = [], 0
+    for lo, hi in sorted(zip(los, his)):  # by first column: a span adds its columns past the last so far
+        if hi > last:
+            cols += range(max(lo, last + 1), hi + 1)
+            last = hi
+    return cols
 
 
 def _check_extent(m: int, n: int) -> None:

@@ -87,11 +87,6 @@ class Monomial:
         return cls((cell, 1) for cell in cells)
 
     @classmethod
-    def _squarefree(cls, cells) -> "Monomial":
-        """The product of distinct cells with integer indices, unchecked."""
-        return cls._sorted((_new(Cell, c), 1) for c in cells)
-
-    @classmethod
     def _sorted(cls, exps) -> "Monomial":
         """The monomial with these (cell, exponent) pairs: cells of integer
         indices, each once, and positive exponents, unchecked."""
@@ -344,7 +339,7 @@ def _intersect_additive(gens1, gens2, d: int, ladder: Ladder) -> frozenset[Monom
             # The content's other realization, if its two cells lie in the ladder, is (i, q)*(p, j).
             if not ((i, q) in both and (p, j) in ladder or (p, j) in both and (i, q) in ladder):
                 pairs.add(((min(i, p), max(j, q)), (max(i, p), min(j, q))))
-    return frozenset(map(Monomial._squarefree, [*((x,) for x in both), *pairs]))
+    return frozenset(Monomial._sorted((_new(Cell, c), 1) for c in cells) for cells in [*((x,) for x in both), *pairs])
 
 
 # ---------------------------------------------------------------------------

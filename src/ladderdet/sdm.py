@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .classgroup import (
     DivisorClass,
-    _format,
     _json_runs,
     _labels,
     _lead,
@@ -135,7 +134,7 @@ class SdmReport(NamedTuple):
         picks = [t for f, t in zip(self.factors, terms) if not f.gorenstein]
         qs, ps = (product(*(("", t[kind]) for t in picks)) for kind in (0, 1))
         return (
-            _format(names, self.omega._vec),
+            _lead(_terms(names, self.omega._vec)),
             [_lead(q + p) for q, p in terms],
             (_lead("".join(q) + "".join(p)) for q, p in zip(qs, ps)),
         )

@@ -641,7 +641,7 @@ def decompose_by_cutting(ladder):
             raise LadderError(f"cutting oracle: factor {u} is not 2-connected and free of coincidental corners")
     if tuple(map(tuple, spans)) != tuple(map(tuple, ladder._spans)):
         raise LadderError("cutting oracle: composing the factors does not recover the ladder")
-    return Factorization(ladder, tuple(factors), cc, offsets)
+    return Factorization(tuple(factors), cc, offsets)
 
 
 def _merged_columns(los, his):
@@ -673,8 +673,8 @@ class FactorRole(NamedTuple):
         return f"{self.kind}[{self.factor},{self.index}]"
 
 
-def relabel(factorization):
-    """Name each global basis label by its factor and local role, in basis order.
+def relabel(ladder, factorization):
+    """Name each of ladder's basis labels by its factor in factorization and its local role, in basis order.
 
     The map is a bijection onto the roles of all factors.  A Q keyed to the
     u-th coincidental corner row belongs to the factor below the cut as
@@ -683,7 +683,6 @@ def relabel(factorization):
     """
     from ladderdet import Cell, LadderError, P, Q, corners
 
-    ladder = factorization.ladder
     prof = corners(ladder)
     cc = factorization.coincidental
     cc_of = {cell: u + 1 for u, cell in enumerate(cc)}
@@ -726,8 +725,8 @@ def relabel(factorization):
     return roles
 
 
-def embed_factor_omega(factorization, u):
-    """Image of the u-th factor's canonical class inside the composite group, via ``relabel``.
+def embed_factor_omega(ladder, factorization, u):
+    """Image of the u-th factor's canonical class inside ladder's class group, via ``relabel``.
 
     The oracle for ``classify``'s factor images, which lay each factor's
     canonical class into a contiguous block of labels instead.  The
@@ -736,12 +735,12 @@ def embed_factor_omega(factorization, u):
     """
     from ladderdet import DivisorClass, Q, canonical_class
 
-    label_of = {role: label for label, role in relabel(factorization).items()}
+    label_of = {role: label for label, role in relabel(ladder, factorization).items()}
     local = dict(canonical_class(factorization.factors[u]).items())
     coeffs = {label_of[FactorRole(u, label.kind.lower(), label.index)]: c for label, c in local.items()}
     if u >= 1 and Q(1) in local:
         coeffs[label_of[FactorRole(u, "p", 0)]] = local[Q(1)]
-    return DivisorClass(factorization.ladder, coeffs)
+    return DivisorClass(ladder, coeffs)
 
 
 def classes_by_addition(report):
@@ -761,7 +760,7 @@ def classes_by_addition(report):
     classes = [DivisorClass(ladder)]
     for u in reversed(range(len(report.factors))):
         if not report.factors[u].gorenstein:
-            image = embed_factor_omega(factorization, u)
+            image = embed_factor_omega(ladder, factorization, u)
             classes += [image + c for c in classes]
     return tuple(classes)
 
@@ -790,6 +789,19 @@ def sdm_json(report):
     """The ``sdm --json`` document of an ``SdmReport``, its classes and thetas as lists."""
     doc = report._json_doc()
     return {**doc, "classes": list(doc["classes"]), "thetas": list(doc["thetas"])}
+
+
+def class_text(labels, vec):
+    """``str`` of the class with coordinates vec over the labels, written term by
+    term: each nonzero c joins as " + c*label" or " - |c|*label", the factor
+    left out when |c| is 1, the first term signed only when negative; the zero
+    class is "0"."""
+    text = ""
+    for label, c in zip(labels, vec):
+        if c:
+            sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+            text += sign + (f"{label}" if abs(c) == 1 else f"{abs(c)}*{label}")
+    return text or "0"
 
 
 # ---------------------------------------------------------------------------

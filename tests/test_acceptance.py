@@ -128,7 +128,7 @@ def test_criterion_07_global_factor_consistency():
         factorization = decompose(ladder)
         total = DivisorClass(ladder)
         for u in range(factorization.w + 1):
-            total = total + embed_factor_omega(factorization, u)
+            total = total + embed_factor_omega(ladder, factorization, u)
         omega = canonical_class(ladder)
         assert total == omega
         assert omega.is_zero == is_gorenstein(ladder)

@@ -42,6 +42,7 @@ from ladderdet import (
 from helpers import (
     FactorRole,
     canonical_class_oracle,
+    class_text,
     embed_factor_omega,
     enumerate_ladder_cellsets,
     factor_image,
@@ -170,7 +171,8 @@ def test_factor_images_are_facet_sums():
         report = classify(ladder)
         images = [factor_image(report, factor) for factor in report.factors]
         for u, coord in enumerate(sums):
-            assert DivisorClass(ladder, zip(labels, coord)) == embed_factor_omega(f, u) == images[u], (ladder, u)
+            image = embed_factor_omega(ladder, f, u)
+            assert DivisorClass(ladder, zip(labels, coord)) == image == images[u], (ladder, u)
 
 
 def test_label_layer_matches_the_lower_ext_oracle():
@@ -505,7 +507,7 @@ def test_divisor_class_names_only_its_nonzero_labels(monkeypatch):
         vec = tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in labels)
         items = tuple((l, c) for l, c in zip(labels, vec) if c)
         doc = {kind: {str(l.index): c for l, c in items if l.kind == kind} for kind in ("Q", "P")}
-        text = classgroup_module._format(labels, vec)
+        text = class_text(labels, vec)
         cases.append((DivisorClass._make(ladder, vec), items, text, json.dumps(doc)))
     calls = []
     labels_of = classgroup_module._labels
@@ -521,7 +523,7 @@ def test_divisor_class_names_only_its_nonzero_labels(monkeypatch):
 # relabeling and factor embedding
 
 def test_relabel_l3(l3):
-    rmap = relabel(decompose(l3))
+    rmap = relabel(l3, decompose(l3))
     assert rmap[Q(1)] == FactorRole(0, "q", 1)
     assert rmap[Q(2)] == FactorRole(1, "q", 1)
     assert rmap[P(1)] == FactorRole(1, "p", 0)
@@ -529,7 +531,7 @@ def test_relabel_l3(l3):
 
 
 def test_relabel_trivial_for_single_factor(l2):
-    rmap = relabel(decompose(l2))
+    rmap = relabel(l2, decompose(l2))
     prof = corners(l2)
     for i in range(1, prof.h + 2):
         assert rmap[Q(i)] == FactorRole(0, "q", i)
@@ -538,7 +540,8 @@ def test_relabel_trivial_for_single_factor(l2):
 
 
 def test_relabel_composite_has_w_cut_roles(l1, l2, l3):
-    rmap = relabel(decompose(compose([l1, l2, l3])))
+    ladder = compose([l1, l2, l3])
+    rmap = relabel(ladder, decompose(ladder))
     assert len(rmap) == 12
     cut_roles = [role for _, role in rmap.items() if role.kind == "p" and role.index == 0]
     assert len(cut_roles) == 3
@@ -547,14 +550,14 @@ def test_relabel_composite_has_w_cut_roles(l1, l2, l3):
 
 def test_embed_factor_omega_l3(l3):
     f = decompose(l3)
-    assert embed_factor_omega(f, 0) == DivisorClass(l3, {Q(1): 1})
-    assert embed_factor_omega(f, 1) == DivisorClass(l3, {Q(2): 1, P(1): 1})
+    assert embed_factor_omega(l3, f, 0) == DivisorClass(l3, {Q(1): 1})
+    assert embed_factor_omega(l3, f, 1) == DivisorClass(l3, {Q(2): 1, P(1): 1})
 
 
 def test_embed_gorenstein_factor_is_zero(l2):
     composite = compose([Ladder.full_matrix(3, 2), l2])
     f = decompose(composite)
-    assert embed_factor_omega(f, 1).is_zero
+    assert embed_factor_omega(composite, f, 1).is_zero
 
 
 def test_embed_two_sided_lower_factor(l1):
@@ -564,8 +567,8 @@ def test_embed_two_sided_lower_factor(l1):
         composite, {Q(1): -1, Q(3): 2, P(2): 1}
     )
     f = decompose(composite)
-    assert embed_factor_omega(f, 0) == DivisorClass(composite, {Q(1): -1})
-    assert embed_factor_omega(f, 1) == DivisorClass(composite, {Q(3): 2, P(2): 1})
+    assert embed_factor_omega(composite, f, 0) == DivisorClass(composite, {Q(1): -1})
+    assert embed_factor_omega(composite, f, 1) == DivisorClass(composite, {Q(3): 2, P(2): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +581,7 @@ def test_global_factor_consistency_randomized():
         f = decompose(ladder)
         total = DivisorClass(ladder)
         for u in range(f.w + 1):
-            total = total + embed_factor_omega(f, u)
+            total = total + embed_factor_omega(ladder, f, u)
         assert total == canonical_class(ladder)
         assert canonical_class(ladder).is_zero == is_gorenstein(ladder)
 

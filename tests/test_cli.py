@@ -10,8 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ladderdet import Ladder, compose, construct_2n, parse_ascii
+from ladderdet import Ladder, compose, construct_2n, decompose, parse_ascii
 from ladderdet.cli import MAX_SDM_CLASSES, _json_pieces, build_parser, main
+from ladderdet.ladders import MAX_RENDER_AREA
 from ladderdet.sdm import MAX_CONSTRUCT_CELLS
 
 from helpers import L1_ASCII, L2_ASCII, L3_ASCII, L3_CELLS, child_env
@@ -191,6 +192,32 @@ def test_render_over_extent_cap_is_domain_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--in", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot render a 100000x100000 grid") and err.count("\n") == 1
+
+
+def test_decompose_pretty_is_one_capped_grid_per_factor(capsys, tmp_path):
+    # stdout is the coincidental line and, per factor, its header and its m_u
+    # rows of n_u characters: each grid is capped on its own, so the output
+    # stays within about (w + 1) * MAX_RENDER_AREA bytes
+    l1, l2, full = parse_ascii(L1_ASCII), parse_ascii(L2_ASCII), Ladder.full_matrix
+    path = tmp_path / "glue.json"
+    for factors in ([l1, full(3, 2)], [full(2, 3), l1, full(3, 2), l2]):
+        glue = compose(factors)
+        path.write_text(json.dumps(glue.to_json_dict()))
+        split = decompose(glue)
+        assert split.factors == tuple(factors)
+        lines = ["coincidental: " + " ".join(f"({r},{c})" for r, c in split.coincidental)]
+        for u, (f, (dr, dc)) in enumerate(zip(factors, split.offsets)):
+            cells = f.cells
+            lines.append(f"factor {u} ({f.m}x{f.n}) at offset ({dr},{dc}):")
+            lines += ["".join("#" if (r, c) in cells else "." for c in range(1, f.n + 1)) for r in range(1, f.m + 1)]
+        assert run(capsys, "decompose", "--in", str(path), "--pretty") == (0, "\n".join(lines) + "\n", "")
+    # a factor of 4,000 cells on a 1001 x 1001 grid, over the cap: nothing is printed but the refusal
+    wide = Ladder([(r, c) for r in (1, 2) for c in range(1, 1002)] + [(r, c) for r in range(3, 1002) for c in (1, 2)])
+    assert len(wide) == 4000 and wide.m * wide.n > MAX_RENDER_AREA
+    path.write_text(json.dumps(compose([full(3, 2), wide]).to_json_dict()))
+    assert run(capsys, "decompose", "--in", str(path), "--pretty") == (
+        1, "", "error: cannot render a 1001x1001 grid: its positions exceed the cap of 1000000\n"
+    )
 
 
 BIG = "9" * 4300  # the longest integer Python prints

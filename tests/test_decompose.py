@@ -207,13 +207,15 @@ def test_factorization_json(l3):
 
 
 def test_decompose_keeps_its_factorization_on_the_ladder(l1, l3):
+    # the ladder keeps the Factorization itself, and each call returns that object
     first = decompose(l3)
     again = decompose(l3)
-    assert again.factors is first.factors and again == first and again.ladder is l3
+    assert decompose(l3) is decompose(l3) and l3._split is decompose(l3)
+    assert again.factors is first.factors and again == first and l3._split is again
     # a ladder with no coincidental corner is its own factor, and keeps nothing
     for _ in range(2):
         f = decompose(l1)
-        assert f.factors == (l1,) and f.factors[0] is l1 and f.ladder is l1
+        assert f.factors == (l1,) and f.factors[0] is l1 and f == ((l1,), (), ((0, 0),))
         assert l1._split is None
 
 
@@ -376,7 +378,7 @@ def test_one_factor_decomposition_is_the_cutting_oracles():
         seen += 1
         oracle = decompose_by_cutting(ladder)
         f = decompose(ladder)
-        assert f == oracle and f.ladder is ladder and f.offsets == ((0, 0),) and f.coincidental == ()
+        assert f == oracle and f.factors == (ladder,) and f.offsets == ((0, 0),) and f.coincidental == ()
         assert f.factors[0] is ladder and ladder._split is None
         for got, want in zip(f.factors, oracle.factors, strict=True):
             assert got._spans == want._spans
@@ -423,7 +425,7 @@ def test_decomposition_at_corners_is_the_cutting_oracles():
         f = decompose(ladder)
         # decompose's offsets are the running sums of _offsets and the
         # oracle's the closed form, so this compares the two formulas too
-        assert f == oracle and f.ladder is ladder and f.w >= 1
+        assert f == oracle and ladder._split is f and f.w >= 1
         for got, want in zip(f.factors, oracle.factors, strict=True):
             assert got._spans == want._spans
             assert corners(got) == corners(want) and validate(got) == validate(want)

@@ -25,8 +25,9 @@ def test_public_surface_is_pinned():
 
 
 def test_report_types_public_attributes_are_pinned():
-    # the report keeps what classify certifies and the CLI reads: a dropped view cannot come back unnoticed
-    from ladderdet import FactorReport, SdmReport
+    # the report keeps what classify certifies and the CLI reads: a dropped view cannot come back unnoticed;
+    # the factorization a ladder keeps names no ladder but its factors
+    from ladderdet import FactorReport, Factorization, SdmReport
 
     def own_public(cls):
         return sorted(name for name in vars(cls) if not name.startswith("_") and name not in cls._fields)
@@ -35,6 +36,8 @@ def test_report_types_public_attributes_are_pinned():
     assert own_public(FactorReport) == []
     assert SdmReport._fields == ("rank", "omega", "factors")
     assert own_public(SdmReport) == ["classes", "count"]
+    assert Factorization._fields == ("factors", "coincidental", "offsets")
+    assert own_public(Factorization) == ["to_json_dict", "w"]
 
 
 def test_every_export_is_its_home_modules_object():

@@ -121,7 +121,7 @@ def test_classify_contains_zero_and_omega_with_aligned_thetas(l1, l2, l3):
     assert DivisorClass(report.omega.ladder) in report.classes
     assert report.omega in report.classes
     factorization = decompose(ladder)
-    images = [embed_factor_omega(factorization, u) for u in range(len(report.factors))]
+    images = [embed_factor_omega(ladder, factorization, u) for u in range(len(report.factors))]
     for theta, cls in zip(sdm_json(report)["thetas"], report.classes):
         acc = DivisorClass(report.omega.ladder)
         for t, image in zip(theta, images):
@@ -160,7 +160,7 @@ def test_classify_classes_match_brute_force():
         assert len(thetas) == len(set(thetas)) == report.count
         assert list(thetas) == sorted(thetas)
         factorization = decompose(ladder)
-        images = [embed_factor_omega(factorization, u).items() for u in range(len(report.factors))]
+        images = [embed_factor_omega(ladder, factorization, u).items() for u in range(len(report.factors))]
         for theta, cls in zip(thetas, classes):
             expected = {}
             for t, factor, image in zip(theta, report.factors, images):
@@ -260,7 +260,7 @@ def test_factor_images_match_the_relabeling_oracle():
         report = classify(ladder)
         doc = sdm_json(report)
         for u, f in enumerate(report.factors):
-            image = embed_factor_omega(factorization, u)
+            image = embed_factor_omega(ladder, factorization, u)
             assert factor_image(report, f) == image
             assert doc["factors"][u]["omega_image"] == image.to_json_dict()
 
